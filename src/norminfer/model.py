@@ -289,7 +289,11 @@ def make_batch(pairs: Sequence[EncodedPair], pad_id: int = 0) -> Batch:
 
 
 def embed(batch: Batch, params: ModelParameters) -> Tensor:
-    """Sum of word row and position row from the joint table, per token."""
+    """Sum of word row and position row from the joint table, per token.
+
+    Both id sets go through one lookup, so the backward pass scatters into
+    a single dense table gradient.
+    """
     config = params.config
     ids = batch.token_ids
     if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_words):
@@ -303,9 +307,7 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
             f"position out of range [1, {config.max_len}]: "
             f"min {pos.min()}, max {pos.max()}"
         )
-    word_rows = embedding_lookup(params.embedding, ids)
-    position_rows = embedding_lookup(params.embedding, config.vocab_words + pos - 1)
-    return add(word_rows, position_rows)
+    return embedding_lookup(params.embedding, ids, config.vocab_words + pos - 1)
 
 
 def _swap_last_two(x: Tensor) -> Tensor:

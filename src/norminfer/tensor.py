@@ -14,6 +14,13 @@ later operations receives the sum of the gradients from each use. With no
 active tape the primitives run plain numpy with no bookkeeping, which is the
 inference path.
 
+Dense products of a batched input with a 2-d weight fold every leading
+dimension into rows, so the forward pass and both gradients are one matrix
+product each. An embedding lookup may gather several id sets at once and
+scatters its gradient into a single dense table with a sorted segment sum.
+Leaf gradients left by ``backward`` are writeable and never shared between
+two leaves, so an optimizer may clip them in place.
+
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
 inherits the dtype of its tensor inputs and mixing dtypes is an error.
@@ -141,6 +148,8 @@ class GradTape:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
+        produced = {id(rec.output) for rec in self._records}
+        held: set[int] = set()
         loss.grad = np.ones_like(loss.data)
         for rec in reversed(self._records):
             g_out = rec.output.grad
@@ -150,16 +159,31 @@ class GradTape:
             for tensor, grad in zip(rec.inputs, grads):
                 if grad is None or not tensor.requires_grad:
                     continue
-                if tensor.grad is None:
+                if tensor.grad is not None:
+                    tensor.grad = tensor.grad + grad
+                elif id(tensor) in produced:
                     tensor.grad = grad
                 else:
-                    tensor.grad = tensor.grad + grad
+                    tensor.grad = _leaf_grad(grad, held)
 
     def clear(self) -> None:
         self._records.clear()
 
 
 _ACTIVE_TAPES: list[GradTape] = []
+
+
+def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
+    """First gradient of a leaf, copied if read-only (a broadcast view) or
+    if its memory already backs another leaf's gradient, e.g. both inputs of
+    an ``add``. ``held`` collects the memory owners handed out so far.
+    """
+    owner = id(grad if grad.base is None else grad.base)
+    if not grad.flags.writeable or owner in held:
+        grad = grad.copy()
+        owner = id(grad)
+    held.add(owner)
+    return grad
 
 
 def backward(loss: Tensor) -> None:
@@ -230,14 +254,29 @@ def scale(x: Tensor, factor: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product; leading dimensions broadcast as in numpy.
 
-    Covers the 2-d dense case and the batched case with head and batch
-    dimensions in front. The contraction dimensions must agree.
+    Covers the dense case, a 2-d ``b`` applied at every leading index of
+    ``a``, and the batched case with head and batch dimensions in front of
+    both operands. The contraction dimensions must agree.
+
+    A dense product folds the leading dimensions of ``a`` into rows: the
+    forward pass is one (rows, k) x (k, n) product, and the weight gradient
+    is one ``a^T g`` product rather than a product per leading index summed
+    afterwards.
     """
     _check_dtypes(a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+
+        def dense_pull(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+
+        return _result((a, b), data, dense_pull)
     data = a.data @ b.data
 
     def pull(g):
@@ -277,25 +316,45 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _result((x,), x.data.transpose(axes), lambda g: (g.transpose(inverse),))
 
 
-def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Gather rows of ``table`` at integer ``ids``; output shape ids.shape + (d,).
+def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> Tensor:
+    """Gather rows of ``table`` at integer ids; output shape ids.shape + (d,).
 
-    The backward pass scatter-adds row gradients, so repeated ids and
-    multiple lookups into the same table accumulate correctly.
+    With several id arrays of one shape, the output is the sum of their
+    rows, added in argument order. The backward pass builds one dense
+    table gradient: the incoming row gradients of every id set are stably
+    sorted by id and summed per run of equal ids (``np.add.reduceat``),
+    then written once into each distinct row. Repeated ids therefore
+    accumulate in order of occurrence, and rows never looked up stay zero.
     """
-    ids = np.asarray(ids)
-    if not np.issubdtype(ids.dtype, np.integer):
-        raise ContractError(f"embedding ids must be integers, got {ids.dtype}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(
-            f"embedding id out of range [0, {table.shape[0]}): "
-            f"min {ids.min()}, max {ids.max()}"
-        )
-    data = table.data[ids]
+    id_sets = tuple(np.asarray(i) for i in (ids,) + more_ids)
+    for id_set in id_sets:
+        if not np.issubdtype(id_set.dtype, np.integer):
+            raise ContractError(f"embedding ids must be integers, got {id_set.dtype}")
+        if id_set.shape != id_sets[0].shape:
+            raise ShapeError(
+                f"embedding id arrays differ in shape: {id_set.shape} vs {id_sets[0].shape}"
+            )
+        if id_set.size and (id_set.min() < 0 or id_set.max() >= table.shape[0]):
+            raise ContractError(
+                f"embedding id out of range [0, {table.shape[0]}): "
+                f"min {id_set.min()}, max {id_set.max()}"
+            )
+    data = table.data[id_sets[0]]
+    for id_set in id_sets[1:]:
+        data += table.data[id_set]
 
     def pull(g):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, ids, g)
+        flat = np.concatenate([id_set.reshape(-1) for id_set in id_sets])
+        if not flat.size:
+            return (gt,)
+        order = np.argsort(flat, kind="stable")
+        sorted_ids = flat[order]
+        starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
+        g_rows = g.reshape((-1,) + table.shape[1:])
+        gt[sorted_ids[starts]] = np.add.reduceat(
+            g_rows[order % id_sets[0].size], starts, axis=0
+        )
         return (gt,)
 
     return _result((table,), data, pull)

@@ -124,25 +124,49 @@ def lr_at(step: float, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * ((total_steps - step) / (total_steps - warmup_end))
 
 
-def clip(gradient: np.ndarray, bound: float) -> np.ndarray:
-    """Elementwise clamp into [-bound, +bound]."""
+def clip_gradients(params, bound: float) -> None:
+    """Clamp every gradient into [-bound, +bound] in place.
+
+    ``params`` is a ModelParameters or a sequence of (name, tensor) pairs.
+    Raises NumericError naming the tensor if a gradient holds NaN or +-inf.
+    The check runs before the clamp, which would turn +-inf into +-bound.
+    """
     if not (bound > 0):
         raise ContractError(f"clip bound must be > 0, got {bound}")
-    return np.clip(gradient, -bound, bound)
+    if hasattr(params, "named_tensors"):
+        params = params.named_tensors()
+    for name, tensor in params:
+        g = tensor.grad
+        if g is None or not g.size:
+            continue
+        lo, hi = g.min(), g.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise NumericError(f"non-finite gradient in {name}")
+        if lo < -bound or hi > bound:
+            np.clip(g, -bound, bound, out=g)
 
 
-def clip_gradients(params: ModelParameters, bound: float) -> None:
-    for _, tensor in params.named_tensors():
-        if tensor.grad is not None:
-            tensor.grad = clip(tensor.grad, bound)
+def _row_size(a: np.ndarray) -> int:
+    """Elements per index of the first axis, treating a scalar as one row."""
+    a = np.atleast_1d(a)
+    return a[0].size if len(a) else 1
 
 
 class AdamOptimizer:
     """Adam with bias correction.
 
     Moment accumulators mirror every parameter shape; the step counter
-    increases by one per update across all parameters.
+    increases by one per update across all parameters. Every row of every
+    parameter is updated on every step (dense Adam).
+
+    The update is lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t)
+    and v_hat = v / (1 - beta2^t). Both corrections are folded into scalars,
+    lr / (1 - beta1^t) and 1 / sqrt(1 - beta2^t), so no corrected moment is
+    materialized. Moments and weights are updated in place, a block of rows
+    at a time through a small scratch buffer that stays in cache.
     """
+
+    SCRATCH_ELEMENTS = 1 << 16
 
     def __init__(
         self,
@@ -159,6 +183,12 @@ class AdamOptimizer:
         self.eps = eps
         self.m = {name: np.zeros_like(t.data) for name, t in self.tensors}
         self.v = {name: np.zeros_like(t.data) for name, t in self.tensors}
+        scratch_sizes: dict = {}
+        for _, t in self.tensors:
+            scratch_sizes[t.dtype] = max(
+                scratch_sizes.get(t.dtype, self.SCRATCH_ELEMENTS), _row_size(t.data)
+            )
+        self._scratch = {dt: np.empty(n, dt) for dt, n in scratch_sizes.items()}
         self.step_count = 0
 
     def step(self, lr: float) -> None:
@@ -167,26 +197,41 @@ class AdamOptimizer:
         """
         self.step_count += 1
         t = self.step_count
-        bias1 = 1.0 - self.beta1**t
-        bias2 = 1.0 - self.beta2**t
+        step_size = lr / (1.0 - self.beta1**t)
+        v_scale = 1.0 / math.sqrt(1.0 - self.beta2**t)
         for name, tensor in self.tensors:
             g = tensor.grad
             if g is None:
                 continue
             if not np.isfinite(g).all():
                 raise NumericError(f"non-finite gradient in {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            tensor.data -= (lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(
-                tensor.dtype, copy=False
+            self._update(
+                np.atleast_1d(tensor.data), np.atleast_1d(g),
+                np.atleast_1d(self.m[name]), np.atleast_1d(self.v[name]),
+                step_size, v_scale,
             )
             tensor.grad = None
+
+    def _update(self, w, g, m, v, step_size, v_scale) -> None:
+        scratch = self._scratch[w.dtype]
+        rows = max(1, scratch.size // _row_size(w))
+        for start in range(0, len(w), rows):
+            end = min(len(w), start + rows)
+            gs, ms, vs = g[start:end], m[start:end], v[start:end]
+            buf = scratch[: gs.size].reshape(gs.shape)
+            ms *= self.beta1
+            np.multiply(gs, 1.0 - self.beta1, out=buf)
+            ms += buf
+            vs *= self.beta2
+            np.multiply(gs, gs, out=buf)
+            buf *= 1.0 - self.beta2
+            vs += buf
+            np.sqrt(vs, out=buf)
+            buf *= v_scale
+            buf += self.eps
+            np.divide(ms, buf, out=buf)
+            buf *= step_size
+            w[start:end] -= buf
 
 
 def make_batches(

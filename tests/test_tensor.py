@@ -69,7 +69,12 @@ class TestMatmul:
 
     def test_gradients_dense_and_batched(self):
         rng = np.random.default_rng(11)
-        for sa, sb in [((3, 4), (4, 2)), ((2, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5))]:
+        for sa, sb in [
+            ((3, 4), (4, 2)),
+            ((2, 3, 4), (2, 4, 5)),
+            ((2, 3, 4), (4, 5)),
+            ((2, 3, 4, 5), (5, 6)),
+        ]:
             a = parameter(rng.normal(size=sa), dtype=np.float64)
             b = parameter(rng.normal(size=sb), dtype=np.float64)
             with GradTape() as tape:
@@ -231,6 +236,36 @@ class TestEmbeddingAndRowSelection:
             table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]]
         )
 
+        rng = np.random.default_rng(17)
+        table = parameter(rng.normal(size=(6, 3)), dtype=np.float64)
+        ids = np.array([[4, 1, 4, 0], [1, 1, 5, 4]])
+        w = rng.normal(size=ids.shape + (3,))
+        with GradTape() as tape:
+            tape.backward(total(mul(embedding_lookup(table, ids), t64(w))))
+        expected = np.zeros((6, 3))
+        np.add.at(expected, ids, w)
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=0)
+
+    def test_several_id_sets_sum_rows_and_share_one_gradient(self):
+        rng = np.random.default_rng(19)
+        table = parameter(rng.normal(size=(7, 3)), dtype=np.float64)
+        words = np.array([[2, 0, 2], [5, 2, 0]])
+        positions = np.array([[4, 5, 6], [4, 5, 6]])
+        w = rng.normal(size=words.shape + (3,))
+        with GradTape() as tape:
+            out = embedding_lookup(table, words, positions)
+            assert len(tape) == 1
+            tape.backward(total(mul(out, t64(w))))
+        assert np.array_equal(out.data, table.data[words] + table.data[positions])
+        expected = np.zeros((7, 3))
+        np.add.at(expected, words, w)
+        np.add.at(expected, positions, w)
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=0)
+
+    def test_id_sets_must_share_a_shape(self):
+        with pytest.raises(ShapeError):
+            embedding_lookup(t64(np.zeros((3, 2))), np.array([0, 1]), np.array([0]))
+
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ContractError):
             embedding_lookup(t64(np.zeros((3, 2))), np.array([3]))
@@ -334,6 +369,17 @@ class TestTapeMechanics:
         assert y.requires_grad
         tape = GradTape()
         assert len(tape) == 0
+
+    def test_leaf_gradients_are_writeable_and_unshared(self):
+        a = parameter(np.array([1.0, 2.0]), dtype=np.float64)
+        b = parameter(np.array([3.0, 4.0]), dtype=np.float64)
+        with GradTape() as tape:
+            tape.backward(total(add(a, b)))
+        assert a.grad is not b.grad
+        assert not np.shares_memory(a.grad, b.grad)
+        assert a.grad.flags.writeable and b.grad.flags.writeable
+        a.grad *= 2.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
 
     def test_constants_receive_no_gradient(self):
         x = parameter(np.ones(2), dtype=np.float64)

@@ -7,13 +7,12 @@ from helpers import build_random_pair, build_toy_config, build_toy_params
 
 from norminfer.base import ConfigError, ContractError, NumericError
 from norminfer.model import forward_batch, make_batch
-from norminfer.tensor import GradTape, Tensor, parameter
+from norminfer.tensor import GradTape, Tensor, add, parameter, total
 from norminfer.training import (
     AdamOptimizer,
     TrainConfig,
     Trainer,
     accuracy,
-    clip,
     clip_gradients,
     count_clamped,
     lr_at,
@@ -32,6 +31,23 @@ ADAM_QUADRATIC_TRACE = [0.9000000005, 0.8004122286917928, 0.7015862729460303]
 
 def cfg(**kw):
     return TrainConfig(**kw)
+
+
+def reference_adam(weights, grads, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
+    """The textbook update with materialized bias-corrected moments."""
+    weights = [w.copy() for w in weights]
+    m = [np.zeros_like(w) for w in weights]
+    v = [np.zeros_like(w) for w in weights]
+    for t in range(1, steps + 1):
+        for w, g, m_i, v_i in zip(weights, grads[t - 1], m, v):
+            m_i *= beta1
+            m_i += (1.0 - beta1) * g
+            v_i *= beta2
+            v_i += (1.0 - beta2) * (g * g)
+            m_hat = m_i / (1.0 - beta1**t)
+            v_hat = v_i / (1.0 - beta2**t)
+            w -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    return weights
 
 
 class TestLrSchedule:
@@ -105,25 +121,46 @@ class TestLrSchedule:
             cfg(max_epochs=-1)
 
 
+def clip_one(gradient, bound):
+    """Clamp one gradient through clip_gradients; returns the array it left."""
+    w = parameter(np.zeros_like(gradient), dtype=np.float64)
+    w.grad = gradient
+    clip_gradients([("w", w)], bound)
+    return w.grad
+
+
 class TestClip:
     def test_clamps_to_bound(self):
         g = np.array([-5.0, -1.0, 0.25, 3.0])
-        np.testing.assert_array_equal(clip(g, 1.0), [-1.0, -1.0, 0.25, 1.0])
+        assert clip_one(g, 1.0) is g  # in place
+        np.testing.assert_array_equal(g, [-1.0, -1.0, 0.25, 1.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(61)
         for _ in range(10):
             g = rng.normal(scale=3.0, size=20)
-            once = clip(g, 1.0)
-            np.testing.assert_array_equal(clip(once, 1.0), once)
+            once = clip_one(g, 1.0).copy()
+            np.testing.assert_array_equal(clip_one(g, 1.0), once)
 
     def test_within_bound_untouched(self):
         g = np.array([0.5, -0.5])
-        np.testing.assert_array_equal(clip(g, 1.0), g)
+        np.testing.assert_array_equal(clip_one(g, 1.0), [0.5, -0.5])
 
     def test_invalid_bound(self):
         with pytest.raises(ContractError):
-            clip(np.zeros(2), 0.0)
+            clip_one(np.zeros(2), 0.0)
+        with pytest.raises(ContractError):
+            clip_gradients([], 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_raises_before_the_clamp(self, bad):
+        w = parameter(np.array([1.0, 2.0]), dtype=np.float64)
+        opt = AdamOptimizer([("w", w)])
+        w.grad = np.array([bad, 0.5])
+        with pytest.raises(NumericError, match="non-finite gradient in w"):
+            clip_gradients([("w", w)], 1.0)
+            opt.step(0.1)
+        np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
 
 class TestAdam:
@@ -172,6 +209,40 @@ class TestAdam:
         w.grad = np.array([np.nan])
         with pytest.raises(NumericError, match="w"):
             opt.step(0.1)
+
+    @pytest.mark.parametrize("scratch", [5, AdamOptimizer.SCRATCH_ELEMENTS])
+    def test_fused_update_matches_reference(self, monkeypatch, scratch):
+        # a tiny scratch buffer splits every tensor into several row blocks
+        monkeypatch.setattr(AdamOptimizer, "SCRATCH_ELEMENTS", scratch)
+        rng = np.random.default_rng(67)
+        shapes = [(3,), (4, 5), (2, 3, 4), (1,), ()]
+        start = [rng.normal(size=s) for s in shapes]
+        grads = [[rng.normal(scale=0.5, size=s) for s in shapes] for _ in range(5)]
+        tensors = [parameter(w.copy(), dtype=np.float64) for w in start]
+        opt = AdamOptimizer([(f"p{i}", t) for i, t in enumerate(tensors)])
+        for step_grads in grads:
+            for t, g in zip(tensors, step_grads):
+                t.grad = g.copy()
+            opt.step(0.01)
+        for t, expected in zip(tensors, reference_adam(start, grads, 0.01, 5)):
+            np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
+
+    def test_shared_read_only_leaf_gradient(self):
+        a = parameter(np.array([0.5, -1.5, 2.0]), dtype=np.float64)
+        b = parameter(np.array([1.0, 0.0, -3.0]), dtype=np.float64)
+        start = [a.data.copy(), b.data.copy()]
+        named = [("a", a), ("b", b)]
+        opt = AdamOptimizer(named)
+        for _ in range(5):
+            with GradTape() as tape:
+                tape.backward(total(add(a, b)))
+            # total(add(a, b)) hands both leaves a gradient of ones; the
+            # bound of 0.5 makes the clamp write into it
+            clip_gradients(named, 0.5)
+            opt.step(0.01)
+        halves = [np.full(3, 0.5), np.full(3, 0.5)]
+        for t, expected in zip((a, b), reference_adam(start, [halves] * 5, 0.01, 5)):
+            np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
 
     def test_parameters_without_gradient_skipped(self):
         w = parameter(np.array([1.0]), dtype=np.float64)
