@@ -23,16 +23,17 @@ from .tensor import (
     CausalMask,
     Tensor,
     add,
+    causal_attention,
     dropout as dropout_op,
     embedding_lookup,
     gelu,
     layer_norm,
-    masked_fill,
+    masked_fill,  # noqa: F401  unused here; kept importable from this module
     matmul,
     narrow,
     parameter,
     reshape,
-    scale,
+    scale,  # noqa: F401  unused here; kept importable from this module
     softmax,
     take_rows,
     transpose,
@@ -310,11 +311,6 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
     return embedding_lookup(params.embedding, ids, config.vocab_words + pos - 1)
 
 
-def _swap_last_two(x: Tensor) -> Tensor:
-    axes = tuple(range(x.ndim - 2)) + (x.ndim - 1, x.ndim - 2)
-    return transpose(x, axes)
-
-
 def scaled_dot_product_attention(
     q: Tensor,
     k: Tensor,
@@ -322,17 +318,16 @@ def scaled_dot_product_attention(
     mask: CausalMask,
     return_weights: bool = False,
 ):
-    """softmax(mask(q k^T / sqrt(d_k))) v over the trailing two dimensions."""
-    if q.shape != k.shape or q.shape != v.shape:
-        raise ShapeError(
-            f"q, k, v must share a shape, got {q.shape}, {k.shape}, {v.shape}"
-        )
-    d_k = q.shape[-1]
-    scores = scale(matmul(q, _swap_last_two(k)), 1.0 / np.sqrt(d_k))
-    weights = softmax(masked_fill(scores, mask), axis=-1)
-    out = matmul(weights, v)
+    """softmax(mask(q k^T / sqrt(d_k))) v over the trailing two dimensions.
+
+    One fused primitive (``tensor.causal_attention``) computes the scores,
+    mask, softmax and value product, so the attention weights are the only
+    T x T array a call allocates. With ``return_weights`` the weights come
+    back as a plain array of shape q.shape[:-1] + (T,).
+    """
+    out, weights = causal_attention(q, k, v, mask)
     if return_weights:
-        return out, weights.data
+        return out, weights
     return out
 
 

@@ -146,6 +146,47 @@ def _read_header(raw: bytes) -> tuple[dict, bytes]:
     return header, raw[header_end:]
 
 
+def _check_manifest(manifest, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Reject a tensor manifest unless it is a list of objects, each with a
+    ``shape`` of non-negative integers and a supported ``dtype``, whose
+    ``name`` fields list the tensors of ``shapes`` in order, at the shapes
+    the config requires."""
+    if not isinstance(manifest, list):
+        raise CheckpointError(
+            f"tensor manifest: expected a list, got {type(manifest).__name__}"
+        )
+    for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            raise CheckpointError(
+                f"tensor manifest: entry {i} is a {type(entry).__name__}, not an object"
+            )
+        missing = {"name", "shape", "dtype"} - set(entry)
+        if missing:
+            raise CheckpointError(
+                f"tensor manifest: entry {i} lacks fields {sorted(missing)}"
+            )
+        shape = entry["shape"]
+        if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+        ):
+            raise CheckpointError(
+                f"tensor manifest: {entry['name']} has shape {shape!r}, "
+                "not a list of non-negative integers"
+            )
+        _le_dtype(entry["dtype"])
+    if [entry["name"] for entry in manifest] != list(shapes):
+        raise CheckpointError(
+            "tensor manifest: names do not match the config's parameter set"
+        )
+    for entry in manifest:
+        want = shapes[entry["name"]]
+        if tuple(entry["shape"]) != want:
+            raise CheckpointError(
+                f"tensor manifest: {entry['name']} has shape {entry['shape']}, "
+                f"config requires {list(want)}"
+            )
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read, verify, and rebuild parameters from a checkpoint file."""
     path = Path(path)
@@ -162,20 +203,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if config_hash(config) != header["config_sha256"]:
         raise CheckpointError("config: hash mismatch, header is corrupt")
 
-    shapes = expected_shapes(config)
     manifest = header["tensors"]
-    names = [entry.get("name") for entry in manifest]
-    if names != list(shapes):
-        raise CheckpointError(
-            "tensor manifest: names do not match the config's parameter set"
-        )
-    for entry in manifest:
-        want = shapes[entry["name"]]
-        if tuple(entry["shape"]) != want:
-            raise CheckpointError(
-                f"tensor manifest: {entry['name']} has shape {entry['shape']}, "
-                f"config requires {list(want)}"
-            )
+    _check_manifest(manifest, expected_shapes(config))
 
     expected_size = sum(
         int(np.prod(e["shape"], dtype=np.int64)) * _le_dtype(e["dtype"]).itemsize

@@ -21,6 +21,16 @@ scatters its gradient into a single dense table with a sorted segment sum.
 Leaf gradients left by ``backward`` are writeable and never shared between
 two leaves, so an optimizer may clip them in place.
 
+Causal attention is one primitive, ``causal_attention``, rather than a chain
+of score product, scaling, masking, softmax and value product. Its forward
+pass fills a single weights array in place, one leading (batch) index at a
+time, so a (H, T, T) slice stays in cache from the scores to the value
+product and no other T x T array is allocated; its backward pass walks the
+same slices with two slice-sized scratch buffers. The results are the bits
+the separate ``matmul``, ``scale``, ``masked_fill`` and ``softmax``
+primitives give, which remain for the classification head and as the
+reference the fused primitive is tested against.
+
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
 inherits the dtype of its tensor inputs and mixing dtypes is an error.
@@ -444,22 +454,91 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result((x,), data, pull)
 
 
+def causal_attention(
+    q: Tensor, k: Tensor, v: Tensor, mask: CausalMask
+) -> tuple[Tensor, np.ndarray]:
+    """softmax(mask(q k^T / sqrt(d))) v as one primitive.
+
+    Returns the output tensor and the (..., T, T) attention weights. The
+    result is bit-identical to ``matmul``, ``scale``, ``masked_fill``,
+    ``softmax`` and ``matmul`` applied in turn, but the weights array is
+    the only full-size T x T buffer: it is filled one leading (batch) index
+    at a time, in place, so each (H, T, T) slice stays in cache from the
+    score product to the value product. Inputs of rank 2 or 3 are a single
+    slice. The weights are kept for the backward pass, which walks the same
+    slices with two slice-sized scratch buffers.
+    """
+    _check_dtypes(q, k, v)
+    if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(
+            f"q, k, v must share a shape of rank >= 2, got {q.shape}, {k.shape}, {v.shape}"
+        )
+    t = q.shape[-2]
+    if t != mask.size:
+        raise ShapeError(f"mask size {mask.size} does not match sequence length {t}")
+    c = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    fill = np.finfo(q.dtype).min
+    drop = ~mask.keep
+    qd, kd, vd = q.data, k.data, v.data
+    slices = list(np.ndindex(q.shape[:-3]))
+    w = np.empty(q.shape[:-1] + (t,), dtype=q.dtype)
+    out = np.empty(q.shape, dtype=q.dtype)
+    for i in slices:
+        wi = w[i]
+        np.matmul(qd[i], kd[i].swapaxes(-2, -1), out=wi)
+        wi *= c
+        np.copyto(wi, fill, where=drop)
+        wi -= wi.max(axis=-1, keepdims=True)
+        np.exp(wi, out=wi)
+        wi /= wi.sum(axis=-1, keepdims=True)
+        np.matmul(wi, vd[i], out=out[i])
+
+    def pull(g):
+        gq = np.empty_like(qd)
+        gk_t = np.empty(q.shape[:-2] + (q.shape[-1], t), dtype=q.dtype)
+        gv = np.empty_like(vd)
+        gs = np.empty(w[slices[0]].shape, dtype=q.dtype)
+        prod = np.empty_like(gs)
+        for i in slices:
+            wi = w[i]
+            np.matmul(g[i], vd[i].swapaxes(-2, -1), out=gs)
+            np.matmul(wi.swapaxes(-2, -1), g[i], out=gv[i])
+            np.multiply(gs, wi, out=prod)
+            gs -= prod.sum(axis=-1, keepdims=True)
+            gs *= wi
+            np.copyto(gs, 0.0, where=drop)
+            gs *= c
+            np.matmul(gs, kd[i], out=gq[i])
+            np.matmul(qd[i].swapaxes(-2, -1), gs, out=gk_t[i])
+        return gq, gk_t.swapaxes(-2, -1), gv
+
+    return _result((q, k, v), out, pull), w
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit in its tanh form.
 
     gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
+
+    The forward pass builds the tanh term and the output in one buffer each.
     """
     d = x.data
-    u = _GELU_SCALE * (d + _GELU_CUBIC * d * d * d)
-    t = np.tanh(u)
-    data = 0.5 * d * (1.0 + t)
+    t = np.multiply(_GELU_CUBIC, d, out=np.empty_like(d))
+    t *= d
+    t *= d
+    t += d
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    data = t + 1.0
+    data *= 0.5
+    data *= d
 
     def pull(g):
         du = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * d * d)
         local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * du
         return (g * local.astype(d.dtype, copy=False),)
 
-    return _result((x,), data.astype(d.dtype, copy=False), pull)
+    return _result((x,), data, pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

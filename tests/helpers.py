@@ -45,6 +45,17 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-5) 
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
+def reference_attention(q, k, v, mask):
+    """Causal attention as the five separate tape primitives that
+    ``tensor.causal_attention`` fuses: (output tensor, weights array)."""
+    from norminfer.tensor import masked_fill, matmul, scale, softmax, transpose
+
+    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
+    scores = scale(matmul(q, transpose(k, axes)), 1.0 / np.sqrt(q.shape[-1]))
+    weights = softmax(masked_fill(scores, mask), axis=-1)
+    return matmul(weights, v), weights.data
+
+
 def build_toy_config(vocab_words=24, n_blocks=2, n_heads=2, d_model=8, max_len=16, **kw):
     from norminfer.model import ModelConfig
 

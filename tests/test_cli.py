@@ -236,6 +236,29 @@ class TestInfer:
         assert lines[3].split() == ["predicted", lines[3].split()[1]]
         assert lines[3].split()[1] in named
 
+    def test_manifest_without_shape_exits_data(self, workspace, tmp_path, capsys):
+        raw = (workspace / "run" / CHECKPOINT_FILE).read_bytes()
+        header_end = 20 + int.from_bytes(raw[12:20], "little")
+        header = json.loads(raw[20:header_end])
+        del header["tensors"][0]["shape"]
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        broken = tmp_path / "noshape.bin"
+        broken.write_bytes(
+            raw[:12] + len(header_bytes).to_bytes(8, "little") + header_bytes
+            + raw[header_end:]
+        )
+        code = run_cli(
+            [
+                "infer",
+                "--checkpoint", str(broken),
+                "--vocab", artifact(workspace, VOCAB_FILE),
+                "--premise", "a dog is walking in the park",
+                "--hypothesis", "a dog is walking",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "error: tensor manifest:" in capsys.readouterr().err
+
     def test_mismatched_vocabulary(self, workspace, tmp_path, capsys):
         tampered = tmp_path / "vocab.txt"
         original = (workspace / "run" / VOCAB_FILE).read_text(encoding="utf-8")

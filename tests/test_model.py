@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -6,6 +8,7 @@ from helpers import (
     build_toy_params,
     max_rel_err,
     numeric_grad,
+    reference_attention,
 )
 
 from norminfer.base import ConfigError, ContractError
@@ -114,6 +117,44 @@ class TestAttention:
         k = Tensor(np.zeros((3, 5)))
         with pytest.raises(Exception, match="share a shape"):
             scaled_dot_product_attention(q, k, q, CausalMask(3))
+
+    def test_return_weights_gives_the_attention_weights(self):
+        rng = np.random.default_rng(47)
+        q, k, v = (Tensor(rng.normal(size=(2, 3, 6, 4)).astype(np.float32)) for _ in range(3))
+        mask = CausalMask(6)
+        out, weights = scaled_dot_product_attention(q, k, v, mask, return_weights=True)
+        want_out, want_weights = reference_attention(q, k, v, mask)
+        assert isinstance(weights, np.ndarray) and weights.shape == (2, 3, 6, 6)
+        assert weights.tobytes() == want_weights.tobytes()
+        assert out.data.tobytes() == want_out.data.tobytes()
+        plain = scaled_dot_product_attention(q, k, v, mask)
+        assert plain.data.tobytes() == out.data.tobytes()
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    def test_peak_memory_is_one_weights_array(self, taped):
+        """Attention allocates one (B, H, T, T) array, not one per step of
+        the score, mask and softmax chain."""
+        b, h, t, d = 4, 2, 64, 8
+        rng = np.random.default_rng(53)
+        q, k, v = (
+            Tensor(rng.normal(size=(b, h, t, d)).astype(np.float32), requires_grad=taped)
+            for _ in range(3)
+        )
+        mask = CausalMask(t)
+        weights_bytes = b * h * t * t * np.dtype(np.float32).itemsize
+        tape = GradTape()
+        tracemalloc.start()
+        try:
+            if taped:
+                with tape:
+                    out = scaled_dot_product_attention(q, k, v, mask)
+            else:
+                out = scaled_dot_product_attention(q, k, v, mask)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad == taped and len(tape) == int(taped)
+        assert peak < 2 * weights_bytes, f"peak {peak / weights_bytes:.2f} weights arrays"
 
     def test_single_head_equals_unsplit_formulation(self):
         config = build_toy_config(n_heads=1, d_model=8)

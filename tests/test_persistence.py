@@ -214,6 +214,65 @@ class TestCheckpointIntegrity:
             load_checkpoint(bad)
 
 
+
+def _drop(field):
+    def edit(tensors):
+        del tensors[1][field]
+    return edit
+
+
+def _set(field, value):
+    def edit(tensors):
+        tensors[1][field] = value
+    return edit
+
+
+def _replace_entry(value):
+    def edit(tensors):
+        tensors[1] = value
+    return edit
+
+
+MANIFEST_FAULTS = {
+    "name missing": _drop("name"),
+    "shape missing": _drop("shape"),
+    "dtype missing": _drop("dtype"),
+    "name not a string": _set("name", 7),
+    "shape not a list": _set("shape", "8,24"),
+    "shape of floats": _set("shape", [8.0, 24.0]),
+    "shape negative": _set("shape", [-8, 24]),
+    "shape of bools": _set("shape", [True, True]),
+    "dtype not a string": _set("dtype", 32),
+    "dtype unsupported": _set("dtype", "int8"),
+    "entry not an object": _replace_entry(["blocks.0.w_qkv", [8, 24], "float32"]),
+    "entry null": _replace_entry(None),
+}
+
+
+class TestManifestFaults:
+    """Every malformed manifest field is a CheckpointError naming the
+    manifest, never a raw KeyError or TypeError."""
+
+    @pytest.mark.parametrize("fault", sorted(MANIFEST_FAULTS))
+    def test_entry_fault(self, saved, tmp_path, fault):
+        *_, path = saved
+        header, payload = split_file(path.read_bytes())
+        MANIFEST_FAULTS[fault](header["tensors"])
+        bad = tmp_path / "manifest.bin"
+        bad.write_bytes(rebuild_file(header, payload))
+        with pytest.raises(CheckpointError, match="^tensor manifest: "):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("tensors", [{"embedding": [1]}, "embedding", 3, None])
+    def test_tensors_not_a_list(self, saved, tmp_path, tensors):
+        *_, path = saved
+        header, payload = split_file(path.read_bytes())
+        header["tensors"] = tensors
+        bad = tmp_path / "manifest.bin"
+        bad.write_bytes(rebuild_file(header, payload))
+        with pytest.raises(CheckpointError, match="^tensor manifest: expected a list"):
+            load_checkpoint(bad)
+
 class TestExpectedShapes:
     def test_shape_table_matches_analytic_count(self):
         config = build_toy_config(n_blocks=3, d_model=12, n_heads=3)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import max_rel_err, numeric_grad
+from helpers import max_rel_err, numeric_grad, reference_attention
 
 from norminfer.base import ContractError, ShapeError
 from norminfer import tensor as T
@@ -9,6 +9,7 @@ from norminfer.tensor import (
     GradTape,
     Tensor,
     add,
+    causal_attention,
     clamp_min,
     dropout,
     embedding_lookup,
@@ -135,6 +136,13 @@ class TestGelu:
         np.testing.assert_allclose(gelu(t64([1.0])).data[0], GELU_AT_1, atol=1e-12)
         assert abs(gelu(t64([-10.0])).data[0]) < 1e-5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalar_matches_one_element_array(self, dtype):
+        x = np.array(0.7, dtype=dtype)
+        out = gelu(Tensor(x)).data
+        assert out.shape == () and out.dtype == dtype
+        assert out.tobytes() == gelu(Tensor(x.reshape(1))).data.tobytes()
+
     def test_gradient(self):
         rng = np.random.default_rng(17)
         x = parameter(rng.normal(scale=2.0, size=(11,)), dtype=np.float64)
@@ -219,6 +227,99 @@ class TestCausalMask:
         with np.errstate(over="ignore"), GradTape() as tape:
             tape.backward(total(masked_fill(x, CausalMask(3))))
         assert np.array_equal(x.grad, np.tril(np.ones((3, 3))))
+
+
+def attention_inputs(rng, shape, dtype, heads_view=False):
+    """q, k, v leaves of ``shape``; with heads_view, (B, H, T, d) views of
+    (B, T, H, d) arrays, the non-contiguous layout the model passes in."""
+    def one():
+        if heads_view:
+            b, h, t, d = shape
+            data = rng.normal(size=(b, t, h, d)).astype(dtype).transpose(0, 2, 1, 3)
+        else:
+            data = rng.normal(size=shape).astype(dtype)
+        return parameter(data, dtype=dtype)
+
+    return one(), one(), one()
+
+
+def attention_grads(fn, q, k, v, upstream):
+    for x in (q, k, v):
+        x.zero_grad()
+    with GradTape() as tape:
+        out, weights = fn(q, k, v, CausalMask(q.shape[-2]))
+        tape.backward(total(mul(out, Tensor(upstream))))
+    return out.data, weights, q.grad, k.grad, v.grad
+
+
+# (shape, heads_view): every rank the primitive accepts, B = 1 and B > 1,
+# and the transposed head views multi-head attention passes in
+ATTENTION_CASES = [
+    ((5, 3), False),
+    ((2, 6, 4), False),
+    ((1, 3, 7, 4), False),
+    ((3, 2, 9, 5), False),
+    ((2, 3, 8, 4), True),
+]
+
+
+class TestCausalAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,heads_view", ATTENTION_CASES, ids=str)
+    def test_bytes_equal_composition(self, shape, heads_view, dtype):
+        rng = np.random.default_rng(sum(shape))
+        q, k, v = attention_inputs(rng, shape, dtype, heads_view)
+        upstream = rng.normal(size=shape).astype(dtype)
+        fused = attention_grads(causal_attention, q, k, v, upstream)
+        composed = attention_grads(reference_attention, q, k, v, upstream)
+        for got, want in zip(fused, composed):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_untaped_forward_matches_taped(self):
+        rng = np.random.default_rng(67)
+        q, k, v = attention_inputs(rng, (2, 2, 6, 3), np.float32)
+        plain = causal_attention(Tensor(q.data), Tensor(k.data), Tensor(v.data), CausalMask(6))
+        with GradTape():
+            taped = causal_attention(q, k, v, CausalMask(6))
+        assert plain[0].data.tobytes() == taped[0].data.tobytes()
+        assert plain[1].tobytes() == taped[1].tobytes()
+        assert not plain[0].requires_grad and taped[0].requires_grad
+
+    @pytest.mark.parametrize("shape", [(4, 3), (2, 2, 5, 3)], ids=str)
+    def test_gradients_match_finite_differences(self, shape):
+        rng = np.random.default_rng(71)
+        q, k, v = attention_inputs(rng, shape, np.float64)
+        upstream = rng.normal(size=shape)
+        t = shape[-2]
+        attention_grads(causal_attention, q, k, v, upstream)
+
+        def f():
+            return float(np.sum(causal_attention(q, k, v, CausalMask(t))[0].data * upstream))
+
+        for x in (q, k, v):
+            assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_are_causal_rows_summing_to_one(self, dtype):
+        rng = np.random.default_rng(73)
+        q, k, v = attention_inputs(rng, (2, 3, 7, 4), dtype)
+        _, w = causal_attention(q, k, v, CausalMask(7))
+        assert w.shape == (2, 3, 7, 7) and w.dtype == dtype
+        future = np.triu(np.ones((7, 7), dtype=bool), 1)
+        assert np.all(w[..., future] == 0.0)
+        atol = 1e-12 if dtype == np.float64 else 1e-6
+        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=atol)
+
+    def test_mask_size_mismatch_rejected(self):
+        q = t64(np.zeros((4, 2)))
+        with pytest.raises(ShapeError, match="mask size"):
+            causal_attention(q, q, q, CausalMask(3))
+
+    def test_mixed_dtypes_rejected(self):
+        q = t64(np.zeros((4, 2)))
+        with pytest.raises(ContractError, match="mixed"):
+            causal_attention(q, q, Tensor(np.zeros((4, 2), dtype=np.float32)), CausalMask(4))
 
 
 class TestEmbeddingAndRowSelection:
