@@ -1,4 +1,5 @@
-"""Shared plumbing: error types, estimator parameter handling, input checks.
+"""Shared plumbing: error types, estimator parameter handling, input checks,
+atomic file writes.
 
 Estimators in this package follow the scikit-learn conventions: constructor
 arguments are stored verbatim, ``fit`` learns state into trailing-underscore
@@ -9,8 +10,12 @@ constructor arguments so instances compose with ecosystem tooling such as
 
 from __future__ import annotations
 
+import contextlib
 import inspect
-from typing import Any, Iterable
+import os
+import secrets
+from pathlib import Path
+from typing import IO, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -97,6 +102,26 @@ def split_seed(master_seed: int, *path: int) -> int:
     """
     ss = np.random.SeedSequence([int(master_seed), *map(int, path)])
     return int(ss.generate_state(1)[0])
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """Open a file that replaces ``path`` whole or not at all.
+
+    Writes go to a new temporary file in the same directory, which
+    ``os.replace`` moves onto ``path`` once the block exits cleanly. If the
+    block raises, the temporary file is removed and ``path`` is left as it
+    was. Text is written as UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def check_fitted(estimator: Any, attributes: Iterable[str]) -> None:

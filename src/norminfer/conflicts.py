@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ContractError, check_fitted
+from .base import ContractError, atomic_write, check_fitted
 from .estimator import NliClassifier
 from .model import forward
 from .text import CLASSES, CONFLICT_TYPES, ConflictRecord
@@ -177,7 +177,8 @@ def report_to_csv(report: ConflictReport) -> str:
 
 
 def write_report_csv(report: ConflictReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_csv(report), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(report_to_csv(report))
 
 
 def _clip_text(text: str, width: int = 48) -> str:
@@ -222,4 +223,5 @@ def format_report(report: ConflictReport) -> str:
 
 
 def write_report_text(report: ConflictReport, path: str | Path) -> None:
-    Path(path).write_text(format_report(report), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(format_report(report))

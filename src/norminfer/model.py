@@ -18,9 +18,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, ShapeError
+from .base import ConfigError, ContractError
 from .tensor import (
-    CausalMask,
     Tensor,
     add,
     causal_attention,
@@ -30,13 +29,13 @@ from .tensor import (
     layer_norm,
     masked_fill,  # noqa: F401  unused here; kept importable from this module
     matmul,
-    narrow,
+    narrow,  # noqa: F401  unused here; kept importable from this module
     parameter,
-    reshape,
+    reshape,  # noqa: F401  unused here; kept importable from this module
     scale,  # noqa: F401  unused here; kept importable from this module
     softmax,
-    take_rows,
-    transpose,
+    take_rows,  # noqa: F401  unused here; kept importable from this module
+    transpose,  # noqa: F401  unused here; kept importable from this module
 )
 from .text import CLASSES, EOS_ID, EncodedPair
 
@@ -243,8 +242,10 @@ class ModelParameters:
 class Batch:
     """Right-padded model input.
 
-    Padding sits strictly after each example's end-of-sequence token, so
-    under the causal mask it cannot influence any read row. position_ids
+    Each row holds one pair's tokens up to and including its
+    end-of-sequence token at ``eos_index``, then padding. The model computes
+    on the real tokens only: it packs them into one row per token, so
+    padding costs nothing and cannot influence any result. position_ids
     keep counting through the padding to stay within the embedding table.
     """
 
@@ -260,6 +261,11 @@ class Batch:
     @property
     def seq_len(self) -> int:
         return int(self.token_ids.shape[1])
+
+    @property
+    def real_tokens(self) -> np.ndarray:
+        """(B, T) mask of each pair's tokens up to and including its EOS."""
+        return np.arange(self.seq_len) < self.eos_index[:, None] + 1
 
 
 def make_batch(pairs: Sequence[EncodedPair], pad_id: int = 0) -> Batch:
@@ -290,10 +296,12 @@ def make_batch(pairs: Sequence[EncodedPair], pad_id: int = 0) -> Batch:
 
 
 def embed(batch: Batch, params: ModelParameters) -> Tensor:
-    """Sum of word row and position row from the joint table, per token.
+    """Sum of word row and position row from the joint table, per real token.
 
-    Both id sets go through one lookup, so the backward pass scatters into
-    a single dense table gradient.
+    The result is packed, shape (N, d) with N the number of real tokens:
+    each pair's tokens up to and including its end-of-sequence token, pairs
+    in batch order. Both id sets go through one lookup, so the backward
+    pass scatters into a single dense table gradient.
     """
     config = params.config
     ids = batch.token_ids
@@ -308,59 +316,41 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
             f"position out of range [1, {config.max_len}]: "
             f"min {pos.min()}, max {pos.max()}"
         )
-    return embedding_lookup(params.embedding, ids, config.vocab_words + pos - 1)
-
-
-def scaled_dot_product_attention(
-    q: Tensor,
-    k: Tensor,
-    v: Tensor,
-    mask: CausalMask,
-    return_weights: bool = False,
-):
-    """softmax(mask(q k^T / sqrt(d_k))) v over the trailing two dimensions.
-
-    One fused primitive (``tensor.causal_attention``) computes the scores,
-    mask, softmax and value product, so the attention weights are the only
-    T x T array a call allocates. With ``return_weights`` the weights come
-    back as a plain array of shape q.shape[:-1] + (T,).
-    """
-    out, weights = causal_attention(q, k, v, mask)
-    if return_weights:
-        return out, weights
-    return out
+    eos = batch.eos_index
+    if eos.shape != (batch.size,) or eos.min() < 0 or eos.max() >= batch.seq_len:
+        raise ContractError(
+            f"eos_index needs one position in [0, {batch.seq_len}) per pair: "
+            f"shape {eos.shape}, min {eos.min()}, max {eos.max()}"
+        )
+    real = batch.real_tokens
+    return embedding_lookup(params.embedding, ids[real], config.vocab_words + pos[real] - 1)
 
 
 def multi_head_attention(
     x: Tensor,
     block: BlockParameters,
     n_heads: int,
-    mask: CausalMask,
+    lengths: Sequence[int],
     return_weights: bool = False,
 ):
     """Fused projection to queries, keys and values, independent causal
-    attention per head, concatenation, and output projection.
+    attention per head within each packed sequence, concatenation, and
+    output projection.
+
+    ``x`` is (N, d): sequences of ``lengths`` rows packed one after
+    another. With ``return_weights`` the attention weights also come back,
+    as a (B, n_heads, T, T) array with T the longest length and exact zeros
+    beyond each sequence's end.
     """
-    b, t, d = x.shape
-    if d % n_heads != 0:
-        raise ShapeError(f"width {d} not divisible into {n_heads} heads")
-    d_head = d // n_heads
-
-    def split_heads(m: Tensor) -> Tensor:
-        return transpose(reshape(m, (b, t, n_heads, d_head)), (0, 2, 1, 3))
-
-    qkv = matmul(x, block.w_qkv)
-    q = split_heads(narrow(qkv, 0, d))
-    k = split_heads(narrow(qkv, d, d))
-    v = split_heads(narrow(qkv, 2 * d, d))
-    ctx = scaled_dot_product_attention(q, k, v, mask, return_weights=return_weights)
-    if return_weights:
-        ctx, weights = ctx
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, t, d))
-    out = matmul(merged, block.w_o)
-    if return_weights:
-        return out, weights
-    return out
+    ctx, weights = causal_attention(matmul(x, block.w_qkv), lengths, n_heads)
+    out = matmul(ctx, block.w_o)
+    if not return_weights:
+        return out
+    t = max(w.shape[-1] for w in weights)
+    padded = np.zeros((len(weights), n_heads, t, t), dtype=x.dtype)
+    for row, w in zip(padded, weights):
+        row[:, : w.shape[-1], : w.shape[-1]] = w
+    return out, padded
 
 
 def position_wise_ffn(x: Tensor, block: BlockParameters) -> Tensor:
@@ -373,29 +363,24 @@ def decoder_block(
     x: Tensor,
     block: BlockParameters,
     n_heads: int,
-    mask: CausalMask,
+    lengths: Sequence[int],
     eps: float = 1e-5,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Residual attention then residual feed-forward, each followed by
-    layer normalization. Shape is preserved.
+    layer normalization, over (N, d) packed sequences of ``lengths`` rows.
+    Shape is preserved.
     """
-    was_2d = x.ndim == 2
-    if was_2d:
-        x = reshape(x, (1,) + x.shape)
     live_dropout = dropout > 0.0 and rng is not None
-    attn = multi_head_attention(x, block, n_heads, mask)
+    attn = multi_head_attention(x, block, n_heads, lengths)
     if live_dropout:
         attn = dropout_op(attn, dropout, rng)
     y = layer_norm(add(x, attn), block.ln1_gain, block.ln1_bias, eps)
     ffn = position_wise_ffn(y, block)
     if live_dropout:
         ffn = dropout_op(ffn, dropout, rng)
-    out = layer_norm(add(y, ffn), block.ln2_gain, block.ln2_bias, eps)
-    if was_2d:
-        out = reshape(out, out.shape[1:])
-    return out
+    return layer_norm(add(y, ffn), block.ln2_gain, block.ln2_bias, eps)
 
 
 def forward_batch(
@@ -406,9 +391,12 @@ def forward_batch(
 ):
     """Class probabilities for every pair in the batch, shape (B, n_classes).
 
-    Dropout fires only when a generator is supplied; calls without one are
-    the deterministic inference path. With return_hidden=True also returns
-    the embedding output and each block output as plain arrays.
+    Every layer runs on the packed real tokens (see ``embed``), so padding
+    costs nothing. Dropout fires only when a generator is supplied; calls
+    without one are the deterministic inference path. With
+    return_hidden=True also returns the embedding output and each block
+    output as plain (B, T, d) arrays, exactly zero after each
+    end-of-sequence token.
     """
     config = params.config
     if batch.seq_len > config.max_len:
@@ -416,20 +404,26 @@ def forward_batch(
             f"batch length {batch.seq_len} exceeds max_len {config.max_len}"
         )
     x = embed(batch, params)
+    lengths = (batch.eos_index + 1).tolist()
     hidden = [x.data] if return_hidden else None
-    mask = CausalMask(batch.seq_len)
     for block in params.blocks:
         x = decoder_block(
-            x, block, config.n_heads, mask,
+            x, block, config.n_heads, lengths,
             eps=config.layer_norm_eps, dropout=config.dropout, rng=rng,
         )
         if return_hidden:
             hidden.append(x.data)
-    final = take_rows(x, batch.eos_index)
+    final = embedding_lookup(x, np.cumsum(lengths) - 1)
     logits = add(matmul(final, params.w_cls), params.b_cls)
     probs = softmax(logits, axis=-1)
     if return_hidden:
-        return probs, hidden
+        real = batch.real_tokens
+        padded = []
+        for h in hidden:
+            full = np.zeros(real.shape + h.shape[-1:], dtype=h.dtype)
+            full[real] = h
+            padded.append(full)
+        return probs, padded
     return probs
 
 

@@ -24,13 +24,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .base import CheckpointError, CheckpointVersionError, ConfigError
+from .base import CheckpointError, CheckpointVersionError, ConfigError, atomic_write
 from .model import BlockParameters, ModelConfig, ModelParameters
 from .tensor import parameter
 from .training import TrainConfig
@@ -38,6 +39,9 @@ from .training import TrainConfig
 MAGIC = b"NRMINFR\x00"
 CHECKPOINT_VERSION = 1
 _PREFIX = struct.Struct("<8sIQ")
+# Loaded tensors are views into the file buffer; starting the payload on a
+# cache-line boundary keeps them aligned for BLAS and vectorized loops.
+_PAYLOAD_ALIGN = 64
 
 
 def _canonical_json(obj) -> bytes:
@@ -82,23 +86,28 @@ def _jsonable(value):
 
 
 def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path) -> None:
-    """Persist weights with enough integrity data to verify them on load."""
+    """Persist weights with enough integrity data to verify them on load.
+
+    The file replaces ``path`` atomically: a failed save leaves any
+    previous checkpoint there intact.
+    """
     manifest = []
-    chunks = []
+    arrays = []
+    digest = hashlib.sha256()
     for name, tensor in params.named_tensors():
         dtype_name = tensor.data.dtype.name
         arr = np.ascontiguousarray(tensor.data).astype(_le_dtype(dtype_name), copy=False)
         manifest.append(
             {"name": name, "shape": list(tensor.data.shape), "dtype": dtype_name}
         )
-        chunks.append(arr.tobytes())
-    payload = b"".join(chunks)
+        arrays.append(arr)
+        digest.update(arr)
     header = {
         "config": params.config.to_dict(),
         "config_sha256": config_hash(params.config),
         "meta": meta or {},
         "tensors": manifest,
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "payload_sha256": digest.hexdigest(),
     }
     try:
         header_bytes = json.dumps(
@@ -106,10 +115,11 @@ def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path
         ).encode("utf-8")
     except TypeError as exc:
         raise CheckpointError(f"header: {exc}") from None
-    with Path(path).open("wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(_PREFIX.pack(MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
-        fh.write(payload)
+        for arr in arrays:
+            fh.write(arr)
 
 
 @dataclass
@@ -118,7 +128,29 @@ class Checkpoint:
     meta: dict
 
 
-def _read_header(raw: bytes) -> tuple[dict, bytes]:
+def _read_file(path: Path) -> np.ndarray:
+    """The whole file as one writeable uint8 array, placed in memory so
+    that the payload after the header starts on a ``_PAYLOAD_ALIGN``-byte
+    boundary (read from the prefix when the file has one)."""
+    try:
+        with path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            head = fh.read(_PREFIX.size)
+            header_end = len(head)
+            if header_end == _PREFIX.size:
+                header_end += _PREFIX.unpack(head)[2]
+            buf = np.empty(size + _PAYLOAD_ALIGN, dtype=np.uint8)
+            start = -(buf.ctypes.data + header_end) % _PAYLOAD_ALIGN
+            raw = buf[start : start + size]
+            raw[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+            end = len(head) + fh.readinto(raw[len(head) :])
+    except OSError as exc:
+        raise CheckpointError(f"file: cannot read {path} ({exc})") from None
+    return raw[:end]
+
+
+def _read_header(raw: np.ndarray) -> tuple[dict, int]:
+    """The validated header of a checkpoint file and its end offset."""
     if len(raw) < _PREFIX.size:
         raise CheckpointError(
             f"magic: file too short ({len(raw)} bytes) to be a checkpoint"
@@ -137,13 +169,19 @@ def _read_header(raw: bytes) -> tuple[dict, bytes]:
             f"header: truncated ({len(raw) - _PREFIX.size} of {header_len} bytes)"
         )
     try:
-        header = json.loads(raw[_PREFIX.size : header_end].decode("utf-8"))
+        header = json.loads(raw[_PREFIX.size : header_end].tobytes().decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"header: not valid JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise CheckpointError(f"header: expected an object, got {type(header).__name__}")
     missing = {"config", "config_sha256", "meta", "tensors", "payload_sha256"} - set(header)
     if missing:
         raise CheckpointError(f"header: missing fields {sorted(missing)}")
-    return header, raw[header_end:]
+    if not isinstance(header["meta"], dict):
+        raise CheckpointError(
+            f"header: meta must be an object, got {type(header['meta']).__name__}"
+        )
+    return header, header_end
 
 
 def _check_manifest(manifest, shapes: dict[str, tuple[int, ...]]) -> None:
@@ -188,13 +226,14 @@ def _check_manifest(manifest, shapes: dict[str, tuple[int, ...]]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    """Read, verify, and rebuild parameters from a checkpoint file."""
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise CheckpointError(f"file: cannot read {path} ({exc})") from None
-    header, payload = _read_header(raw)
+    """Read, verify, and rebuild parameters from a checkpoint file.
+
+    The file is read once into one buffer; the payload checksum is verified
+    on that buffer, and every tensor is a writeable view into it.
+    """
+    raw = _read_file(Path(path))
+    header, header_end = _read_header(raw)
+    payload = raw[header_end:]
 
     try:
         config = ModelConfig(**header["config"])
@@ -221,10 +260,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     offset = 0
     for entry in manifest:
         dt = _le_dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"], dtype=np.int64))
-        flat = np.frombuffer(payload, dtype=dt, count=count, offset=offset)
-        arrays[entry["name"]] = flat.reshape(entry["shape"]).astype(entry["dtype"])
-        offset += count * dt.itemsize
+        nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * dt.itemsize
+        arr = payload[offset : offset + nbytes].view(dt).reshape(entry["shape"])
+        arrays[entry["name"]] = arr if dt.isnative else arr.astype(entry["dtype"])
+        offset += nbytes
 
     blocks = []
     for i in range(config.n_blocks):
@@ -389,4 +428,5 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(serialize_config(cfg), encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(serialize_config(cfg))

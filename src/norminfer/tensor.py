@@ -22,14 +22,17 @@ Leaf gradients left by ``backward`` are writeable and never shared between
 two leaves, so an optimizer may clip them in place.
 
 Causal attention is one primitive, ``causal_attention``, rather than a chain
-of score product, scaling, masking, softmax and value product. Its forward
-pass fills a single weights array in place, one leading (batch) index at a
-time, so a (H, T, T) slice stays in cache from the scores to the value
-product and no other T x T array is allocated; its backward pass walks the
-same slices with two slice-sized scratch buffers. The results are the bits
-the separate ``matmul``, ``scale``, ``masked_fill`` and ``softmax``
-primitives give, which remain for the classification head and as the
-reference the fused primitive is tested against.
+of head split, score product, scaling, masking, softmax, value product and
+head merge. It works on packed sequences: the fused query/key/value rows of
+several sequences laid end to end in one (N, 3d) array, so padding is never
+computed. Heads are split and merged through strided views, and each
+sequence of length L gets one (H, L, L) weights array, filled in place from
+the score product to the value product; no other L x L array is allocated.
+The backward pass writes all three input gradients into one (N, 3d) array.
+The results are the bits the separate ``matmul``, ``scale``, ``masked_fill``
+and ``softmax`` primitives give on each sequence alone, which remain for the
+classification head and as the reference the fused primitive is tested
+against.
 
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
@@ -455,64 +458,84 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def causal_attention(
-    q: Tensor, k: Tensor, v: Tensor, mask: CausalMask
-) -> tuple[Tensor, np.ndarray]:
-    """softmax(mask(q k^T / sqrt(d))) v as one primitive.
+    qkv: Tensor, lengths: Sequence[int], n_heads: int
+) -> tuple[Tensor, list[np.ndarray]]:
+    """Multi-head causal self attention over packed sequences.
 
-    Returns the output tensor and the (..., T, T) attention weights. The
-    result is bit-identical to ``matmul``, ``scale``, ``masked_fill``,
-    ``softmax`` and ``matmul`` applied in turn, but the weights array is
-    the only full-size T x T buffer: it is filled one leading (batch) index
-    at a time, in place, so each (H, T, T) slice stays in cache from the
-    score product to the value product. Inputs of rank 2 or 3 are a single
-    slice. The weights are kept for the backward pass, which walks the same
-    slices with two slice-sized scratch buffers.
+    ``qkv`` holds the fused query, key and value projections of N packed
+    rows, shape (N, 3d): the sequences lie one after another, ``lengths``
+    long, and attend only within themselves. For each sequence and head,
+    softmax(mask(q k^T / sqrt(d / n_heads))) v is computed, and the heads
+    are merged back into an (N, d) output tensor.
+
+    Returns that tensor and one (n_heads, L, L) weights array per sequence.
+    Heads are split and merged through strided views of ``qkv`` and of the
+    output, so the weights are the only arrays of size L x L. Per sequence
+    the result is bit-identical to ``matmul``, ``scale``, ``masked_fill``,
+    ``softmax`` and ``matmul`` applied in turn to its (n_heads, L, d_head)
+    head views, with the mask a ``keep[:L, :L]`` view of one max-length
+    keep-matrix. The weights are kept for the backward pass, which writes
+    the three gradients into one (N, 3d) array and walks the sequences with
+    two scratch buffers sized for the longest.
     """
-    _check_dtypes(q, k, v)
-    if q.ndim < 2 or q.shape != k.shape or q.shape != v.shape:
+    lengths = [int(n) for n in lengths]
+    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise ShapeError(
-            f"q, k, v must share a shape of rank >= 2, got {q.shape}, {k.shape}, {v.shape}"
+            f"qkv must be (N, 3d) with d divisible into {n_heads} heads, got {qkv.shape}"
         )
-    t = q.shape[-2]
-    if t != mask.size:
-        raise ShapeError(f"mask size {mask.size} does not match sequence length {t}")
-    c = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
-    fill = np.finfo(q.dtype).min
-    drop = ~mask.keep
-    qd, kd, vd = q.data, k.data, v.data
-    slices = list(np.ndindex(q.shape[:-3]))
-    w = np.empty(q.shape[:-1] + (t,), dtype=q.dtype)
-    out = np.empty(q.shape, dtype=q.dtype)
-    for i in slices:
-        wi = w[i]
-        np.matmul(qd[i], kd[i].swapaxes(-2, -1), out=wi)
-        wi *= c
-        np.copyto(wi, fill, where=drop)
-        wi -= wi.max(axis=-1, keepdims=True)
-        np.exp(wi, out=wi)
-        wi /= wi.sum(axis=-1, keepdims=True)
-        np.matmul(wi, vd[i], out=out[i])
+    if not lengths or min(lengths) < 1 or sum(lengths) != qkv.shape[0]:
+        raise ShapeError(
+            f"sequence lengths {lengths} must be positive and sum to {qkv.shape[0]} rows"
+        )
+    d = qkv.shape[1] // 3
+    d_head = d // n_heads
+    dtype = qkv.dtype
+    c = dtype.type(1.0 / np.sqrt(d_head))
+    fill = np.finfo(dtype).min
+    longest = max(lengths)
+    drop = ~_keep_matrix(longest)
+    starts = np.cumsum([0] + lengths[:-1]).tolist()
+
+    def heads(rows: np.ndarray, part: int) -> np.ndarray:
+        """(n_heads, L, d_head) view of columns [part*d, (part+1)*d)."""
+        cols = rows[:, part * d : (part + 1) * d]
+        return cols.reshape(-1, n_heads, d_head).swapaxes(0, 1)
+
+    qd = qkv.data
+    out = np.empty((qd.shape[0], d), dtype=dtype)
+    weights = []
+    for s, n in zip(starts, lengths):
+        seg = qd[s : s + n]
+        w = np.empty((n_heads, n, n), dtype=dtype)
+        np.matmul(heads(seg, 0), heads(seg, 1).swapaxes(-2, -1), out=w)
+        w *= c
+        np.copyto(w, fill, where=drop[:n, :n])
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        np.matmul(w, heads(seg, 2), out=heads(out[s : s + n], 0))
+        weights.append(w)
 
     def pull(g):
-        gq = np.empty_like(qd)
-        gk_t = np.empty(q.shape[:-2] + (q.shape[-1], t), dtype=q.dtype)
-        gv = np.empty_like(vd)
-        gs = np.empty(w[slices[0]].shape, dtype=q.dtype)
-        prod = np.empty_like(gs)
-        for i in slices:
-            wi = w[i]
-            np.matmul(g[i], vd[i].swapaxes(-2, -1), out=gs)
-            np.matmul(wi.swapaxes(-2, -1), g[i], out=gv[i])
-            np.multiply(gs, wi, out=prod)
+        g_qkv = np.empty_like(qd)
+        gs_buf = np.empty(n_heads * longest * longest, dtype=dtype)
+        prod_buf = np.empty_like(gs_buf)
+        for s, n, w in zip(starts, lengths, weights):
+            seg, g_seg, g_out = qd[s : s + n], heads(g[s : s + n], 0), g_qkv[s : s + n]
+            gs = gs_buf[: w.size].reshape(w.shape)
+            prod = prod_buf[: w.size].reshape(w.shape)
+            np.matmul(g_seg, heads(seg, 2).swapaxes(-2, -1), out=gs)
+            np.matmul(w.swapaxes(-2, -1), g_seg, out=heads(g_out, 2))
+            np.multiply(gs, w, out=prod)
             gs -= prod.sum(axis=-1, keepdims=True)
-            gs *= wi
-            np.copyto(gs, 0.0, where=drop)
+            gs *= w
+            np.copyto(gs, 0.0, where=drop[:n, :n])
             gs *= c
-            np.matmul(gs, kd[i], out=gq[i])
-            np.matmul(qd[i].swapaxes(-2, -1), gs, out=gk_t[i])
-        return gq, gk_t.swapaxes(-2, -1), gv
+            np.matmul(gs, heads(seg, 1), out=heads(g_out, 0))
+            np.matmul(heads(seg, 0).swapaxes(-2, -1), gs, out=heads(g_out, 1).swapaxes(-2, -1))
+        return (g_qkv,)
 
-    return _result((q, k, v), out, pull), w
+    return _result((qkv,), out, pull), weights
 
 
 def gelu(x: Tensor) -> Tensor:

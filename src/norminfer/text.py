@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ContractError, IngestError, check_text
+from .base import ContractError, IngestError, atomic_write, check_text
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +90,8 @@ class Vocabulary:
 
     def save(self, path: str | Path) -> None:
         """One token per line; the line number is the token id."""
-        Path(path).write_text("\n".join(self.id_to_token) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(self.id_to_token) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, NumericError, split_seed
+from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
 from .tensor import GradTape, Tensor, clamp_min, log, mean, neg, take_rows
 from .text import CLASSES, EncodedPair
@@ -281,7 +281,8 @@ class TrainLog:
                 f"\t{s.val_loss:.6f}\t{s.val_accuracy:.6f}"
             )
         lines.append(f"# best_epoch\t{self.best_epoch}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
 @dataclass

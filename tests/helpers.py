@@ -56,6 +56,42 @@ def reference_attention(q, k, v, mask):
     return matmul(weights, v), weights.data
 
 
+def split_heads(rows, n_heads):
+    """(n_heads, L, d_head) views of the columns of (L, n_heads * d_head) rows."""
+    return rows.reshape(rows.shape[0], n_heads, -1).swapaxes(0, 1)
+
+
+def merge_heads(heads):
+    """(n_heads, L, d_head) to (L, n_heads * d_head) rows."""
+    return heads.swapaxes(0, 1).reshape(heads.shape[1], -1)
+
+
+def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False):
+    """``reference_attention`` run on each packed sequence alone, on the
+    (n_heads, L, d_head) head views of its rows of the (N, 3d) array
+    ``qkv``, or on contiguous copies of them. With ``upstream`` (N, d) as
+    the output gradient, returns the (N, d) output, the per-sequence
+    weights and the (N, 3d) gradient of ``qkv``.
+    """
+    from norminfer.tensor import CausalMask, GradTape, Tensor, mul, parameter, total
+
+    d = qkv.shape[1] // 3
+    outs, weights, grads = [], [], []
+    start = 0
+    for n in lengths:
+        rows = slice(start, start + n)
+        start += n
+        parts = [split_heads(qkv[rows, i * d : (i + 1) * d], n_heads) for i in range(3)]
+        q, k, v = (parameter(p.copy() if copies else p) for p in parts)
+        with GradTape() as tape:
+            out, w = reference_attention(q, k, v, CausalMask(n))
+            tape.backward(total(mul(out, Tensor(split_heads(upstream[rows], n_heads)))))
+        outs.append(merge_heads(out.data))
+        weights.append(w)
+        grads.append(np.concatenate([merge_heads(x.grad) for x in (q, k, v)], axis=1))
+    return np.concatenate(outs), weights, np.concatenate(grads)
+
+
 def build_toy_config(vocab_words=24, n_blocks=2, n_heads=2, d_model=8, max_len=16, **kw):
     from norminfer.model import ModelConfig
 

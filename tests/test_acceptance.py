@@ -26,14 +26,13 @@ from norminfer.model import (
     count_parameters,
     forward_batch,
     make_batch,
-    scaled_dot_product_attention,
 )
 from norminfer.persistence import (
     expected_shapes,
     load_checkpoint,
     save_checkpoint,
 )
-from norminfer.tensor import CausalMask, GradTape, gelu, parameter
+from norminfer.tensor import GradTape, causal_attention, gelu, parameter
 from norminfer.text import (
     CLASSES,
     NliExample,
@@ -147,7 +146,7 @@ def test_02_causality():
 
 
 def test_03_attention_oracle():
-    """scaled_dot_product_attention equals a per-position loop oracle."""
+    """causal_attention equals a per-position loop oracle."""
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(50):
@@ -164,9 +163,7 @@ def test_03_attention_oracle():
             weights = e / e.sum()
             expected[i] = sum(w * v[j] for j, w in enumerate(weights))
 
-        got = scaled_dot_product_attention(
-            parameter(q), parameter(k), parameter(v), CausalMask(t)
-        ).data
+        got = causal_attention(parameter(np.concatenate([q, k, v], axis=1)), [t], 1)[0].data
         worst = max(worst, float(np.abs(got - expected).max()))
     conclude("03 attention-oracle", worst < 1e-10, f"max abs diff {worst:.2e}")
 

@@ -236,18 +236,19 @@ class TestInfer:
         assert lines[3].split() == ["predicted", lines[3].split()[1]]
         assert lines[3].split()[1] in named
 
-    def test_manifest_without_shape_exits_data(self, workspace, tmp_path, capsys):
+    def infer_with_header_edit(self, workspace, tmp_path, edit):
+        """Run infer on a copy of the checkpoint whose JSON header ``edit`` changed."""
         raw = (workspace / "run" / CHECKPOINT_FILE).read_bytes()
         header_end = 20 + int.from_bytes(raw[12:20], "little")
         header = json.loads(raw[20:header_end])
-        del header["tensors"][0]["shape"]
+        edit(header)
         header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        broken = tmp_path / "noshape.bin"
+        broken = tmp_path / "broken.bin"
         broken.write_bytes(
             raw[:12] + len(header_bytes).to_bytes(8, "little") + header_bytes
             + raw[header_end:]
         )
-        code = run_cli(
+        return run_cli(
             [
                 "infer",
                 "--checkpoint", str(broken),
@@ -256,8 +257,23 @@ class TestInfer:
                 "--hypothesis", "a dog is walking",
             ]
         )
+
+    def test_manifest_without_shape_exits_data(self, workspace, tmp_path, capsys):
+        def edit(header):
+            del header["tensors"][0]["shape"]
+
+        code = self.infer_with_header_edit(workspace, tmp_path, edit)
         assert code == EXIT_DATA
         assert "error: tensor manifest:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("meta", [["vocab_sha256"], "ab12", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_meta_not_an_object_exits_data(self, workspace, tmp_path, capsys, meta):
+        code = self.infer_with_header_edit(
+            workspace, tmp_path, lambda header: header.update(meta=meta)
+        )
+        assert code == EXIT_DATA
+        assert "error: header: meta" in capsys.readouterr().err
 
     def test_mismatched_vocabulary(self, workspace, tmp_path, capsys):
         tampered = tmp_path / "vocab.txt"

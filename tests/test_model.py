@@ -7,8 +7,8 @@ from helpers import (
     build_toy_config,
     build_toy_params,
     max_rel_err,
-    numeric_grad,
     reference_attention,
+    reference_packed_attention,
 )
 
 from norminfer.base import ConfigError, ContractError
@@ -24,19 +24,18 @@ from norminfer.model import (
     forward_batch,
     make_batch,
     multi_head_attention,
-    scaled_dot_product_attention,
 )
 from norminfer.tensor import (
     CausalMask,
     GradTape,
     Tensor,
+    causal_attention,
     clamp_min,
     log,
     matmul,
     mean,
     narrow,
     neg,
-    parameter,
     take_rows,
 )
 from norminfer.text import EOS_ID
@@ -104,84 +103,98 @@ class TestAttention:
             t = int(rng.integers(1, 7))
             d_k = int(rng.integers(1, 5))
             q, k, v = (rng.normal(size=(t, d_k)) for _ in range(3))
-            got = scaled_dot_product_attention(
-                Tensor(q, dtype=np.float64),
-                Tensor(k, dtype=np.float64),
-                Tensor(v, dtype=np.float64),
-                CausalMask(t),
-            ).data
+            got = causal_attention(
+                Tensor(np.concatenate([q, k, v], axis=1), dtype=np.float64), [t], 1
+            )[0].data
             np.testing.assert_allclose(got, self.brute_force(q, k, v), atol=1e-10)
 
     def test_shape_mismatch_rejected(self):
-        q = Tensor(np.zeros((3, 4)))
-        k = Tensor(np.zeros((3, 5)))
-        with pytest.raises(Exception, match="share a shape"):
-            scaled_dot_product_attention(q, k, q, CausalMask(3))
+        qkv = Tensor(np.zeros((3, 12)))
+        with pytest.raises(Exception, match="divisible into 3 heads"):
+            causal_attention(qkv, [3], 3)
 
     def test_return_weights_gives_the_attention_weights(self):
-        rng = np.random.default_rng(47)
-        q, k, v = (Tensor(rng.normal(size=(2, 3, 6, 4)).astype(np.float32)) for _ in range(3))
-        mask = CausalMask(6)
-        out, weights = scaled_dot_product_attention(q, k, v, mask, return_weights=True)
-        want_out, want_weights = reference_attention(q, k, v, mask)
+        config = build_toy_config(n_heads=3, d_model=12)
+        block = build_toy_params(config, seed=47).blocks[0]
+        lengths = [6, 4]
+        x = Tensor(np.random.default_rng(47).normal(size=(10, 12)).astype(np.float32))
+        out, weights = multi_head_attention(x, block, 3, lengths, return_weights=True)
+        qkv = matmul(x, block.w_qkv).data
+        _, want_weights, _ = reference_packed_attention(qkv, lengths, 3, np.zeros_like(x.data))
         assert isinstance(weights, np.ndarray) and weights.shape == (2, 3, 6, 6)
-        assert weights.tobytes() == want_weights.tobytes()
-        assert out.data.tobytes() == want_out.data.tobytes()
-        plain = scaled_dot_product_attention(q, k, v, mask)
+        assert weights[0].tobytes() == want_weights[0].tobytes()
+        assert weights[1, :, :4, :4].tobytes() == want_weights[1].tobytes()
+        assert not weights[1, :, 4:].any() and not weights[1, :, :, 4:].any()
+        plain = multi_head_attention(x, block, 3, lengths)
         assert plain.data.tobytes() == out.data.tobytes()
 
     @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
     def test_peak_memory_is_one_weights_array(self, taped):
-        """Attention allocates one (B, H, T, T) array, not one per step of
-        the score, mask and softmax chain."""
+        """Attention allocates one (H, L, L) array per sequence, not one per
+        step of the score, mask and softmax chain."""
         b, h, t, d = 4, 2, 64, 8
         rng = np.random.default_rng(53)
-        q, k, v = (
-            Tensor(rng.normal(size=(b, h, t, d)).astype(np.float32), requires_grad=taped)
-            for _ in range(3)
+        qkv = Tensor(
+            rng.normal(size=(b * t, 3 * h * d)).astype(np.float32), requires_grad=taped
         )
-        mask = CausalMask(t)
         weights_bytes = b * h * t * t * np.dtype(np.float32).itemsize
         tape = GradTape()
         tracemalloc.start()
         try:
             if taped:
                 with tape:
-                    out = scaled_dot_product_attention(q, k, v, mask)
+                    out, _ = causal_attention(qkv, [t] * b, h)
             else:
-                out = scaled_dot_product_attention(q, k, v, mask)
+                out, _ = causal_attention(qkv, [t] * b, h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.requires_grad == taped and len(tape) == int(taped)
         assert peak < 2 * weights_bytes, f"peak {peak / weights_bytes:.2f} weights arrays"
 
+    def test_forward_peak_memory_follows_real_tokens(self):
+        """Mixed lengths cost attention memory for the real tokens only:
+        at most twice the sum over pairs of n_heads * L^2 weights, where
+        padding every pair to the longest would take four times that."""
+        config = build_toy_config(n_blocks=1, n_heads=2, d_model=8, max_len=200)
+        params = build_toy_params(config, seed=59)
+        rng = np.random.default_rng(59)
+        lengths = [4, 4, 4, 200]
+        batch = make_batch([build_random_pair(rng, config, t=n) for n in lengths])
+        real_weights_bytes = config.n_heads * sum(n * n for n in lengths) * 4
+        tracemalloc.start()
+        try:
+            forward_batch(batch, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * real_weights_bytes, (
+            f"peak {peak / real_weights_bytes:.2f} times the real-token weights"
+        )
+
     def test_single_head_equals_unsplit_formulation(self):
         config = build_toy_config(n_heads=1, d_model=8)
         params = build_toy_params(config, seed=3)
         block = params.blocks[0]
         rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(2, 5, 8)).astype(np.float32))
-        mask = CausalMask(5)
+        x = Tensor(rng.normal(size=(10, 8)).astype(np.float32))
 
-        via_heads = multi_head_attention(x, block, 1, mask).data
+        via_heads = multi_head_attention(x, block, 1, [5, 5]).data
 
-        qkv = matmul(x, block.w_qkv)
-        q = narrow(qkv, 0, 8)
-        k = narrow(qkv, 8, 8)
-        v = narrow(qkv, 16, 8)
-        direct = matmul(
-            scaled_dot_product_attention(q, k, v, mask), block.w_o
-        ).data
-
-        assert np.array_equal(via_heads, direct)
+        for rows in (slice(0, 5), slice(5, 10)):
+            qkv = matmul(Tensor(x.data[rows]), block.w_qkv)
+            q = narrow(qkv, 0, 8)
+            k = narrow(qkv, 8, 8)
+            v = narrow(qkv, 16, 8)
+            direct = matmul(reference_attention(q, k, v, CausalMask(5))[0], block.w_o).data
+            assert np.array_equal(via_heads[rows], direct)
 
     def test_heads_attend_differently(self):
         config = build_toy_config(n_heads=2, d_model=8)
         params = build_toy_params(config, seed=9)
-        x = Tensor(np.random.default_rng(5).normal(size=(1, 6, 8)).astype(np.float32))
+        x = Tensor(np.random.default_rng(5).normal(size=(6, 8)).astype(np.float32))
         _, weights = multi_head_attention(
-            x, params.blocks[0], 2, CausalMask(6), return_weights=True
+            x, params.blocks[0], 2, [6], return_weights=True
         )
         assert weights.shape == (1, 2, 6, 6)
         assert not np.allclose(weights[0, 0], weights[0, 1])
@@ -230,6 +243,41 @@ class TestCausality:
         assert np.array_equal(forward_batch(extended, params).data, base)
 
 
+    def test_tokens_after_eos_cannot_change_any_row_of_a_batch(self):
+        config = build_toy_config(vocab_words=20, max_len=12)
+        params = build_toy_params(config, seed=1)
+        rng = np.random.default_rng(61)
+        pairs = [build_random_pair(rng, config, t=n) for n in (6, 3, 9)]
+        base = forward_batch(make_batch(pairs), params).data
+
+        extended = make_batch(pairs)
+        for row, pair in zip(extended.token_ids, pairs):
+            row[len(pair):] = rng.integers(3, 20, size=len(row) - len(pair))
+        token_ids = np.concatenate([extended.token_ids, [[7], [9], [11]]], axis=1)
+        extended = Batch(
+            token_ids=token_ids,
+            position_ids=np.tile(np.arange(1, 11, dtype=np.int64), (3, 1)),
+            eos_index=extended.eos_index,
+        )
+        assert np.array_equal(forward_batch(extended, params).data, base)
+
+    def test_batch_rows_match_pairs_scored_alone(self):
+        """Pairs of 5 and 140 tokens batched together score as they do
+        alone, and hidden rows after each end-of-sequence token are zero."""
+        config = build_toy_config(vocab_words=20, max_len=140)
+        params = build_toy_params(config, seed=17)
+        rng = np.random.default_rng(67)
+        pairs = [build_random_pair(rng, config, t=n) for n in (5, 140)]
+        probs, hidden = forward_batch(make_batch(pairs), params, return_hidden=True)
+        for i, pair in enumerate(pairs):
+            alone, alone_hidden = forward_batch(make_batch([pair]), params, return_hidden=True)
+            np.testing.assert_allclose(probs.data[i], alone.data[0], rtol=0, atol=1e-6)
+            for h, h_alone in zip(hidden, alone_hidden):
+                assert h.shape == (2, 140, config.d_model)
+                np.testing.assert_allclose(h[i, : len(pair)], h_alone[0], rtol=0, atol=1e-6)
+                assert np.all(h[i, len(pair) :] == 0.0)
+
+
 class TestBlocksAndShapes:
     @pytest.mark.parametrize("t", [1, 7, 360])
     def test_block_preserves_full_width_shape(self, t):
@@ -237,18 +285,16 @@ class TestBlocksAndShapes:
                              max_len=360)
         params = build_toy_params(config, seed=2)
         x = Tensor(np.random.default_rng(0).normal(size=(t, 240)).astype(np.float32))
-        out = decoder_block(x, params.blocks[0], 12, CausalMask(t))
+        out = decoder_block(x, params.blocks[0], 12, [t])
         assert out.shape == (t, 240)
 
     def test_batched_and_single_block_agree(self):
         config = build_toy_config()
         params = build_toy_params(config, seed=8)
-        x = np.random.default_rng(1).normal(size=(4, 8)).astype(np.float32)
-        single = decoder_block(Tensor(x), params.blocks[0], config.n_heads,
-                               CausalMask(4)).data
-        batched = decoder_block(Tensor(x[None]), params.blocks[0], config.n_heads,
-                                CausalMask(4)).data
-        assert np.array_equal(single, batched[0])
+        x = np.random.default_rng(1).normal(size=(7, 8)).astype(np.float32)
+        single = decoder_block(Tensor(x[:4]), params.blocks[0], config.n_heads, [4]).data
+        batched = decoder_block(Tensor(x), params.blocks[0], config.n_heads, [4, 3]).data
+        assert np.array_equal(single, batched[:4])
 
 
 class TestEmbedding:
@@ -258,9 +304,10 @@ class TestEmbedding:
         pair = build_random_pair(np.random.default_rng(3), config, t=3)
         x = embed(make_batch([pair]), params).data
         table = params.embedding.data
+        assert x.shape == (3, 4)
         for pos in range(3):
             expected = table[pair.token_ids[pos]] + table[6 + pos]
-            np.testing.assert_array_equal(x[0, pos], expected)
+            np.testing.assert_array_equal(x[pos], expected)
 
     def test_out_of_range_token_rejected(self):
         config = build_toy_config(vocab_words=6, max_len=5)
@@ -269,6 +316,15 @@ class TestEmbedding:
         pair.token_ids[0] = 6
         with pytest.raises(ContractError):
             embed(make_batch([pair]), params)
+
+    @pytest.mark.parametrize("eos_index", [[-1], [3], [1, 1]], ids=str)
+    def test_eos_index_out_of_range_rejected(self, eos_index):
+        config = build_toy_config(vocab_words=6, max_len=5)
+        params = build_toy_params(config)
+        batch = make_batch([build_random_pair(np.random.default_rng(0), config, t=3)])
+        batch.eos_index = np.array(eos_index)
+        with pytest.raises(ContractError, match="eos_index"):
+            forward_batch(batch, params)
 
     def test_sequence_longer_than_max_len_rejected(self):
         config = build_toy_config(vocab_words=6, max_len=4)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from helpers import build_random_pair, build_toy_config, build_toy_params
 
-from norminfer.base import CheckpointError, CheckpointVersionError, ConfigError
+from norminfer.base import CheckpointError, CheckpointVersionError, ConfigError, atomic_write
 from norminfer.model import ModelConfig, count_parameters, forward_batch, make_batch
 from norminfer.persistence import (
     CHECKPOINT_VERSION,
@@ -88,6 +88,21 @@ class TestCheckpointRoundTrip:
         again = tmp_path / "again.bin"
         save_checkpoint(params, meta, again)
         assert file_sha256(path) == file_sha256(again)
+
+    def test_save_load_save_is_byte_identical(self, saved, tmp_path):
+        _, _, meta, path = saved
+        again = tmp_path / "again.bin"
+        save_checkpoint(load_checkpoint(path).params, meta, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_loaded_tensors_are_disjoint_aligned_views(self, saved):
+        *_, path = saved
+        tensors = [t.data for _, t in load_checkpoint(path).params.named_tensors()]
+        base = tensors[0].base
+        assert base is not None and all(t.base is base for t in tensors)
+        assert all(t.flags.aligned and t.flags.c_contiguous for t in tensors)
+        spans = sorted((t.ctypes.data, t.ctypes.data + t.nbytes) for t in tensors)
+        assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
 
     def test_numpy_meta_values_are_coerced(self, tmp_path):
         config = build_toy_config(n_blocks=1)
@@ -203,6 +218,26 @@ class TestCheckpointIntegrity:
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("header", [[1, 2], 3], ids=["list", "number"])
+    def test_header_not_an_object(self, saved, tmp_path, header):
+        *_, path = saved
+        _, payload = split_file(path.read_bytes())
+        bad = tmp_path / "header.bin"
+        bad.write_bytes(rebuild_file(header, payload))
+        with pytest.raises(CheckpointError, match="header: expected an object"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("meta", [[1, 2], "ab12", 3, None],
+                             ids=["list", "string", "number", "null"])
+    def test_meta_not_an_object(self, saved, tmp_path, meta):
+        *_, path = saved
+        header, payload = split_file(path.read_bytes())
+        header["meta"] = meta
+        bad = tmp_path / "meta.bin"
+        bad.write_bytes(rebuild_file(header, payload))
+        with pytest.raises(CheckpointError, match="header: meta"):
+            load_checkpoint(bad)
+
     def test_invalid_config_in_header(self, saved, tmp_path):
         *_, path = saved
         header, payload = split_file(path.read_bytes())
@@ -272,6 +307,27 @@ class TestManifestFaults:
         bad.write_bytes(rebuild_file(header, payload))
         with pytest.raises(CheckpointError, match="^tensor manifest: expected a list"):
             load_checkpoint(bad)
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("binary", [False, True], ids=["text", "binary"])
+    def test_failure_midway_keeps_the_old_file(self, tmp_path, binary):
+        path = tmp_path / "artifact"
+        path.write_text("old\n", encoding="utf-8")
+        with pytest.raises(RuntimeError, match="midway"):
+            with atomic_write(path, binary=binary) as fh:
+                fh.write(b"new, partial" if binary else "new, partial")
+                fh.flush()
+                raise RuntimeError("failed midway")
+        assert path.read_text(encoding="utf-8") == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_clean_exit_replaces_the_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("old\n", encoding="utf-8")
+        save_config(RunConfig(seed=3), path)
+        assert load_config(path) == RunConfig(seed=3)
+        assert list(tmp_path.iterdir()) == [path]
+
 
 class TestExpectedShapes:
     def test_shape_table_matches_analytic_count(self):

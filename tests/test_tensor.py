@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import max_rel_err, numeric_grad, reference_attention
+from helpers import max_rel_err, numeric_grad, reference_packed_attention
 
 from norminfer.base import ContractError, ShapeError
 from norminfer import tensor as T
@@ -229,31 +229,43 @@ class TestCausalMask:
         assert np.array_equal(x.grad, np.tril(np.ones((3, 3))))
 
 
-def attention_inputs(rng, shape, dtype, heads_view=False):
-    """q, k, v leaves of ``shape``; with heads_view, (B, H, T, d) views of
-    (B, T, H, d) arrays, the non-contiguous layout the model passes in."""
-    def one():
-        if heads_view:
-            b, h, t, d = shape
-            data = rng.normal(size=(b, t, h, d)).astype(dtype).transpose(0, 2, 1, 3)
-        else:
-            data = rng.normal(size=shape).astype(dtype)
-        return parameter(data, dtype=dtype)
-
-    return one(), one(), one()
+def packed_case(shape):
+    """(lengths, n_heads, d_head) for a (T, d), (H, T, d) or (B, H, T, d)
+    case: B sequences of T tokens, H heads of width d."""
+    *lead, t, d_head = shape
+    b, h = ([1, 1] + lead)[-2:]
+    return [t] * b, h, d_head
 
 
-def attention_grads(fn, q, k, v, upstream):
-    for x in (q, k, v):
-        x.zero_grad()
+def attention_qkv(rng, lengths, n_heads, d_head, dtype):
+    """A packed (N, 3d) qkv leaf and an (N, d) output gradient."""
+    n, d = sum(lengths), n_heads * d_head
+    qkv = parameter(rng.normal(size=(n, 3 * d)).astype(dtype), dtype=dtype)
+    return qkv, rng.normal(size=(n, d)).astype(dtype)
+
+
+def attention_grads(qkv, lengths, n_heads, upstream):
+    qkv.zero_grad()
     with GradTape() as tape:
-        out, weights = fn(q, k, v, CausalMask(q.shape[-2]))
+        out, weights = causal_attention(qkv, lengths, n_heads)
         tape.backward(total(mul(out, Tensor(upstream))))
-    return out.data, weights, q.grad, k.grad, v.grad
+    return out.data, weights, qkv.grad
 
 
-# (shape, heads_view): every rank the primitive accepts, B = 1 and B > 1,
-# and the transposed head views multi-head attention passes in
+def assert_bytes_equal_composition(rng, lengths, n_heads, d_head, dtype, copies):
+    qkv, upstream = attention_qkv(rng, lengths, n_heads, d_head, dtype)
+    out, weights, grad = attention_grads(qkv, lengths, n_heads, upstream)
+    want_out, want_weights, want_grad = reference_packed_attention(
+        qkv.data, lengths, n_heads, upstream, copies=copies
+    )
+    for got, want in zip([out, grad, *weights], [want_out, want_grad, *want_weights]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+# (shape, heads_view): one sequence with one head, with several heads, and
+# several sequences of one length (see packed_case); the composition runs
+# on the head views of qkv, or on contiguous copies of them
 ATTENTION_CASES = [
     ((5, 3), False),
     ((2, 6, 4), False),
@@ -268,58 +280,58 @@ class TestCausalAttention:
     @pytest.mark.parametrize("shape,heads_view", ATTENTION_CASES, ids=str)
     def test_bytes_equal_composition(self, shape, heads_view, dtype):
         rng = np.random.default_rng(sum(shape))
-        q, k, v = attention_inputs(rng, shape, dtype, heads_view)
-        upstream = rng.normal(size=shape).astype(dtype)
-        fused = attention_grads(causal_attention, q, k, v, upstream)
-        composed = attention_grads(reference_attention, q, k, v, upstream)
-        for got, want in zip(fused, composed):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
+        assert_bytes_equal_composition(
+            rng, *packed_case(shape), dtype, copies=not heads_view
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_mixed_lengths_bytes_equal_composition(self, dtype):
+        """Sequences of 1, 7 and 130 tokens packed together each give the
+        bits of the composition run on that sequence alone."""
+        rng = np.random.default_rng(79)
+        assert_bytes_equal_composition(rng, [1, 7, 130], 3, 4, dtype, copies=False)
 
     def test_untaped_forward_matches_taped(self):
         rng = np.random.default_rng(67)
-        q, k, v = attention_inputs(rng, (2, 2, 6, 3), np.float32)
-        plain = causal_attention(Tensor(q.data), Tensor(k.data), Tensor(v.data), CausalMask(6))
+        lengths, n_heads, d_head = packed_case((2, 2, 6, 3))
+        qkv, _ = attention_qkv(rng, lengths, n_heads, d_head, np.float32)
+        plain = causal_attention(Tensor(qkv.data), lengths, n_heads)
         with GradTape():
-            taped = causal_attention(q, k, v, CausalMask(6))
+            taped = causal_attention(qkv, lengths, n_heads)
         assert plain[0].data.tobytes() == taped[0].data.tobytes()
-        assert plain[1].tobytes() == taped[1].tobytes()
+        for a, b in zip(plain[1], taped[1]):
+            assert a.tobytes() == b.tobytes()
         assert not plain[0].requires_grad and taped[0].requires_grad
 
     @pytest.mark.parametrize("shape", [(4, 3), (2, 2, 5, 3)], ids=str)
     def test_gradients_match_finite_differences(self, shape):
         rng = np.random.default_rng(71)
-        q, k, v = attention_inputs(rng, shape, np.float64)
-        upstream = rng.normal(size=shape)
-        t = shape[-2]
-        attention_grads(causal_attention, q, k, v, upstream)
+        lengths, n_heads, d_head = packed_case(shape)
+        qkv, upstream = attention_qkv(rng, lengths, n_heads, d_head, np.float64)
+        attention_grads(qkv, lengths, n_heads, upstream)
 
         def f():
-            return float(np.sum(causal_attention(q, k, v, CausalMask(t))[0].data * upstream))
+            return float(np.sum(causal_attention(qkv, lengths, n_heads)[0].data * upstream))
 
-        for x in (q, k, v):
-            assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-6
+        assert max_rel_err(qkv.grad, numeric_grad(f, qkv.data)) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_weights_are_causal_rows_summing_to_one(self, dtype):
         rng = np.random.default_rng(73)
-        q, k, v = attention_inputs(rng, (2, 3, 7, 4), dtype)
-        _, w = causal_attention(q, k, v, CausalMask(7))
-        assert w.shape == (2, 3, 7, 7) and w.dtype == dtype
-        future = np.triu(np.ones((7, 7), dtype=bool), 1)
-        assert np.all(w[..., future] == 0.0)
+        qkv, _ = attention_qkv(rng, [7, 4], 3, 4, dtype)
+        _, weights = causal_attention(qkv, [7, 4], 3)
         atol = 1e-12 if dtype == np.float64 else 1e-6
-        np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=atol)
+        for w, n in zip(weights, [7, 4]):
+            assert w.shape == (3, n, n) and w.dtype == dtype
+            future = np.triu(np.ones((n, n), dtype=bool), 1)
+            assert np.all(w[..., future] == 0.0)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=atol)
 
-    def test_mask_size_mismatch_rejected(self):
-        q = t64(np.zeros((4, 2)))
-        with pytest.raises(ShapeError, match="mask size"):
-            causal_attention(q, q, q, CausalMask(3))
-
-    def test_mixed_dtypes_rejected(self):
-        q = t64(np.zeros((4, 2)))
-        with pytest.raises(ContractError, match="mixed"):
-            causal_attention(q, q, Tensor(np.zeros((4, 2), dtype=np.float32)), CausalMask(4))
+    def test_lengths_must_cover_the_rows(self):
+        qkv = t64(np.zeros((4, 6)))
+        for lengths in ([3], [2, 3], [4, 0]):
+            with pytest.raises(ShapeError, match="lengths"):
+                causal_attention(qkv, lengths, 1)
 
 
 class TestEmbeddingAndRowSelection:
