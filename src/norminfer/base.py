@@ -142,12 +142,6 @@ def check_text(value: Any, name: str) -> str:
     return value
 
 
-def check_positive_int(value: Any, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-    return value
-
-
 def check_pair_list(pairs: Any) -> list[tuple[str, str]]:
     """Normalize predict-style input to a list of (premise, hypothesis)."""
     out = []

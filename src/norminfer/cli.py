@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
@@ -26,10 +28,9 @@ from .base import (
 )
 from .conflicts import analyze_conflicts, format_report, write_report_csv, write_report_text
 from .estimator import NliClassifier
-from .model import count_parameters
+from .model import ModelConfig, count_parameters, parameter_shapes
 from .persistence import (
     RunConfig,
-    expected_shapes,
     load_checkpoint,
     load_config,
     save_checkpoint,
@@ -89,8 +90,25 @@ def _load_classifier(checkpoint: str, vocab: str) -> NliClassifier:
     return NliClassifier.from_artifacts(ckpt.params, vocabulary)
 
 
+def _classifier_for(cfg: RunConfig) -> NliClassifier:
+    """The estimator that trains the model ``cfg`` describes. A model key
+    the estimator takes no argument for (bar vocab_words, which the built
+    vocabulary replaces) must keep the value the estimator builds with."""
+    clf = NliClassifier()
+    params = clf.get_params()
+    for f in fields(ModelConfig):
+        value = getattr(cfg, f.name)
+        if f.name not in params and f.name != "vocab_words" and value != f.default:
+            raise ConfigError(
+                f"key {f.name!r} = {value!r} is not supported: train builds "
+                f"the model with {f.name} = {f.default!r}"
+            )
+    return clf.set_params(**{name: getattr(cfg, name) for name in params if hasattr(cfg, name)})
+
+
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
+    clf = _classifier_for(cfg)
     out_dir = _resolve_output_dir(cfg.output_dir, args.output_dir)
     train_path = _require_file(cfg.train_path, "train_path")
     val_path = None
@@ -100,22 +118,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     train_examples = load_snli(train_path)
     val_examples = load_snli(val_path) if val_path else None
 
-    clf = NliClassifier(
-        n_blocks=cfg.n_blocks,
-        n_heads=cfg.n_heads,
-        d_model=cfg.d_model,
-        d_ffn=cfg.d_ffn,
-        max_len=cfg.max_len,
-        dropout=cfg.dropout,
-        min_count=cfg.min_count,
-        base_lr=cfg.base_lr,
-        warmup_fraction=cfg.warmup_fraction,
-        clip_bound=cfg.clip_bound,
-        batch_size=cfg.batch_size,
-        patience_epochs=cfg.patience_epochs,
-        max_epochs=cfg.max_epochs,
-        seed=cfg.seed,
-    )
     clf.fit(train_examples, val_examples)
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -192,12 +194,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
     model_config = cfg.model_config()
     analytic = count_parameters(model_config)
-    enumerated = 0
-    for shape in expected_shapes(model_config).values():
-        size = 1
-        for dim in shape:
-            size *= dim
-        enumerated += size
+    enumerated = sum(
+        math.prod(spec.shape) for spec in parameter_shapes(model_config).values()
+    )
     if analytic != enumerated:
         raise ContractError(
             f"parameter accounting disagrees: analytic {analytic}, "

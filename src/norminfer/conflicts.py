@@ -19,7 +19,6 @@ import numpy as np
 
 from .base import ContractError, atomic_write, check_fitted
 from .estimator import NliClassifier
-from .model import forward
 from .text import CLASSES, CONFLICT_TYPES, ConflictRecord
 
 CSV_COLUMNS = (
@@ -48,11 +47,16 @@ class DirectionScore:
     entailment: float
     contradiction: float
     neutral: float
-    predicted: str
     truncated: bool
 
     def as_array(self) -> np.ndarray:
         return np.array([self.entailment, self.contradiction, self.neutral])
+
+    @property
+    def predicted(self) -> str:
+        # first maximum wins, so ties resolve entailment, then
+        # contradiction, then neutral
+        return CLASSES[int(np.argmax(self.as_array()))]
 
 
 @dataclass(frozen=True)
@@ -92,14 +96,8 @@ def score_direction(
     the hypothesis undetermined."""
     check_fitted(classifier, ["params_", "encoder_"])
     pair = classifier.encoder_.transform([(premise, hypothesis)])[0]
-    probs = forward(pair, classifier.params_)
-    return DirectionScore(
-        entailment=probs.entailment,
-        contradiction=probs.contradiction,
-        neutral=probs.neutral,
-        predicted=probs.predicted,
-        truncated=pair.truncated,
-    )
+    probs = classifier._probabilities([pair])[0]
+    return DirectionScore(*(float(p) for p in probs), truncated=pair.truncated)
 
 
 def analyze_pair(classifier: NliClassifier, record: ConflictRecord) -> PairAnalysis:

@@ -8,6 +8,7 @@ architecture and optimization knobs.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,7 +29,6 @@ from .model import (
 )
 from .text import (
     CLASSES,
-    LABEL_TO_INDEX,
     MAX_SEQUENCE_LENGTH,
     EncodedPair,
     NliExample,
@@ -89,20 +89,20 @@ class NliClassifier(ParamsMixin):
 
     def __init__(
         self,
-        n_blocks: int = 12,
-        n_heads: int = 12,
-        d_model: int = 240,
-        d_ffn: int | None = None,
-        max_len: int = MAX_SEQUENCE_LENGTH,
-        dropout: float = 0.0,
+        n_blocks: int = ModelConfig.n_blocks,
+        n_heads: int = ModelConfig.n_heads,
+        d_model: int = ModelConfig.d_model,
+        d_ffn: int | None = ModelConfig.d_ffn,
+        max_len: int = ModelConfig.max_len,
+        dropout: float = ModelConfig.dropout,
         min_count: int = 1,
-        base_lr: float = 6.25e-5,
-        warmup_fraction: float = 0.002,
-        clip_bound: float = 1.0,
-        batch_size: int = 16,
-        patience_epochs: int = 10,
-        max_epochs: int = 100,
-        seed: int = 0,
+        base_lr: float = TrainConfig.base_lr,
+        warmup_fraction: float = TrainConfig.warmup_fraction,
+        clip_bound: float = TrainConfig.clip_bound,
+        batch_size: int = TrainConfig.batch_size,
+        patience_epochs: int = TrainConfig.patience_epochs,
+        max_epochs: int = TrainConfig.max_epochs,
+        seed: int = TrainConfig.seed,
         dtype: str = "float32",
     ):
         self.n_blocks = n_blocks
@@ -129,16 +129,15 @@ class NliClassifier(ParamsMixin):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         return dt
 
+    @classmethod
+    def _model_args(cls) -> list[str]:
+        """The ModelConfig fields this estimator takes as arguments. The
+        vocabulary sets vocab_words; every other field keeps its default."""
+        names = cls._param_names()
+        return [f.name for f in fields(ModelConfig) if f.name in names]
+
     def _train_config(self) -> TrainConfig:
-        return TrainConfig(
-            base_lr=self.base_lr,
-            warmup_fraction=self.warmup_fraction,
-            clip_bound=self.clip_bound,
-            batch_size=self.batch_size,
-            patience_epochs=self.patience_epochs,
-            max_epochs=self.max_epochs,
-            seed=self.seed,
-        )
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
     def fit(
         self,
@@ -158,12 +157,7 @@ class NliClassifier(ParamsMixin):
 
         config = ModelConfig(
             vocab_words=len(self.encoder_.vocabulary_),
-            n_blocks=self.n_blocks,
-            n_heads=self.n_heads,
-            d_model=self.d_model,
-            d_ffn=self.d_ffn,
-            max_len=self.max_len,
-            dropout=self.dropout,
+            **{name: getattr(self, name) for name in self._model_args()},
         )
         init_rng = np.random.default_rng(split_seed(self.seed, SEED_INIT))
         params = ModelParameters.initialize(config, init_rng, dtype=self._np_dtype())
@@ -195,12 +189,7 @@ class NliClassifier(ParamsMixin):
         """A fitted classifier from existing weights and a vocabulary."""
         config = params.config
         clf = cls(
-            n_blocks=config.n_blocks,
-            n_heads=config.n_heads,
-            d_model=config.d_model,
-            d_ffn=config.d_ffn,
-            max_len=config.max_len,
-            dropout=config.dropout,
+            **{name: getattr(config, name) for name in cls._model_args()},
             dtype=str(params.dtype),
             **constructor_args,
         )
@@ -215,8 +204,14 @@ class NliClassifier(ParamsMixin):
     def predict_proba(self, pairs) -> np.ndarray:
         """Class probability rows aligned with the input order."""
         check_fitted(self, ["params_", "encoder_"])
-        pairs = check_pair_list(pairs)
-        encoded = self.encoder_.transform(pairs)
+        return self._probabilities(self.encoder_.transform(check_pair_list(pairs)))
+
+    def _probabilities(self, encoded: Sequence[EncodedPair]) -> np.ndarray:
+        """Class probability rows for encoded pairs, in input order.
+
+        This is the one inference loop: pairs run shortest first,
+        batch_size to a forward pass, on the deterministic path.
+        """
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
         order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
         step = max(1, self.batch_size)

@@ -13,8 +13,8 @@ linear head whose softmax gives the class probabilities.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,11 +37,15 @@ from .tensor import (
     take_rows,  # noqa: F401  unused here; kept importable from this module
     transpose,  # noqa: F401  unused here; kept importable from this module
 )
-from .text import CLASSES, EOS_ID, EncodedPair
+from .text import EOS_ID, MAX_SEQUENCE_LENGTH, EncodedPair
 
 logger = logging.getLogger(__name__)
 
 INIT_STD = 0.02
+# float64 elements per block of an initial-weight draw
+_DRAW_ELEMENTS = 1 << 16
+# tensor groups in the order initialize draws them
+_DRAW_ORDER = ("blocks", "embedding", "head")
 
 
 @dataclass
@@ -57,7 +61,7 @@ class ModelConfig:
     n_heads: int = 12
     d_model: int = 240
     d_ffn: int | None = None
-    max_len: int = 360
+    max_len: int = MAX_SEQUENCE_LENGTH
     n_classes: int = 3
     layer_norm_eps: float = 1e-5
     dropout: float = 0.0
@@ -94,17 +98,7 @@ class ModelConfig:
         return self.vocab_words + self.max_len
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_words": self.vocab_words,
-            "n_blocks": self.n_blocks,
-            "n_heads": self.n_heads,
-            "d_model": self.d_model,
-            "d_ffn": self.d_ffn,
-            "max_len": self.max_len,
-            "n_classes": self.n_classes,
-            "layer_norm_eps": self.layer_norm_eps,
-            "dropout": self.dropout,
-        }
+        return asdict(self)
 
 
 def count_parameters(config: ModelConfig) -> int:
@@ -120,6 +114,55 @@ def count_parameters(config: ModelConfig) -> int:
     )
     head = d * config.n_classes + config.n_classes
     return embedding + config.n_blocks * per_block + head
+
+
+class ParameterSpec(NamedTuple):
+    """Shape of one learnable tensor and how ``initialize`` fills it:
+    ``"normal"`` draws N(0, 0.02^2), ``"zeros"`` and ``"ones"`` are constant."""
+
+    shape: tuple[int, ...]
+    init: str
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, ParameterSpec]:
+    """Every learnable tensor by name, in traversal order: the embedding,
+    each block's tensors in ``BlockParameters`` field order, then the head.
+
+    This order is the checkpoint manifest order, so changing it changes the
+    file format.
+    """
+    d, f, c = config.d_model, config.d_ffn, config.n_classes
+    block = {
+        "w_qkv": ParameterSpec((d, 3 * d), "normal"),
+        "w_o": ParameterSpec((d, d), "normal"),
+        "ln1_gain": ParameterSpec((d,), "ones"),
+        "ln1_bias": ParameterSpec((d,), "zeros"),
+        "w_ffn1": ParameterSpec((d, f), "normal"),
+        "b_ffn1": ParameterSpec((f,), "zeros"),
+        "w_ffn2": ParameterSpec((f, d), "normal"),
+        "b_ffn2": ParameterSpec((d,), "zeros"),
+        "ln2_gain": ParameterSpec((d,), "ones"),
+        "ln2_bias": ParameterSpec((d,), "zeros"),
+    }
+    specs = {"embedding": ParameterSpec((config.embedding_rows, d), "normal")}
+    for i in range(config.n_blocks):
+        specs.update((f"blocks.{i}.{name}", spec) for name, spec in block.items())
+    specs["head.w_cls"] = ParameterSpec((d, c), "normal")
+    specs["head.b_cls"] = ParameterSpec((c,), "zeros")
+    return specs
+
+
+def _draw_normal(out: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill ``out`` with N(0, 0.02^2) draws, a block of rows at a time.
+
+    The generator yields the same float64 sequence whether it is asked
+    for one block or for the whole array, so the weights match a one-shot
+    draw cast to ``out.dtype``, without a full-size float64 temporary.
+    """
+    rows = max(1, _DRAW_ELEMENTS // out[0].size)
+    for start in range(0, len(out), rows):
+        chunk = out[start : start + rows]
+        chunk[...] = rng.normal(0.0, INIT_STD, chunk.shape)
 
 
 @dataclass
@@ -145,67 +188,59 @@ class ModelParameters:
     config: ModelConfig = field(repr=False)
 
     @classmethod
+    def from_arrays(
+        cls, config: ModelConfig, arrays: Mapping[str, np.ndarray]
+    ) -> "ModelParameters":
+        """Parameters wrapping ``arrays`` (no copy), keyed by the names of
+        ``parameter_shapes(config)``."""
+        def block(i: int) -> BlockParameters:
+            return BlockParameters(**{
+                f.name: parameter(arrays[f"blocks.{i}.{f.name}"])
+                for f in fields(BlockParameters)
+            })
+
+        return cls(
+            embedding=parameter(arrays["embedding"]),
+            blocks=[block(i) for i in range(config.n_blocks)],
+            w_cls=parameter(arrays["head.w_cls"]),
+            b_cls=parameter(arrays["head.b_cls"]),
+            config=config,
+        )
+
+    @classmethod
     def initialize(
         cls,
         config: ModelConfig,
         rng: np.random.Generator,
         dtype=np.float32,
     ) -> "ModelParameters":
-        """Draw weights from N(0, 0.02^2); biases zero, norm gains one."""
-        d, f = config.d_model, config.d_ffn
+        """Draw weights from N(0, 0.02^2); biases zero, norm gains one.
 
-        def weight(*shape):
-            return parameter(rng.normal(0.0, INIT_STD, shape).astype(dtype))
-
-        def zeros(*shape):
-            return parameter(np.zeros(shape, dtype=dtype))
-
-        def ones(*shape):
-            return parameter(np.ones(shape, dtype=dtype))
-
-        blocks = [
-            BlockParameters(
-                w_qkv=weight(d, 3 * d),
-                w_o=weight(d, d),
-                ln1_gain=ones(d),
-                ln1_bias=zeros(d),
-                w_ffn1=weight(d, f),
-                b_ffn1=zeros(f),
-                w_ffn2=weight(f, d),
-                b_ffn2=zeros(d),
-                ln2_gain=ones(d),
-                ln2_bias=zeros(d),
-            )
-            for _ in range(config.n_blocks)
-        ]
-        params = cls(
-            embedding=weight(config.embedding_rows, d),
-            blocks=blocks,
-            w_cls=weight(d, config.n_classes),
-            b_cls=zeros(config.n_classes),
-            config=config,
-        )
+        Weights are drawn block by block, then the embedding, then the
+        head, so a seed gives the same weights as it always has.
+        """
+        specs = parameter_shapes(config)
+        arrays = {}
+        for name in sorted(specs, key=lambda n: _DRAW_ORDER.index(n.split(".")[0])):
+            shape, init = specs[name]
+            if init == "normal":
+                arrays[name] = np.empty(shape, dtype=dtype)
+                _draw_normal(arrays[name], rng)
+            else:
+                arrays[name] = (np.ones if init == "ones" else np.zeros)(shape, dtype=dtype)
+        params = cls.from_arrays(config, arrays)
         logger.info(
             "initialized model: %d learnable parameters", params.n_parameters()
         )
         return params
 
     def named_tensors(self) -> Iterator[tuple[str, Tensor]]:
-        """Deterministic traversal order; serialization relies on it."""
-        yield "embedding", self.embedding
-        for i, blk in enumerate(self.blocks):
-            yield f"blocks.{i}.w_qkv", blk.w_qkv
-            yield f"blocks.{i}.w_o", blk.w_o
-            yield f"blocks.{i}.ln1_gain", blk.ln1_gain
-            yield f"blocks.{i}.ln1_bias", blk.ln1_bias
-            yield f"blocks.{i}.w_ffn1", blk.w_ffn1
-            yield f"blocks.{i}.b_ffn1", blk.b_ffn1
-            yield f"blocks.{i}.w_ffn2", blk.w_ffn2
-            yield f"blocks.{i}.b_ffn2", blk.b_ffn2
-            yield f"blocks.{i}.ln2_gain", blk.ln2_gain
-            yield f"blocks.{i}.ln2_bias", blk.ln2_bias
-        yield "head.w_cls", self.w_cls
-        yield "head.b_cls", self.b_cls
+        """(name, tensor) in ``parameter_shapes`` order; serialization
+        relies on it."""
+        for name in parameter_shapes(self.config):
+            *path, attr = name.split(".")
+            owner = self.blocks[int(path[1])] if path[:1] == ["blocks"] else self
+            yield name, getattr(owner, attr)
 
     def n_parameters(self) -> int:
         return sum(t.data.size for _, t in self.named_tensors())
@@ -216,25 +251,8 @@ class ModelParameters:
 
     def copy(self) -> "ModelParameters":
         """Deep copy of the weights; gradients are not carried over."""
-        blocks = [
-            BlockParameters(
-                **{
-                    name: parameter(getattr(blk, name).data.copy())
-                    for name in (
-                        "w_qkv", "w_o", "ln1_gain", "ln1_bias",
-                        "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2",
-                        "ln2_gain", "ln2_bias",
-                    )
-                }
-            )
-            for blk in self.blocks
-        ]
-        return ModelParameters(
-            embedding=parameter(self.embedding.data.copy()),
-            blocks=blocks,
-            w_cls=parameter(self.w_cls.data.copy()),
-            b_cls=parameter(self.b_cls.data.copy()),
-            config=self.config,
+        return ModelParameters.from_arrays(
+            self.config, {name: t.data.copy() for name, t in self.named_tensors()}
         )
 
 
@@ -269,6 +287,8 @@ class Batch:
 
 
 def make_batch(pairs: Sequence[EncodedPair], pad_id: int = 0) -> Batch:
+    """Right-padded batch of ``pairs``, each of which must hold the
+    end-of-sequence token at its ``eos_index``."""
     if not pairs:
         raise ContractError("cannot build a batch from zero pairs")
     n = len(pairs)
@@ -280,6 +300,11 @@ def make_batch(pairs: Sequence[EncodedPair], pad_id: int = 0) -> Batch:
     have_labels = True
     for i, pair in enumerate(pairs):
         k = len(pair)
+        if not 0 <= pair.eos_index < k or pair.token_ids[pair.eos_index] != EOS_ID:
+            raise ContractError(
+                f"pair {i} needs the end-of-sequence token at its eos_index "
+                f"{pair.eos_index}"
+            )
         token_ids[i, :k] = pair.token_ids
         position_ids[i, :k] = pair.position_ids
         eos_index[i] = pair.eos_index
@@ -425,27 +450,3 @@ def forward_batch(
             padded.append(full)
         return probs, padded
     return probs
-
-
-@dataclass(frozen=True)
-class ClassProbabilities:
-    entailment: float
-    contradiction: float
-    neutral: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.entailment, self.contradiction, self.neutral])
-
-    @property
-    def predicted(self) -> str:
-        # first maximum wins, so ties resolve entailment, then
-        # contradiction, then neutral
-        return CLASSES[int(np.argmax(self.as_array()))]
-
-
-def forward(pair: EncodedPair, params: ModelParameters) -> ClassProbabilities:
-    """Probabilities for a single encoded pair."""
-    if pair.token_ids[-1] != EOS_ID:
-        raise ContractError("encoded pair must end with the end-of-sequence token")
-    probs = forward_batch(make_batch([pair]), params).data[0]
-    return ClassProbabilities(*(float(p) for p in probs))

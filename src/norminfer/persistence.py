@@ -26,14 +26,14 @@ import hashlib
 import json
 import os
 import struct
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .base import CheckpointError, CheckpointVersionError, ConfigError, atomic_write
-from .model import BlockParameters, ModelConfig, ModelParameters
-from .tensor import parameter
+from .model import ModelConfig, ModelParameters, ParameterSpec, parameter_shapes
 from .training import TrainConfig
 
 MAGIC = b"NRMINFR\x00"
@@ -50,27 +50,6 @@ def _canonical_json(obj) -> bytes:
 
 def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(_canonical_json(config.to_dict())).hexdigest()
-
-
-def expected_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Tensor name to shape, as the config dictates them."""
-    d, f, c = config.d_model, config.d_ffn, config.n_classes
-    shapes: dict[str, tuple[int, ...]] = {"embedding": (config.embedding_rows, d)}
-    for i in range(config.n_blocks):
-        p = f"blocks.{i}."
-        shapes[p + "w_qkv"] = (d, 3 * d)
-        shapes[p + "w_o"] = (d, d)
-        shapes[p + "ln1_gain"] = (d,)
-        shapes[p + "ln1_bias"] = (d,)
-        shapes[p + "w_ffn1"] = (d, f)
-        shapes[p + "b_ffn1"] = (f,)
-        shapes[p + "w_ffn2"] = (f, d)
-        shapes[p + "b_ffn2"] = (d,)
-        shapes[p + "ln2_gain"] = (d,)
-        shapes[p + "ln2_bias"] = (d,)
-    shapes["head.w_cls"] = (d, c)
-    shapes["head.b_cls"] = (c,)
-    return shapes
 
 
 def _le_dtype(name: str) -> np.dtype:
@@ -184,10 +163,10 @@ def _read_header(raw: np.ndarray) -> tuple[dict, int]:
     return header, header_end
 
 
-def _check_manifest(manifest, shapes: dict[str, tuple[int, ...]]) -> None:
+def _check_manifest(manifest, specs: dict[str, ParameterSpec]) -> None:
     """Reject a tensor manifest unless it is a list of objects, each with a
     ``shape`` of non-negative integers and a supported ``dtype``, whose
-    ``name`` fields list the tensors of ``shapes`` in order, at the shapes
+    ``name`` fields list the tensors of ``specs`` in order, at the shapes
     the config requires."""
     if not isinstance(manifest, list):
         raise CheckpointError(
@@ -212,12 +191,12 @@ def _check_manifest(manifest, shapes: dict[str, tuple[int, ...]]) -> None:
                 "not a list of non-negative integers"
             )
         _le_dtype(entry["dtype"])
-    if [entry["name"] for entry in manifest] != list(shapes):
+    if [entry["name"] for entry in manifest] != list(specs):
         raise CheckpointError(
             "tensor manifest: names do not match the config's parameter set"
         )
     for entry in manifest:
-        want = shapes[entry["name"]]
+        want = specs[entry["name"]].shape
         if tuple(entry["shape"]) != want:
             raise CheckpointError(
                 f"tensor manifest: {entry['name']} has shape {entry['shape']}, "
@@ -243,7 +222,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError("config: hash mismatch, header is corrupt")
 
     manifest = header["tensors"]
-    _check_manifest(manifest, expected_shapes(config))
+    _check_manifest(manifest, parameter_shapes(config))
 
     expected_size = sum(
         int(np.prod(e["shape"], dtype=np.int64)) * _le_dtype(e["dtype"]).itemsize
@@ -265,28 +244,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         arrays[entry["name"]] = arr if dt.isnative else arr.astype(entry["dtype"])
         offset += nbytes
 
-    blocks = []
-    for i in range(config.n_blocks):
-        p = f"blocks.{i}."
-        blocks.append(
-            BlockParameters(
-                **{
-                    field: parameter(arrays[p + field])
-                    for field in (
-                        "w_qkv", "w_o", "ln1_gain", "ln1_bias",
-                        "w_ffn1", "b_ffn1", "w_ffn2", "b_ffn2",
-                        "ln2_gain", "ln2_bias",
-                    )
-                }
-            )
-        )
-    params = ModelParameters(
-        embedding=parameter(arrays["embedding"]),
-        blocks=blocks,
-        w_cls=parameter(arrays["head.w_cls"]),
-        b_cls=parameter(arrays["head.b_cls"]),
-        config=config,
-    )
+    params = ModelParameters.from_arrays(config, arrays)
     return Checkpoint(params=params, meta=header["meta"])
 
 
@@ -294,76 +252,57 @@ def file_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-_INT_KEYS = (
-    "vocab_words", "n_blocks", "n_heads", "d_model", "d_ffn", "max_len",
-    "n_classes", "batch_size", "patience_epochs", "max_epochs", "min_count",
-    "seed",
-)
-_FLOAT_KEYS = (
-    "layer_norm_eps", "dropout", "base_lr", "warmup_fraction", "clip_bound",
-)
-_PATH_KEYS = (
-    "train_path", "validation_path", "test_path", "conflicts_path", "output_dir",
-)
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One run's full recipe: architecture, optimization, data, output.
 
-    vocab_words only sizes the embedding table for parameter accounting;
-    training replaces it with the vocabulary actually built from data.
+    Values parse by their field annotations. vocab_words only sizes the
+    embedding table for parameter accounting; training replaces it with
+    the vocabulary actually built from data.
     """
 
     vocab_words: int = 56220
-    n_blocks: int = 12
-    n_heads: int = 12
-    d_model: int = 240
-    d_ffn: int | None = None
-    max_len: int = 360
-    n_classes: int = 3
-    layer_norm_eps: float = 1e-5
-    dropout: float = 0.0
-    base_lr: float = 6.25e-5
-    warmup_fraction: float = 0.002
-    clip_bound: float = 1.0
-    batch_size: int = 16
-    patience_epochs: int = 10
-    max_epochs: int = 100
+    n_blocks: int = ModelConfig.n_blocks
+    n_heads: int = ModelConfig.n_heads
+    d_model: int = ModelConfig.d_model
+    d_ffn: int | None = ModelConfig.d_ffn
+    max_len: int = ModelConfig.max_len
+    n_classes: int = ModelConfig.n_classes
+    layer_norm_eps: float = ModelConfig.layer_norm_eps
+    dropout: float = ModelConfig.dropout
+    base_lr: float = TrainConfig.base_lr
+    warmup_fraction: float = TrainConfig.warmup_fraction
+    clip_bound: float = TrainConfig.clip_bound
+    batch_size: int = TrainConfig.batch_size
+    patience_epochs: int = TrainConfig.patience_epochs
+    max_epochs: int = TrainConfig.max_epochs
     min_count: int = 1
-    seed: int = 0
+    seed: int = TrainConfig.seed
     train_path: str | None = None
     validation_path: str | None = None
     test_path: str | None = None
     conflicts_path: str | None = None
     output_dir: str = "out"
 
+    def _values_for(self, config_cls) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(config_cls)}
+
     def model_config(self, vocab_words: int | None = None) -> ModelConfig:
-        return ModelConfig(
-            vocab_words=self.vocab_words if vocab_words is None else vocab_words,
-            n_blocks=self.n_blocks,
-            n_heads=self.n_heads,
-            d_model=self.d_model,
-            d_ffn=self.d_ffn,
-            max_len=self.max_len,
-            n_classes=self.n_classes,
-            layer_norm_eps=self.layer_norm_eps,
-            dropout=self.dropout,
-        )
+        values = self._values_for(ModelConfig)
+        if vocab_words is not None:
+            values["vocab_words"] = vocab_words
+        return ModelConfig(**values)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            base_lr=self.base_lr,
-            warmup_fraction=self.warmup_fraction,
-            clip_bound=self.clip_bound,
-            batch_size=self.batch_size,
-            patience_epochs=self.patience_epochs,
-            max_epochs=self.max_epochs,
-            seed=self.seed,
-        )
+        return TrainConfig(**self._values_for(TrainConfig))
 
 
-_FIELD_ORDER = tuple(f.name for f in dataclasses.fields(RunConfig))
+# Each field's value type, int, float or str: its annotation minus None.
+_FIELD_TYPES = {
+    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+    for name, hint in typing.get_type_hints(RunConfig).items()
+}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -379,28 +318,22 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             )
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_ORDER:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        if key in _INT_KEYS:
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{source}:{lineno}: key {key!r} needs an integer, got {value!r}"
-                ) from None
-        elif key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError:
-                raise ConfigError(
-                    f"{source}:{lineno}: key {key!r} needs a number, got {value!r}"
-                ) from None
-        else:
+        kind = _FIELD_TYPES[key]
+        if kind is str:
             if not value:
                 raise ConfigError(f"{source}:{lineno}: key {key!r} has an empty value")
             values[key] = value
+            continue
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ConfigError(
+                f"{source}:{lineno}: key {key!r} needs {_TYPE_NAMES[kind]}, got {value!r}"
+            ) from None
     return RunConfig(**values)
 
 
@@ -419,7 +352,7 @@ def serialize_config(cfg: RunConfig) -> str:
     Unset optional paths are omitted; parsing the output reproduces cfg.
     """
     lines = []
-    for name in _FIELD_ORDER:
+    for name in _FIELD_TYPES:
         value = getattr(cfg, name)
         if value is None:
             continue

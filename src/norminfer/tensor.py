@@ -6,13 +6,13 @@ row gathers, causal masking, a numerically stabilized softmax, the tanh
 form of the gaussian error linear unit, layer normalization, and the scalar
 reductions used by the loss.
 
-Gradients are computed with a tape. While a :class:`GradTape` is active,
-every primitive that touches a tensor requiring gradients appends one record
-in execution order. ``GradTape.backward`` walks those records exactly once in
-reverse, accumulating adjoints additively, so a value consumed by several
-later operations receives the sum of the gradients from each use. With no
-active tape the primitives run plain numpy with no bookkeeping, which is the
-inference path.
+Gradients are computed with a tape. While a :class:`GradTape` is open in
+the current thread, every primitive that touches a tensor requiring
+gradients appends one record in execution order. ``GradTape.backward``
+walks those records exactly once in reverse, accumulating adjoints
+additively, so a value consumed by several later operations receives the
+sum of the gradients from each use. With no active tape the primitives run
+plain numpy with no bookkeeping, which is the inference path.
 
 Dense products of a batched input with a 2-d weight fold every leading
 dimension into rows, so the forward pass and both gradients are one matrix
@@ -42,8 +42,9 @@ inherits the dtype of its tensor inputs and mixing dtypes is an error.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -139,11 +140,11 @@ class GradTape:
         self._records: list[_TapeRecord] = []
 
     def __enter__(self) -> "GradTape":
-        _ACTIVE_TAPES.append(self)
+        _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        _ACTIVE_TAPES.remove(self)
+        _ACTIVE_TAPES.set(tuple(t for t in _ACTIVE_TAPES.get() if t is not self))
 
     def __len__(self) -> int:
         return len(self._records)
@@ -183,7 +184,10 @@ class GradTape:
         self._records.clear()
 
 
-_ACTIVE_TAPES: list[GradTape] = []
+# Open tapes, innermost last. A context variable keeps them per thread (and
+# per asyncio task), so inference in one thread never records onto a tape
+# another thread is training with.
+_ACTIVE_TAPES: ContextVar[tuple[GradTape, ...]] = ContextVar("active_tapes", default=())
 
 
 def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
@@ -201,17 +205,20 @@ def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
 
 def backward(loss: Tensor) -> None:
     """Run the most recently opened tape backward from ``loss``."""
-    if not _ACTIVE_TAPES:
+    tapes = _ACTIVE_TAPES.get()
+    if not tapes:
         raise ContractError("backward called with no active GradTape")
-    _ACTIVE_TAPES[-1].backward(loss)
+    tapes[-1].backward(loss)
 
 
 def _result(inputs: tuple[Tensor, ...], data: np.ndarray, pull: Callable) -> Tensor:
     """Wrap a primitive result, recording it if a tape is listening."""
     needs = any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=needs, dtype=data.dtype)
-    if needs and _ACTIVE_TAPES:
-        _ACTIVE_TAPES[-1]._record(inputs, out, pull)
+    if needs:
+        tapes = _ACTIVE_TAPES.get()
+        if tapes:
+            tapes[-1]._record(inputs, out, pull)
     return out
 
 
@@ -646,8 +653,3 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 def parameter(data, dtype=None) -> Tensor:
     """A leaf tensor that accumulates gradients; dtype of the data is kept."""
     return Tensor(data, requires_grad=True, dtype=dtype)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,7 +24,7 @@ import numpy as np
 from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
 from .tensor import GradTape, Tensor, clamp_min, log, mean, neg, take_rows
-from .text import CLASSES, EncodedPair
+from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
 
@@ -65,15 +65,7 @@ class TrainConfig:
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
 
     def to_dict(self) -> dict:
-        return {
-            "base_lr": self.base_lr,
-            "warmup_fraction": self.warmup_fraction,
-            "clip_bound": self.clip_bound,
-            "batch_size": self.batch_size,
-            "patience_epochs": self.patience_epochs,
-            "max_epochs": self.max_epochs,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def nll_loss(probs: Tensor, gold: np.ndarray) -> Tensor:
@@ -405,30 +397,3 @@ class Trainer:
                 break
 
         return TrainResult(best_params, log)
-
-
-def train(
-    params: ModelParameters,
-    train_pairs: Sequence[EncodedPair],
-    val_pairs: Sequence[EncodedPair],
-    cfg: TrainConfig,
-) -> TrainResult:
-    """Convenience wrapper over Trainer.fit."""
-    return Trainer(cfg).fit(params, train_pairs, val_pairs)
-
-
-def accuracy(params: ModelParameters, pairs: Sequence[EncodedPair],
-             batch_size: int = 64) -> float:
-    """Fraction of pairs whose argmax class matches the gold label."""
-    if not pairs:
-        raise ContractError("accuracy needs at least one pair")
-    if any(p.label_id is None for p in pairs):
-        raise ContractError("accuracy needs labeled pairs")
-    correct = 0
-    ordered = sorted(pairs, key=lambda p: len(p))
-    for i in range(0, len(ordered), batch_size):
-        chunk = ordered[i : i + batch_size]
-        batch = make_batch(chunk)
-        probs = forward_batch(batch, params)
-        correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
-    return correct / len(pairs)

@@ -142,6 +142,32 @@ class TestTrain:
         assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
         assert "n_blockz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "line, code",
+        [("n_classes = 7", EXIT_DATA), ("layer_norm_eps = 0.25", EXIT_DATA),
+         ("n_classes = 3", EXIT_OK), ("layer_norm_eps = 1e-5", EXIT_OK)],
+    )
+    def test_model_keys_the_classifier_does_not_take(self, tmp_path, capsys, line, code):
+        # train must build what run.cfg records, or refuse to train at all
+        write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
+        write_config(
+            tmp_path / "c.cfg",
+            f"train_path = {tmp_path / 'train.jsonl'}",
+            f"output_dir = {tmp_path / 'out'}",
+            "max_epochs = 1",
+            line,
+        )
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == code
+        if code == EXIT_DATA:
+            assert repr(line.split()[0]) in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+        else:
+            from norminfer.persistence import load_checkpoint, load_config
+
+            built = load_checkpoint(tmp_path / "out" / CHECKPOINT_FILE).params.config
+            recorded = load_config(tmp_path / "out" / RUNCONFIG_FILE)
+            assert built == recorded.model_config(vocab_words=built.vocab_words)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         # the huge learning rate is meant to overflow; the warnings it

@@ -63,6 +63,11 @@ class TestDirectionScore:
         score = score_direction(clf, "a man is eating", "a man is eating in the park")
         assert score.predicted == CLASSES[int(np.argmax(score.as_array()))]
 
+    def test_argmax_tie_break_prefers_earlier_class(self):
+        assert DirectionScore(0.4, 0.4, 0.2, truncated=False).predicted == "entailment"
+        assert DirectionScore(0.2, 0.4, 0.4, truncated=False).predicted == "contradiction"
+        assert DirectionScore(0.1, 0.2, 0.7, truncated=False).predicted == "neutral"
+
     def test_truncation_flag_surfaces(self, clf):
         long_text = " ".join(["word"] * 40)
         score = score_direction(clf, long_text, long_text)

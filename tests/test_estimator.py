@@ -6,7 +6,7 @@ from helpers import make_corpus
 
 from norminfer.base import ConfigError, ContractError, NotFittedError
 from norminfer.estimator import NliClassifier, PairEncoder
-from norminfer.model import forward
+from norminfer.model import forward_batch, make_batch
 from norminfer.text import CLASSES, EOS_ID
 
 
@@ -130,12 +130,22 @@ class TestClassifierFit:
         ]
         batched = fitted.predict_proba(pairs)
         for i, (premise, hypothesis) in enumerate(pairs):
-            single = forward(
-                fitted.encoder_.transform([(premise, hypothesis)])[0],
-                fitted.params_,
-            )
-            assert np.allclose(batched[i], single.as_array(), atol=1e-6)
-            assert batched[i].argmax() == single.as_array().argmax()
+            batch = make_batch(fitted.encoder_.transform([(premise, hypothesis)]))
+            single = forward_batch(batch, fitted.params_).data[0].astype(np.float64)
+            assert np.allclose(batched[i], single, atol=1e-6)
+            assert batched[i].argmax() == single.argmax()
+
+    def test_predict_proba_rejects_a_pair_without_eos(self, fitted, monkeypatch):
+        transform = fitted.encoder_.transform
+
+        def drop_eos(pairs):
+            encoded = transform(pairs)
+            encoded[-1].token_ids[-1] = 3
+            return encoded
+
+        monkeypatch.setattr(fitted.encoder_, "transform", drop_eos)
+        with pytest.raises(ContractError, match="end-of-sequence"):
+            fitted.predict_proba([("a dog is walking", "a dog is walking")])
 
     def test_predict_accepts_example_objects(self, fitted):
         examples = make_corpus(4, seed=4)

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,11 @@ from helpers import (
 from norminfer.base import ConfigError, ContractError
 from norminfer.model import (
     Batch,
-    ClassProbabilities,
     ModelConfig,
     ModelParameters,
     count_parameters,
     decoder_block,
     embed,
-    forward,
     forward_batch,
     make_batch,
     multi_head_attention,
@@ -223,7 +222,10 @@ class TestCausality:
             perturbed.token_ids[j] = new_token
 
             _, h_base = forward_batch(make_batch([pair]), params, return_hidden=True)
-            _, h_pert = forward_batch(make_batch([perturbed]), params, return_hidden=True)
+            # built directly, since make_batch rejects a perturbed end-of-sequence token
+            pert_batch = Batch(perturbed.token_ids[None], perturbed.position_ids[None],
+                               np.array([perturbed.eos_index]))
+            _, h_pert = forward_batch(pert_batch, params, return_hidden=True)
             for layer_base, layer_pert in zip(h_base, h_pert):
                 assert np.array_equal(layer_base[0, :j], layer_pert[0, :j])
 
@@ -346,38 +348,50 @@ class TestForward:
         params.w_cls.data[:] = 0.0
         params.b_cls.data[:] = 0.0
         pair = build_random_pair(np.random.default_rng(8), config, t=5)
-        probs = forward(pair, params)
+        probs = forward_batch(make_batch([pair]), params).data[0]
         third = float(np.float32(1.0) / np.float32(3.0))
-        assert (probs.entailment, probs.contradiction, probs.neutral) == (
-            third, third, third,
-        )
+        assert probs.tolist() == [third, third, third]
 
     def test_identical_texts_both_directions_agree(self):
         config = build_toy_config(vocab_words=12)
         params = build_toy_params(config, seed=7)
         pair = build_random_pair(np.random.default_rng(9), config, t=7)
-        assert forward(pair, params) == forward(pair, params)
+        assert np.array_equal(
+            forward_batch(make_batch([pair]), params).data,
+            forward_batch(make_batch([pair]), params).data,
+        )
 
     def test_probabilities_sum_to_one(self):
         config = build_toy_config(vocab_words=15)
         params = build_toy_params(config, seed=10)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            probs = forward(build_random_pair(rng, config), params)
-            assert abs(sum(probs.as_array()) - 1.0) < 1e-6
+            probs = forward_batch(make_batch([build_random_pair(rng, config)]), params)
+            assert abs(probs.data[0].astype(np.float64).sum() - 1.0) < 1e-6
 
     def test_missing_eos_rejected(self):
         config = build_toy_config(vocab_words=12)
         params = build_toy_params(config)
         pair = build_random_pair(np.random.default_rng(1), config, t=4)
         pair.token_ids[-1] = 3
-        with pytest.raises(ContractError):
-            forward(pair, params)
+        with pytest.raises(ContractError, match="end-of-sequence"):
+            forward_batch(make_batch([pair]), params)
 
-    def test_argmax_tie_break_prefers_earlier_class(self):
-        assert ClassProbabilities(0.4, 0.4, 0.2).predicted == "entailment"
-        assert ClassProbabilities(0.2, 0.4, 0.4).predicted == "contradiction"
-        assert ClassProbabilities(0.1, 0.2, 0.7).predicted == "neutral"
+    def test_other_thread_records_nothing_on_an_open_tape(self):
+        config = build_toy_config(vocab_words=12)
+        params = build_toy_params(config)
+        batch = make_batch([build_random_pair(np.random.default_rng(4), config, t=5)])
+        results = []
+        with GradTape() as tape:
+            worker = threading.Thread(
+                target=lambda: results.append(forward_batch(batch, params))
+            )
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive() and len(results) == 1
+            assert len(tape) == 0
+            forward_batch(batch, params)
+            assert len(tape) > 0
 
     def test_dropout_active_only_with_generator(self):
         config = build_toy_config(vocab_words=12, dropout=0.2)
@@ -458,6 +472,39 @@ class TestEndToEndGradient:
                 flat[c] = orig
                 fd = (fp - fm) / (2 * h)
                 assert max_rel_err(np.array([gflat[c]]), np.array([fd])) < 1e-4, name
+
+
+def reference_initialize(config, rng, dtype):
+    """The initial weights as one full-size float64 draw per tensor: each
+    block's weights in turn, then the embedding, then the head."""
+    d, f = config.d_model, config.d_ffn
+    arrays = {}
+    for i in range(config.n_blocks):
+        for name, shape in (("w_qkv", (d, 3 * d)), ("w_o", (d, d)),
+                            ("w_ffn1", (d, f)), ("w_ffn2", (f, d))):
+            arrays[f"blocks.{i}.{name}"] = rng.normal(0.0, 0.02, shape).astype(dtype)
+    arrays["embedding"] = rng.normal(0.0, 0.02, (config.embedding_rows, d)).astype(dtype)
+    arrays["head.w_cls"] = rng.normal(0.0, 0.02, (d, config.n_classes)).astype(dtype)
+    return arrays
+
+
+class TestInitialize:
+    @pytest.mark.parametrize("draw_elements", [7, 1 << 16])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_draw_matches_one_shot_draw(self, monkeypatch, draw_elements, dtype):
+        monkeypatch.setattr("norminfer.model._DRAW_ELEMENTS", draw_elements)
+        # the embedding (600 + 16) x 128 spans two default-sized blocks
+        config = build_toy_config(vocab_words=600, n_blocks=2, d_model=128, n_heads=2)
+        params = build_toy_params(config, seed=5, dtype=dtype)
+        want = reference_initialize(config, np.random.default_rng(5), dtype)
+        for name, tensor in params.named_tensors():
+            assert tensor.data.dtype == dtype, name
+            if name in want:
+                assert tensor.data.tobytes() == want[name].tobytes(), name
+            elif "_gain" in name:
+                assert (tensor.data == 1).all(), name
+            else:
+                assert (tensor.data == 0).all(), name
 
 
 class TestParameterCopy:

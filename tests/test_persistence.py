@@ -1,19 +1,27 @@
 """Checkpoint binary integrity and run-config parsing."""
 
+import dataclasses
 import json
 import struct
+import typing
 
 import numpy as np
 import pytest
 from helpers import build_random_pair, build_toy_config, build_toy_params
 
 from norminfer.base import CheckpointError, CheckpointVersionError, ConfigError, atomic_write
-from norminfer.model import ModelConfig, count_parameters, forward_batch, make_batch
+from norminfer.model import (
+    BlockParameters,
+    ModelConfig,
+    count_parameters,
+    forward_batch,
+    make_batch,
+    parameter_shapes,
+)
 from norminfer.persistence import (
     CHECKPOINT_VERSION,
     MAGIC,
     RunConfig,
-    expected_shapes,
     file_sha256,
     load_checkpoint,
     load_config,
@@ -333,16 +341,29 @@ class TestExpectedShapes:
     def test_shape_table_matches_analytic_count(self):
         config = build_toy_config(n_blocks=3, d_model=12, n_heads=3)
         total = sum(
-            int(np.prod(s)) for s in expected_shapes(config).values()
+            int(np.prod(spec.shape)) for spec in parameter_shapes(config).values()
         )
         assert total == count_parameters(config)
 
     def test_shape_table_matches_initialized_params(self):
         config = build_toy_config()
         params = build_toy_params(config)
-        shapes = expected_shapes(config)
+        specs = parameter_shapes(config)
         for name, tensor in params.named_tensors():
-            assert shapes[name] == tensor.data.shape
+            assert specs[name].shape == tensor.data.shape
+
+    def test_registry_is_the_saved_manifest(self, saved):
+        config, _, _, path = saved
+        header, _ = split_file(path.read_bytes())
+        specs = parameter_shapes(config)
+        assert [(e["name"], tuple(e["shape"])) for e in header["tensors"]] == [
+            (name, spec.shape) for name, spec in specs.items()
+        ]
+        assert sum(int(np.prod(spec.shape)) for spec in specs.values()) == (
+            count_parameters(config)
+        )
+        block_names = [n.split(".")[2] for n in specs if n.startswith("blocks.0.")]
+        assert block_names == [f.name for f in dataclasses.fields(BlockParameters)]
 
 
 class TestRunConfigParsing:
@@ -421,6 +442,19 @@ class TestRunConfigRoundTrip:
         assert "n_blocks = 12" in text
         assert "base_lr = 6.25e-05" in text
         assert "d_ffn" not in text
+
+    def test_every_field_parses_by_its_annotation(self):
+        # a value per annotation that differs from every default
+        samples = {int: ("7", 7), float: ("0.25", 0.25), str: ("x/y.txt", "x/y.txt")}
+        for name, hint in typing.get_type_hints(RunConfig).items():
+            (kind,) = [t for t in typing.get_args(hint) or (hint,) if t is not type(None)]
+            text, value = samples[kind]
+            cfg = parse_config_text(f"{name} = {text}\n")
+            assert getattr(cfg, name) == value and type(getattr(cfg, name)) is kind, name
+            assert parse_config_text(serialize_config(cfg)) == cfg, name
+            if kind is not str:
+                with pytest.raises(ConfigError, match=name):
+                    parse_config_text(f"{name} = seven\n")
 
     def test_file_round_trip(self, tmp_path):
         cfg = RunConfig(max_epochs=7, train_path="t.jsonl")

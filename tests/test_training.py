@@ -12,13 +12,11 @@ from norminfer.training import (
     AdamOptimizer,
     TrainConfig,
     Trainer,
-    accuracy,
     clip_gradients,
     count_clamped,
     lr_at,
     make_batches,
     nll_loss,
-    train,
 )
 
 LN3 = 1.0986122886681098
@@ -339,6 +337,42 @@ class TestMakeBatches:
         with pytest.raises(ContractError):
             make_batches([], cfg(), epoch_seed=0)
 
+    def test_pair_without_eos_rejected(self):
+        config = build_toy_config(vocab_words=10, max_len=12)
+        pairs = self.build_pairs(6, config)
+        pairs[4].token_ids[-1] = 3
+        with pytest.raises(ContractError, match="end-of-sequence"):
+            make_batches(pairs, cfg(batch_size=4), epoch_seed=0)
+
+
+class TestEvaluate:
+    def test_loss_and_accuracy_match_per_pair_values(self):
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config, seed=6)
+        rng = np.random.default_rng(3)
+        pairs = [build_random_pair(rng, config, t=int(rng.integers(2, 8)), label_id=i % 3)
+                 for i in range(9)]
+        probs = [forward_batch(make_batch([p]), params).data[0] for p in pairs]
+        want_loss = np.mean([-math.log(p[q.label_id]) for p, q in zip(probs, pairs)])
+        want_accuracy = np.mean([p.argmax() == q.label_id for p, q in zip(probs, pairs)])
+        loss, accuracy = Trainer(cfg()).evaluate(
+            params, make_batches(pairs, cfg(batch_size=4), epoch_seed=0)
+        )
+        assert loss == pytest.approx(want_loss, rel=1e-5)
+        assert accuracy == want_accuracy
+
+    def test_unlabeled_batch_rejected(self):
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config)
+        batch = make_batch([build_random_pair(np.random.default_rng(0), config, t=4)])
+        with pytest.raises(ContractError, match="labels"):
+            Trainer(cfg()).evaluate(params, [batch])
+
+    def test_no_examples_rejected(self):
+        params = build_toy_params(build_toy_config(vocab_words=10))
+        with pytest.raises(ContractError, match="at least one"):
+            Trainer(cfg()).evaluate(params, [])
+
 
 class FixedTraceTrainer(Trainer):
     """Trainer whose validation accuracy follows a scripted sequence."""
@@ -395,10 +429,9 @@ class TestTrainerLoop:
 
         def run(seed):
             params = build_toy_params(config, seed=7)
-            result = train(
-                params, train_pairs, val_pairs,
-                cfg(max_epochs=3, batch_size=2, base_lr=1e-3, seed=seed),
-            )
+            result = Trainer(
+                cfg(max_epochs=3, batch_size=2, base_lr=1e-3, seed=seed)
+            ).fit(params, train_pairs, val_pairs)
             return result
 
         a, b = run(11), run(11)
@@ -440,7 +473,7 @@ class TestTrainerLoop:
         train_pairs, val_pairs = self.small_dataset(config)
         params = build_toy_params(config, seed=1)
         before = params.embedding.data.copy()
-        result = train(params, train_pairs, val_pairs, cfg(max_epochs=0))
+        result = Trainer(cfg(max_epochs=0)).fit(params, train_pairs, val_pairs)
         assert result.log.epochs == []
         np.testing.assert_array_equal(result.params.embedding.data, before)
 
@@ -451,15 +484,14 @@ class TestTrainerLoop:
         labeled = [build_random_pair(rng, config, t=4, label_id=0)]
         params = build_toy_params(config)
         with pytest.raises(ContractError):
-            train(params, unlabeled, labeled, cfg(max_epochs=1))
+            Trainer(cfg(max_epochs=1)).fit(params, unlabeled, labeled)
 
     def test_divergence_aborts_with_flag(self):
         config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
         train_pairs, val_pairs = self.small_dataset(config)
         params = build_toy_params(config, seed=2)
         params.embedding.data[:] = np.nan
-        result = train(params, train_pairs, val_pairs,
-                       cfg(max_epochs=3, batch_size=4))
+        result = Trainer(cfg(max_epochs=3, batch_size=4)).fit(params, train_pairs, val_pairs)
         assert result.log.aborted
         assert result.log.epochs == []
 
@@ -467,8 +499,7 @@ class TestTrainerLoop:
         config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
         train_pairs, val_pairs = self.small_dataset(config)
         params = build_toy_params(config, seed=4)
-        result = train(params, train_pairs, val_pairs,
-                       cfg(max_epochs=2, batch_size=4))
+        result = Trainer(cfg(max_epochs=2, batch_size=4)).fit(params, train_pairs, val_pairs)
         out = tmp_path / "log.tsv"
         result.log.to_tsv(out)
         lines = out.read_text().splitlines()
@@ -476,14 +507,3 @@ class TestTrainerLoop:
         assert len(lines) == 1 + 2 + 1
         assert lines[-1].startswith("# best_epoch\t")
         assert lines[1].split("\t")[0] == "1"
-
-    def test_accuracy_helper(self):
-        config = build_toy_config(vocab_words=10)
-        params = build_toy_params(config, seed=6)
-        rng = np.random.default_rng(3)
-        pairs = [build_random_pair(rng, config, t=4, label_id=i % 3)
-                 for i in range(9)]
-        value = accuracy(params, pairs)
-        assert 0.0 <= value <= 1.0
-        with pytest.raises(ContractError):
-            accuracy(params, [])
