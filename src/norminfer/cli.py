@@ -14,7 +14,7 @@ import logging
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -122,19 +122,21 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     clf.vocabulary_.save(out_dir / VOCAB_FILE)
+    # before any epoch the best accuracy is -inf, which JSON cannot hold
+    best = float(clf.train_log_.best_val_accuracy)
     meta = {
         "best_epoch": clf.train_log_.best_epoch,
-        "val_accuracy": float(clf.train_log_.best_val_accuracy),
+        "val_accuracy": best if math.isfinite(best) else None,
         "vocab_sha256": clf.vocabulary_.content_hash(),
     }
     save_checkpoint(clf.params_, meta, out_dir / CHECKPOINT_FILE)
     clf.train_log_.to_tsv(out_dir / TRAINLOG_FILE)
-    save_config(cfg, out_dir / RUNCONFIG_FILE)
+    save_config(replace(cfg, vocab_words=len(clf.vocabulary_)), out_dir / RUNCONFIG_FILE)
 
     print(f"trained {len(clf.train_log_.epochs)} epochs "
           f"({clf.train_log_.total_steps} steps)")
-    print(f"best epoch {clf.train_log_.best_epoch} "
-          f"val accuracy {clf.train_log_.best_val_accuracy:.4f}")
+    print(f"best epoch {clf.train_log_.best_epoch} val accuracy "
+          + (f"{best:.4f}" if math.isfinite(best) else "none"))
     if clf.train_log_.stopped_early:
         print("stopped early")
     for name in (CHECKPOINT_FILE, VOCAB_FILE, TRAINLOG_FILE, RUNCONFIG_FILE):

@@ -7,7 +7,9 @@ position 1. The sequence passes through a stack of identical blocks, each
 applying causally masked multi-head self attention and a position-wise
 feed-forward network, both followed by residual addition and layer
 normalization. The hidden state of the end-of-sequence token feeds a
-linear head whose softmax gives the class probabilities.
+linear head whose softmax gives the class probabilities. Since nothing
+else reads the last block's output, that block computes only the
+end-of-sequence rows.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .tensor import (
     layer_norm,
     masked_fill,  # noqa: F401  unused here; kept importable from this module
     matmul,
-    narrow,  # noqa: F401  unused here; kept importable from this module
+    narrow,
     parameter,
     reshape,  # noqa: F401  unused here; kept importable from this module
     scale,  # noqa: F401  unused here; kept importable from this module
@@ -357,24 +359,36 @@ def multi_head_attention(
     n_heads: int,
     lengths: Sequence[int],
     return_weights: bool = False,
+    last: Tensor | None = None,
 ):
     """Fused projection to queries, keys and values, independent causal
     attention per head within each packed sequence, concatenation, and
     output projection.
 
     ``x`` is (N, d): sequences of ``lengths`` rows packed one after
-    another. With ``return_weights`` the attention weights also come back,
-    as a (B, n_heads, T, T) array with T the longest length and exact zeros
-    beyond each sequence's end.
+    another. With ``last``, the (B, d) rows of ``x`` that end each
+    sequence, only those rows query: keys and values still cover every row,
+    and the result is (B, d). With ``return_weights`` the attention weights
+    also come back, as a (B, n_heads, T, T) array (B, n_heads, 1, T with
+    ``last``) with T the longest length and exact zeros beyond each
+    sequence's end.
     """
-    ctx, weights = causal_attention(matmul(x, block.w_qkv), lengths, n_heads)
+    if last is None:
+        attended = causal_attention(matmul(x, block.w_qkv), lengths, n_heads, return_weights)
+    else:
+        d = x.shape[-1]
+        attended = causal_attention(
+            matmul(x, narrow(block.w_qkv, d, 2 * d)), lengths, n_heads, return_weights,
+            query=matmul(last, narrow(block.w_qkv, 0, d)),
+        )
+    ctx, weights = attended if return_weights else (attended, None)
     out = matmul(ctx, block.w_o)
     if not return_weights:
         return out
     t = max(w.shape[-1] for w in weights)
-    padded = np.zeros((len(weights), n_heads, t, t), dtype=x.dtype)
+    padded = np.zeros((len(weights), n_heads, t if last is None else 1, t), dtype=x.dtype)
     for row, w in zip(padded, weights):
-        row[:, : w.shape[-1], : w.shape[-1]] = w
+        row[:, : w.shape[-2], : w.shape[-1]] = w
     return out, padded
 
 
@@ -392,16 +406,19 @@ def decoder_block(
     eps: float = 1e-5,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    eos_only: bool = False,
 ) -> Tensor:
     """Residual attention then residual feed-forward, each followed by
     layer normalization, over (N, d) packed sequences of ``lengths`` rows.
-    Shape is preserved.
+    Shape is preserved, except that with ``eos_only`` the block computes
+    only the last row of each sequence and returns those (B, d) rows.
     """
     live_dropout = dropout > 0.0 and rng is not None
-    attn = multi_head_attention(x, block, n_heads, lengths)
+    last = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else None
+    attn = multi_head_attention(x, block, n_heads, lengths, last=last)
     if live_dropout:
         attn = dropout_op(attn, dropout, rng)
-    y = layer_norm(add(x, attn), block.ln1_gain, block.ln1_bias, eps)
+    y = layer_norm(add(x if last is None else last, attn), block.ln1_gain, block.ln1_bias, eps)
     ffn = position_wise_ffn(y, block)
     if live_dropout:
         ffn = dropout_op(ffn, dropout, rng)
@@ -417,11 +434,16 @@ def forward_batch(
     """Class probabilities for every pair in the batch, shape (B, n_classes).
 
     Every layer runs on the packed real tokens (see ``embed``), so padding
-    costs nothing. Dropout fires only when a generator is supplied; calls
-    without one are the deterministic inference path. With
-    return_hidden=True also returns the embedding output and each block
-    output as plain (B, T, d) arrays, exactly zero after each
-    end-of-sequence token.
+    costs nothing. The head reads only the end-of-sequence rows, so the
+    last block computes only those rows (``decoder_block`` with
+    ``eos_only``): one query per pair against all its keys and values, then
+    the output projection, residuals, layer norms and feed-forward network
+    on B rows. Training takes the same path, and its gradients are exact.
+    Dropout fires only when a generator is supplied; calls without one are
+    the deterministic inference path. With return_hidden=True every block
+    runs on every row instead, and the embedding output and each block
+    output also come back as plain (B, T, d) arrays, exactly zero after
+    each end-of-sequence token.
     """
     config = params.config
     if batch.seq_len > config.max_len:
@@ -431,15 +453,17 @@ def forward_batch(
     x = embed(batch, params)
     lengths = (batch.eos_index + 1).tolist()
     hidden = [x.data] if return_hidden else None
-    for block in params.blocks:
+    for i, block in enumerate(params.blocks):
         x = decoder_block(
             x, block, config.n_heads, lengths,
             eps=config.layer_norm_eps, dropout=config.dropout, rng=rng,
+            eos_only=not return_hidden and i == len(params.blocks) - 1,
         )
         if return_hidden:
             hidden.append(x.data)
-    final = embedding_lookup(x, np.cumsum(lengths) - 1)
-    logits = add(matmul(final, params.w_cls), params.b_cls)
+    if return_hidden:
+        x = embedding_lookup(x, np.cumsum(lengths) - 1)
+    logits = add(matmul(x, params.w_cls), params.b_cls)
     probs = softmax(logits, axis=-1)
     if return_hidden:
         real = batch.real_tokens

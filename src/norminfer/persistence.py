@@ -90,9 +90,10 @@ def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path
     }
     try:
         header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":"), default=_jsonable
+            header, sort_keys=True, separators=(",", ":"), default=_jsonable,
+            allow_nan=False,
         ).encode("utf-8")
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"header: {exc}") from None
     with atomic_write(path, binary=True) as fh:
         fh.write(_PREFIX.pack(MAGIC, CHECKPOINT_VERSION, len(header_bytes)))

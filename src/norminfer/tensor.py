@@ -25,14 +25,22 @@ Causal attention is one primitive, ``causal_attention``, rather than a chain
 of head split, score product, scaling, masking, softmax, value product and
 head merge. It works on packed sequences: the fused query/key/value rows of
 several sequences laid end to end in one (N, 3d) array, so padding is never
-computed. Heads are split and merged through strided views, and each
-sequence of length L gets one (H, L, L) weights array, filled in place from
-the score product to the value product; no other L x L array is allocated.
-The backward pass writes all three input gradients into one (N, 3d) array.
-The results are the bits the separate ``matmul``, ``scale``, ``masked_fill``
-and ``softmax`` primitives give on each sequence alone, which remain for the
-classification head and as the reference the fused primitive is tested
-against.
+computed. Heads are split and merged through strided views, and the weights
+of a sequence of length L, (H, L, L), are filled in place from the score
+product to the value product; no other L x L array is allocated. Each
+sequence keeps its own weights array only when a tape records the call or
+the caller asks for the weights; otherwise all sequences reuse one buffer
+sized for the longest. The primitive can also run only the last row of each
+sequence as a query, against all its keys and values, which is all a reader
+of the end-of-sequence rows needs. The backward pass writes the input
+gradients into one array shaped like its input. The results are the bits
+the separate ``matmul``, ``scale``, ``masked_fill`` and ``softmax``
+primitives give on each sequence alone, which remain for the classification
+head and as the reference the fused primitive is tested against.
+
+The elementwise gelu and layer-norm passes work in a few full-size buffers,
+in place, in the operation order of their textbook formulas, so they give
+the bits those formulas give.
 
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
@@ -465,84 +473,123 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def causal_attention(
-    qkv: Tensor, lengths: Sequence[int], n_heads: int
-) -> tuple[Tensor, list[np.ndarray]]:
+    qkv: Tensor,
+    lengths: Sequence[int],
+    n_heads: int,
+    return_weights: bool = False,
+    query: Tensor | None = None,
+):
     """Multi-head causal self attention over packed sequences.
 
     ``qkv`` holds the fused query, key and value projections of N packed
     rows, shape (N, 3d): the sequences lie one after another, ``lengths``
     long, and attend only within themselves. For each sequence and head,
     softmax(mask(q k^T / sqrt(d / n_heads))) v is computed, and the heads
-    are merged back into an (N, d) output tensor.
+    are merged back into an (N, d) output tensor. With ``query``, one
+    (B, d) row per sequence, only each sequence's last row queries:
+    ``qkv`` then holds just the keys and values, (N, 2d), the output is
+    (B, d), and no mask applies, since the last row sees every row.
 
-    Returns that tensor and one (n_heads, L, L) weights array per sequence.
-    Heads are split and merged through strided views of ``qkv`` and of the
-    output, so the weights are the only arrays of size L x L. Per sequence
-    the result is bit-identical to ``matmul``, ``scale``, ``masked_fill``,
-    ``softmax`` and ``matmul`` applied in turn to its (n_heads, L, d_head)
-    head views, with the mask a ``keep[:L, :L]`` view of one max-length
-    keep-matrix. The weights are kept for the backward pass, which writes
-    the three gradients into one (N, 3d) array and walks the sequences with
-    two scratch buffers sized for the longest.
+    Returns the output, and with ``return_weights`` also each sequence's
+    (n_heads, L, L) weights ((n_heads, 1, L) with ``query``). Heads are
+    split and merged through strided views, so the weights are the only
+    L x L arrays. Each sequence gets its own weights array only when a tape
+    records the call or the caller asks for the weights; otherwise all
+    sequences reuse one buffer sized for the longest, with the same ops
+    and bits. Per sequence the result is bit-identical to ``matmul``,
+    ``scale``, ``masked_fill`` (left out with ``query``), ``softmax`` and
+    ``matmul`` applied in turn to its (n_heads, L, d_head) head views, with
+    the mask a ``keep[:L, :L]`` view of one max-length keep-matrix. The
+    backward pass writes the gradients into arrays shaped like the inputs
+    and walks the sequences with two scratch buffers sized for the longest.
     """
     lengths = [int(n) for n in lengths]
-    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
+    parts = 3 if query is None else 2
+    if qkv.ndim != 2 or qkv.shape[1] % (parts * n_heads):
         raise ShapeError(
-            f"qkv must be (N, 3d) with d divisible into {n_heads} heads, got {qkv.shape}"
+            f"qkv must be (N, {parts}d) with d divisible into {n_heads} heads, got {qkv.shape}"
         )
     if not lengths or min(lengths) < 1 or sum(lengths) != qkv.shape[0]:
         raise ShapeError(
             f"sequence lengths {lengths} must be positive and sum to {qkv.shape[0]} rows"
         )
-    d = qkv.shape[1] // 3
+    d = qkv.shape[1] // parts
     d_head = d // n_heads
     dtype = qkv.dtype
     c = dtype.type(1.0 / np.sqrt(d_head))
     fill = np.finfo(dtype).min
     longest = max(lengths)
-    drop = ~_keep_matrix(longest)
     starts = np.cumsum([0] + lengths[:-1]).tolist()
+    if query is None:
+        # queries are the rows of each sequence, at columns [0, d)
+        q_src, q_spans, k_col = qkv.data, [(s, s + n) for s, n in zip(starts, lengths)], d
+        drop = ~_keep_matrix(longest)
+        scratch = n_heads * longest * longest
+        inputs = (qkv,)
+    else:
+        _check_dtypes(qkv, query)
+        if query.shape != (len(lengths), d):
+            raise ShapeError(
+                f"query must be one row of width {d} per sequence, got {query.shape}"
+            )
+        q_src, q_spans, k_col = query.data, [(i, i + 1) for i in range(len(lengths))], 0
+        drop = None
+        scratch = n_heads * longest
+        inputs = (qkv, query)
+    v_col = k_col + d
+    recorded = any(t.requires_grad for t in inputs) and bool(_ACTIVE_TAPES.get())
+    keep = recorded or return_weights
 
-    def heads(rows: np.ndarray, part: int) -> np.ndarray:
-        """(n_heads, L, d_head) view of columns [part*d, (part+1)*d)."""
-        cols = rows[:, part * d : (part + 1) * d]
+    def heads(rows: np.ndarray, col: int) -> np.ndarray:
+        """(n_heads, L, d_head) view of columns [col, col + d)."""
+        cols = rows[:, col : col + d]
         return cols.reshape(-1, n_heads, d_head).swapaxes(0, 1)
 
-    qd = qkv.data
-    out = np.empty((qd.shape[0], d), dtype=dtype)
+    kd = qkv.data
+    out = np.empty((q_src.shape[0], d), dtype=dtype)
+    shared = None if keep else np.empty(scratch, dtype=dtype)
     weights = []
-    for s, n in zip(starts, lengths):
-        seg = qd[s : s + n]
-        w = np.empty((n_heads, n, n), dtype=dtype)
-        np.matmul(heads(seg, 0), heads(seg, 1).swapaxes(-2, -1), out=w)
+    for s, n, (a, b) in zip(starts, lengths, q_spans):
+        seg = kd[s : s + n]
+        shape = (n_heads, b - a, n)
+        w = np.empty(shape, dtype=dtype) if keep else shared[: math.prod(shape)].reshape(shape)
+        np.matmul(heads(q_src[a:b], 0), heads(seg, k_col).swapaxes(-2, -1), out=w)
         w *= c
-        np.copyto(w, fill, where=drop[:n, :n])
+        if drop is not None:
+            np.copyto(w, fill, where=drop[:n, :n])
         w -= w.max(axis=-1, keepdims=True)
         np.exp(w, out=w)
         w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, heads(seg, 2), out=heads(out[s : s + n], 0))
-        weights.append(w)
+        np.matmul(w, heads(seg, v_col), out=heads(out[a:b], 0))
+        if keep:
+            weights.append(w)
 
     def pull(g):
-        g_qkv = np.empty_like(qd)
-        gs_buf = np.empty(n_heads * longest * longest, dtype=dtype)
+        g_kv = np.empty_like(kd)
+        g_q = g_kv if query is None else np.empty_like(q_src)
+        gs_buf = np.empty(scratch, dtype=dtype)
         prod_buf = np.empty_like(gs_buf)
-        for s, n, w in zip(starts, lengths, weights):
-            seg, g_seg, g_out = qd[s : s + n], heads(g[s : s + n], 0), g_qkv[s : s + n]
+        for s, n, (a, b), w in zip(starts, lengths, q_spans, weights):
+            seg, g_seg, g_rows = kd[s : s + n], heads(g[a:b], 0), g_kv[s : s + n]
             gs = gs_buf[: w.size].reshape(w.shape)
             prod = prod_buf[: w.size].reshape(w.shape)
-            np.matmul(g_seg, heads(seg, 2).swapaxes(-2, -1), out=gs)
-            np.matmul(w.swapaxes(-2, -1), g_seg, out=heads(g_out, 2))
+            np.matmul(g_seg, heads(seg, v_col).swapaxes(-2, -1), out=gs)
+            np.matmul(w.swapaxes(-2, -1), g_seg, out=heads(g_rows, v_col))
             np.multiply(gs, w, out=prod)
             gs -= prod.sum(axis=-1, keepdims=True)
             gs *= w
-            np.copyto(gs, 0.0, where=drop[:n, :n])
+            if drop is not None:
+                np.copyto(gs, 0.0, where=drop[:n, :n])
             gs *= c
-            np.matmul(gs, heads(seg, 1), out=heads(g_out, 0))
-            np.matmul(heads(seg, 0).swapaxes(-2, -1), gs, out=heads(g_out, 1).swapaxes(-2, -1))
-        return (g_qkv,)
+            np.matmul(gs, heads(seg, k_col), out=heads(g_q[a:b], 0))
+            np.matmul(
+                heads(q_src[a:b], 0).swapaxes(-2, -1), gs,
+                out=heads(g_rows, k_col).swapaxes(-2, -1),
+            )
+        return (g_kv,) if query is None else (g_kv, g_q)
 
-    return _result((qkv,), out, pull), weights
+    result = _result(inputs, out, pull)
+    return (result, weights) if return_weights else result
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -550,7 +597,8 @@ def gelu(x: Tensor) -> Tensor:
 
     gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
 
-    The forward pass builds the tanh term and the output in one buffer each.
+    The forward pass builds the tanh term and the output in one buffer each;
+    the backward pass builds the local slope in three, in place.
     """
     d = x.data
     t = np.multiply(_GELU_CUBIC, d, out=np.empty_like(d))
@@ -564,9 +612,21 @@ def gelu(x: Tensor) -> Tensor:
     data *= d
 
     def pull(g):
-        du = _GELU_SCALE * (1.0 + 3.0 * _GELU_CUBIC * d * d)
-        local = 0.5 * (1.0 + t) + 0.5 * d * (1.0 - t * t) * du
-        return (g * local.astype(d.dtype, copy=False),)
+        # 0.5 * (1 + t) + 0.5 * d * (1 - t^2) * sqrt(2/pi) * (1 + 3 * 0.044715 * d^2)
+        du = np.multiply(d, 3.0 * _GELU_CUBIC, out=np.empty_like(d))
+        du *= d
+        du += 1.0
+        du *= _GELU_SCALE
+        slope = np.multiply(d, 0.5, out=np.empty_like(d))
+        local = np.multiply(t, t, out=np.empty_like(d))
+        np.subtract(1.0, local, out=local)
+        slope *= local
+        slope *= du
+        np.add(t, 1.0, out=local)
+        local *= 0.5
+        local += slope
+        local *= g
+        return (local,)
 
     return _result((x,), data, pull)
 
@@ -576,7 +636,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     apply a learned elementwise gain and bias.
 
     Variance is the population variance over the last dimension; ``eps``
-    sits inside the square root.
+    sits inside the square root. The forward and the backward pass each
+    work in two row-sized buffers, in place.
     """
     _check_dtypes(x, gain, bias)
     n = x.shape[-1]
@@ -584,23 +645,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm gain/bias must be ({n},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    data = np.multiply(xhat, xhat)
+    var = data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = centered * inv
-    data = gain.data * xhat + bias.data
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=data)
+    data += bias.data
 
     def pull(g):
-        g_gain = (g * xhat).sum(axis=tuple(range(g.ndim - 1)))
-        g_bias = g.sum(axis=tuple(range(g.ndim - 1)))
-        g_hat = g * gain.data
-        gx = (inv / n) * (
-            n * g_hat
-            - g_hat.sum(axis=-1, keepdims=True)
-            - xhat * (g_hat * xhat).sum(axis=-1, keepdims=True)
-        )
-        return gx.astype(x.dtype, copy=False), g_gain, g_bias
+        lead = tuple(range(g.ndim - 1))
+        scratch = np.multiply(g, xhat)
+        g_gain = scratch.sum(axis=lead)
+        g_bias = g.sum(axis=lead)
+        gx = np.multiply(g, gain.data)
+        g_hat_sum = gx.sum(axis=-1, keepdims=True)
+        np.multiply(gx, xhat, out=scratch)
+        np.multiply(xhat, scratch.sum(axis=-1, keepdims=True), out=scratch)
+        # (inv / n) * (n * g_hat - sum(g_hat) - xhat * sum(g_hat * xhat))
+        gx *= n
+        gx -= g_hat_sum
+        gx -= scratch
+        gx *= inv / n
+        return gx, g_gain, g_bias
 
     return _result((x, gain, bias), data, pull)
 

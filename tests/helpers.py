@@ -7,6 +7,8 @@ raw float64 arrays.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 FD_STEP = 1e-5
@@ -47,12 +49,16 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-5) 
 
 def reference_attention(q, k, v, mask):
     """Causal attention as the five separate tape primitives that
-    ``tensor.causal_attention`` fuses: (output tensor, weights array)."""
+    ``tensor.causal_attention`` fuses: (output tensor, weights array).
+    With ``mask`` None the masking step is left out, as it is for a query
+    at the last row, which sees every key."""
     from norminfer.tensor import masked_fill, matmul, scale, softmax, transpose
 
     axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
     scores = scale(matmul(q, transpose(k, axes)), 1.0 / np.sqrt(q.shape[-1]))
-    weights = softmax(masked_fill(scores, mask), axis=-1)
+    if mask is not None:
+        scores = masked_fill(scores, mask)
+    weights = softmax(scores, axis=-1)
     return matmul(weights, v), weights.data
 
 
@@ -66,30 +72,73 @@ def merge_heads(heads):
     return heads.swapaxes(0, 1).reshape(heads.shape[1], -1)
 
 
-def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False):
+def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False, last_only=False):
     """``reference_attention`` run on each packed sequence alone, on the
     (n_heads, L, d_head) head views of its rows of the (N, 3d) array
     ``qkv``, or on contiguous copies of them. With ``upstream`` (N, d) as
     the output gradient, returns the (N, d) output, the per-sequence
     weights and the (N, 3d) gradient of ``qkv``.
+
+    With ``last_only`` only the last row of each sequence queries, with no
+    mask: the output and ``upstream`` are (B, d), and the query columns of
+    the gradient are zero outside the last rows.
     """
     from norminfer.tensor import CausalMask, GradTape, Tensor, mul, parameter, total
 
     d = qkv.shape[1] // 3
     outs, weights, grads = [], [], []
     start = 0
-    for n in lengths:
+    for i, n in enumerate(lengths):
         rows = slice(start, start + n)
         start += n
-        parts = [split_heads(qkv[rows, i * d : (i + 1) * d], n_heads) for i in range(3)]
+        parts = [split_heads(qkv[rows, j * d : (j + 1) * d], n_heads) for j in range(3)]
+        if last_only:
+            parts[0] = parts[0][:, -1:]
         q, k, v = (parameter(p.copy() if copies else p) for p in parts)
+        g_out = upstream[i : i + 1] if last_only else upstream[rows]
         with GradTape() as tape:
-            out, w = reference_attention(q, k, v, CausalMask(n))
-            tape.backward(total(mul(out, Tensor(split_heads(upstream[rows], n_heads)))))
+            out, w = reference_attention(q, k, v, None if last_only else CausalMask(n))
+            tape.backward(total(mul(out, Tensor(split_heads(g_out, n_heads)))))
         outs.append(merge_heads(out.data))
         weights.append(w)
-        grads.append(np.concatenate([merge_heads(x.grad) for x in (q, k, v)], axis=1))
+        g_q = merge_heads(q.grad)
+        if last_only:
+            g_q = np.concatenate([np.zeros((n - 1, d), dtype=qkv.dtype), g_q])
+        grads.append(np.concatenate([g_q] + [merge_heads(x.grad) for x in (k, v)], axis=1))
     return np.concatenate(outs), weights, np.concatenate(grads)
+
+
+def reference_gelu(x, upstream):
+    """The gelu forward and pull as formulas, which ``tensor.gelu`` builds
+    in place: (output, input gradient) for the output gradient ``upstream``."""
+    scale, cubic = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh(scale * (cubic * x * x * x + x))
+    out = (t + 1.0) * 0.5 * x
+    du = scale * (1.0 + 3.0 * cubic * x * x)
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
+    return out, upstream * local.astype(x.dtype, copy=False)
+
+
+def reference_layer_norm(x, gain, bias, eps, upstream):
+    """The layer-norm forward and pull as formulas, which
+    ``tensor.layer_norm`` builds in place: (output, input, gain and bias
+    gradients) for the output gradient ``upstream``."""
+    n = x.shape[-1]
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    xhat = centered * inv
+    out = gain * xhat + bias
+    g = upstream
+    lead = tuple(range(g.ndim - 1))
+    g_hat = g * gain
+    gx = (inv / n) * (
+        n * g_hat
+        - g_hat.sum(axis=-1, keepdims=True)
+        - xhat * (g_hat * xhat).sum(axis=-1, keepdims=True)
+    )
+    return out, gx.astype(x.dtype, copy=False), (g * xhat).sum(axis=lead), g.sum(axis=lead)
 
 
 def build_toy_config(vocab_words=24, n_blocks=2, n_heads=2, d_model=8, max_len=16, **kw):

@@ -163,7 +163,7 @@ def test_03_attention_oracle():
             weights = e / e.sum()
             expected[i] = sum(w * v[j] for j, w in enumerate(weights))
 
-        got = causal_attention(parameter(np.concatenate([q, k, v], axis=1)), [t], 1)[0].data
+        got = causal_attention(parameter(np.concatenate([q, k, v], axis=1)), [t], 1).data
         worst = max(worst, float(np.abs(got - expected).max()))
     conclude("03 attention-oracle", worst < 1e-10, f"max abs diff {worst:.2e}")
 

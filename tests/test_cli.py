@@ -168,6 +168,52 @@ class TestTrain:
             recorded = load_config(tmp_path / "out" / RUNCONFIG_FILE)
             assert built == recorded.model_config(vocab_words=built.vocab_words)
 
+    def test_run_cfg_records_the_built_vocabulary(self, tmp_path, capsys):
+        """run.cfg holds the size of the vocabulary train built, so
+        inspect on it counts the parameters of the saved model."""
+        from norminfer.persistence import load_checkpoint, load_config
+
+        write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
+        write_config(
+            tmp_path / "c.cfg",
+            f"train_path = {tmp_path / 'train.jsonl'}",
+            f"output_dir = {tmp_path / 'out'}",
+            "max_epochs = 1",
+        )
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_OK
+        params = load_checkpoint(tmp_path / "out" / CHECKPOINT_FILE).params
+        recorded = load_config(tmp_path / "out" / RUNCONFIG_FILE)
+        vocab_lines = (tmp_path / "out" / VOCAB_FILE).read_text(encoding="utf-8").splitlines()
+        assert recorded.vocab_words == params.config.vocab_words == len(vocab_lines)
+        assert recorded.model_config() == params.config
+        capsys.readouterr()
+        assert run_cli(["inspect", "--config", str(tmp_path / "out" / RUNCONFIG_FILE)]) == EXIT_OK
+        assert f"parameters = {params.n_parameters()}" in capsys.readouterr().out.splitlines()
+
+    def test_zero_epochs_write_a_strict_json_header(self, tmp_path, capsys):
+        """With no epoch there is no validation accuracy: the header holds
+        null, not -Infinity, and parses as strict JSON."""
+        from norminfer.persistence import load_checkpoint
+
+        write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
+        write_config(
+            tmp_path / "c.cfg",
+            f"train_path = {tmp_path / 'train.jsonl'}",
+            f"output_dir = {tmp_path / 'out'}",
+            "max_epochs = 0",
+        )
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_OK
+        assert "val accuracy none" in capsys.readouterr().out
+        raw = (tmp_path / "out" / CHECKPOINT_FILE).read_bytes()
+        header_end = 20 + int.from_bytes(raw[12:20], "little")
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        header = json.loads(raw[20:header_end], parse_constant=reject)
+        assert header["meta"]["val_accuracy"] is None
+        assert load_checkpoint(tmp_path / "out" / CHECKPOINT_FILE).meta["val_accuracy"] is None
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         # the huge learning rate is meant to overflow; the warnings it

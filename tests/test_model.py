@@ -8,6 +8,7 @@ from helpers import (
     build_toy_config,
     build_toy_params,
     max_rel_err,
+    numeric_grad,
     reference_attention,
     reference_packed_attention,
 )
@@ -33,9 +34,11 @@ from norminfer.tensor import (
     log,
     matmul,
     mean,
+    mul,
     narrow,
     neg,
     take_rows,
+    total,
 )
 from norminfer.text import EOS_ID
 
@@ -104,7 +107,7 @@ class TestAttention:
             q, k, v = (rng.normal(size=(t, d_k)) for _ in range(3))
             got = causal_attention(
                 Tensor(np.concatenate([q, k, v], axis=1), dtype=np.float64), [t], 1
-            )[0].data
+            ).data
             np.testing.assert_allclose(got, self.brute_force(q, k, v), atol=1e-10)
 
     def test_shape_mismatch_rejected(self):
@@ -142,14 +145,30 @@ class TestAttention:
         try:
             if taped:
                 with tape:
-                    out, _ = causal_attention(qkv, [t] * b, h)
+                    out = causal_attention(qkv, [t] * b, h)
             else:
-                out, _ = causal_attention(qkv, [t] * b, h)
+                out = causal_attention(qkv, [t] * b, h)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.requires_grad == taped and len(tape) == int(taped)
         assert peak < 2 * weights_bytes, f"peak {peak / weights_bytes:.2f} weights arrays"
+
+    def test_untaped_attention_reuses_one_weights_buffer(self):
+        """Without a tape or a request for the weights, four 200-token
+        sequences share one (n_heads, 200, 200) buffer instead of keeping
+        four such arrays."""
+        h, t, d = 2, 200, 8
+        rng = np.random.default_rng(101)
+        qkv = Tensor(rng.normal(size=(4 * t, 3 * h * d)).astype(np.float32))
+        one_weights_bytes = h * t * t * np.dtype(np.float32).itemsize
+        tracemalloc.start()
+        try:
+            causal_attention(qkv, [t] * 4, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * one_weights_bytes, f"peak {peak / one_weights_bytes:.2f} weights arrays"
 
     def test_forward_peak_memory_follows_real_tokens(self):
         """Mixed lengths cost attention memory for the real tokens only:
@@ -187,6 +206,26 @@ class TestAttention:
             v = narrow(qkv, 16, 8)
             direct = matmul(reference_attention(q, k, v, CausalMask(5))[0], block.w_o).data
             assert np.array_equal(via_heads[rows], direct)
+
+    def test_last_rows_attend_as_the_full_block_does(self):
+        """With ``last``, attention runs for each sequence's last row only;
+        its output and (B, n_heads, 1, T) weights match those rows of the
+        all-rows attention."""
+        config = build_toy_config(n_heads=3, d_model=12)
+        block = build_toy_params(config, seed=53, dtype=np.float64).blocks[0]
+        lengths = [6, 1, 4]
+        x = Tensor(np.random.default_rng(53).normal(size=(11, 12)))
+        ends = np.cumsum(lengths) - 1
+        full, full_weights = multi_head_attention(x, block, 3, lengths, return_weights=True)
+        out, weights = multi_head_attention(
+            x, block, 3, lengths, return_weights=True, last=Tensor(x.data[ends])
+        )
+        assert out.shape == (3, 12) and weights.shape == (3, 3, 1, 6)
+        np.testing.assert_allclose(out.data, full.data[ends], rtol=0, atol=1e-12)
+        for i, n in enumerate(lengths):
+            np.testing.assert_allclose(
+                weights[i, :, 0], full_weights[i, :, n - 1], rtol=0, atol=1e-12
+            )
 
     def test_heads_attend_differently(self):
         config = build_toy_config(n_heads=2, d_model=8)
@@ -297,6 +336,60 @@ class TestBlocksAndShapes:
         single = decoder_block(Tensor(x[:4]), params.blocks[0], config.n_heads, [4]).data
         batched = decoder_block(Tensor(x), params.blocks[0], config.n_heads, [4, 3]).data
         assert np.array_equal(single, batched[:4])
+
+
+class TestEosOnlyLastBlock:
+    """The head reads only end-of-sequence rows, so the last block computes
+    only those; ``return_hidden`` still runs every block on every row."""
+
+    @pytest.mark.parametrize("n_blocks", [1, 2])
+    @pytest.mark.parametrize("dtype,atol", [(np.float32, 1e-6), (np.float64, 1e-12)],
+                             ids=["float32", "float64"])
+    def test_probabilities_equal_all_rows(self, n_blocks, dtype, atol):
+        config = build_toy_config(vocab_words=20, n_blocks=n_blocks, n_heads=2,
+                                  d_model=8, max_len=130)
+        params = build_toy_params(config, seed=71, dtype=dtype)
+        rng = np.random.default_rng(71)
+        batch = make_batch([build_random_pair(rng, config, t=n) for n in (1, 7, 130)])
+        eos_only = forward_batch(batch, params).data
+        all_rows, _ = forward_batch(batch, params, return_hidden=True)
+        assert eos_only.dtype == dtype and eos_only.shape == (3, 3)
+        np.testing.assert_allclose(eos_only, all_rows.data, rtol=0, atol=atol)
+
+    def test_block_returns_the_last_rows(self):
+        config = build_toy_config(n_heads=2, d_model=8)
+        block = build_toy_params(config, seed=73, dtype=np.float64).blocks[0]
+        lengths = [5, 1, 3]
+        x = Tensor(np.random.default_rng(73).normal(size=(9, 8)))
+        full = decoder_block(x, block, 2, lengths).data
+        last = decoder_block(x, block, 2, lengths, eos_only=True).data
+        assert last.shape == (3, 8)
+        np.testing.assert_allclose(last, full[np.cumsum(lengths) - 1], rtol=0, atol=1e-12)
+
+    def test_every_parameter_gradient_matches_finite_differences(self):
+        """float64, every element of every parameter, through a full first
+        block and the EOS-only last block, at mixed lengths."""
+        config = build_toy_config(vocab_words=6, n_blocks=2, n_heads=2, d_model=4, max_len=6)
+        params = build_toy_params(config, seed=79, dtype=np.float64)
+        rng = np.random.default_rng(79)
+        # O(1) weights give O(1) gradients, far above the rounding noise of
+        # the differences, which the 0.02 initial scale would not
+        for _, tensor in params.named_tensors():
+            tensor.data[...] = rng.normal(scale=0.5, size=tensor.shape)
+        batch = make_batch([build_random_pair(rng, config, t=n) for n in (1, 6, 3)])
+        weights = rng.normal(size=(3, config.n_classes))
+
+        def loss(probs):
+            return mul(log(probs), Tensor(weights))
+
+        with GradTape() as tape:
+            tape.backward(total(loss(forward_batch(batch, params))))
+
+        def f():
+            return float(np.sum(loss(forward_batch(batch, params)).data))
+
+        for name, tensor in params.named_tensors():
+            assert max_rel_err(tensor.grad, numeric_grad(f, tensor.data)) < 1e-6, name
 
 
 class TestEmbedding:

@@ -126,6 +126,14 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointError, match="header"):
             save_checkpoint(params, {"bad": object()}, tmp_path / "m.bin")
 
+    @pytest.mark.parametrize("value", [float("-inf"), float("inf"), float("nan")], ids=str)
+    def test_non_finite_meta_rejected(self, tmp_path, value):
+        # the header is JSON (RFC 8259), which has no Infinity or NaN
+        params = build_toy_params(build_toy_config(n_blocks=1))
+        with pytest.raises(CheckpointError, match="header"):
+            save_checkpoint(params, {"val_accuracy": value}, tmp_path / "m.bin")
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestCheckpointIntegrity:
     def test_missing_file(self, tmp_path):

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import max_rel_err, numeric_grad, reference_packed_attention
+from helpers import (
+    max_rel_err,
+    numeric_grad,
+    reference_gelu,
+    reference_layer_norm,
+    reference_packed_attention,
+)
 
 from norminfer.base import ContractError, ShapeError
 from norminfer import tensor as T
@@ -156,6 +162,23 @@ class TestGelu:
 
         assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-5
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (7,), (6, 960)], ids=str)
+    def test_bytes_equal_formulas(self, shape, dtype):
+        """The in-place forward and pull give the bits of the formulas."""
+        rng = np.random.default_rng(29)
+        data = rng.normal(scale=3.0, size=shape).astype(dtype)
+        if data.size > 6:
+            data.flat[:6] = [0.0, -0.0, 1e-40, 30.0, -30.0, 1e3]
+        x = parameter(data, dtype=dtype)
+        upstream = np.asarray(rng.normal(size=shape), dtype=dtype)
+        with GradTape() as tape:
+            out = gelu(x)
+            tape.backward(total(mul(out, Tensor(upstream))))
+        for got, want in zip((out.data, x.grad), reference_gelu(x.data, upstream)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestLayerNorm:
     def test_two_point_row(self):
@@ -198,6 +221,24 @@ class TestLayerNorm:
         assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-5
         assert max_rel_err(gain.grad, numeric_grad(f, gain.data)) < 1e-6
         assert max_rel_err(bias.grad, numeric_grad(f, bias.data)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(8,), (6, 16), (2, 5, 240)], ids=str)
+    def test_bytes_equal_formulas(self, shape, dtype):
+        """The in-place forward and pull give the bits of the formulas."""
+        rng = np.random.default_rng(31)
+        x, gain, bias = (
+            parameter(rng.normal(loc=1.0, scale=2.0, size=s).astype(dtype), dtype=dtype)
+            for s in (shape, shape[-1:], shape[-1:])
+        )
+        upstream = rng.normal(size=shape).astype(dtype)
+        with GradTape() as tape:
+            out = layer_norm(x, gain, bias, eps=1e-5)
+            tape.backward(total(mul(out, Tensor(upstream))))
+        want = reference_layer_norm(x.data, gain.data, bias.data, 1e-5, upstream)
+        for got, w in zip((out.data, x.grad, gain.grad, bias.grad), want):
+            assert got.dtype == w.dtype and got.shape == w.shape
+            assert got.tobytes() == w.tobytes()
 
 
 class TestCausalMask:
@@ -247,9 +288,18 @@ def attention_qkv(rng, lengths, n_heads, d_head, dtype):
 def attention_grads(qkv, lengths, n_heads, upstream):
     qkv.zero_grad()
     with GradTape() as tape:
-        out, weights = causal_attention(qkv, lengths, n_heads)
+        out, weights = causal_attention(qkv, lengths, n_heads, return_weights=True)
         tape.backward(total(mul(out, Tensor(upstream))))
     return out.data, weights, qkv.grad
+
+
+def last_row_inputs(qkv, lengths):
+    """The (N, 2d) key/value leaf and the (B, d) leaf of last-row queries
+    taken from a packed (N, 3d) array."""
+    d = qkv.shape[1] // 3
+    last = np.cumsum(lengths) - 1
+    return (parameter(qkv[:, d:].copy(), dtype=qkv.dtype),
+            parameter(qkv[last, :d].copy(), dtype=qkv.dtype))
 
 
 def assert_bytes_equal_composition(rng, lengths, n_heads, d_head, dtype, copies):
@@ -291,13 +341,81 @@ class TestCausalAttention:
         rng = np.random.default_rng(79)
         assert_bytes_equal_composition(rng, [1, 7, 130], 3, 4, dtype, copies=False)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_last_rows_bytes_equal_composition(self, dtype):
+        """With one query per sequence, at its last row, the output, the
+        (n_heads, 1, L) weights and every gradient are the bits of the
+        unmasked composition run on that row of each sequence alone."""
+        rng = np.random.default_rng(83)
+        lengths, d = [1, 7, 130], 12
+        qkv, _ = attention_qkv(rng, lengths, 3, 4, dtype)
+        upstream = rng.normal(size=(len(lengths), d)).astype(dtype)
+        kv, query = last_row_inputs(qkv.data, lengths)
+        with GradTape() as tape:
+            out, weights = causal_attention(kv, lengths, 3, return_weights=True, query=query)
+            tape.backward(total(mul(out, Tensor(upstream))))
+        grad = np.zeros_like(qkv.data)
+        grad[:, d:] = kv.grad
+        grad[np.cumsum(lengths) - 1, :d] = query.grad
+        want_out, want_weights, want_grad = reference_packed_attention(
+            qkv.data, lengths, 3, upstream, last_only=True
+        )
+        assert [w.shape for w in weights] == [(3, 1, n) for n in lengths]
+        for got, want in zip([out.data, grad, *weights], [want_out, want_grad, *want_weights]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("last_only", [False, True], ids=["all-rows", "last-row"])
+    def test_weights_kept_or_not_give_the_same_bits(self, last_only):
+        """Untaped, without weights, every sequence reuses one buffer; the
+        output keeps the bits of the path that keeps each weights array."""
+        rng = np.random.default_rng(89)
+        lengths = [9, 1, 30, 4]
+        qkv, _ = attention_qkv(rng, lengths, 3, 4, np.float32)
+        args = last_row_inputs(qkv.data, lengths) if last_only else (qkv,)
+        inputs = {"query": args[1]} if last_only else {}
+        plain = causal_attention(Tensor(args[0].data), lengths, 3, **inputs)
+        kept, weights = causal_attention(
+            Tensor(args[0].data), lengths, 3, return_weights=True, **inputs
+        )
+        with GradTape() as tape:
+            taped = causal_attention(args[0], lengths, 3, **inputs)
+        assert len(tape) == 1 and len(weights) == len(lengths)
+        assert plain.data.tobytes() == kept.data.tobytes() == taped.data.tobytes()
+
+    def test_query_must_be_one_row_per_sequence(self):
+        qkv = t64(np.zeros((5, 8)))
+        with pytest.raises(ShapeError, match="one row of width 4"):
+            causal_attention(qkv, [2, 3], 2, query=t64(np.zeros((5, 4))))
+        with pytest.raises(ShapeError, match="divisible into 2 heads"):
+            causal_attention(t64(np.zeros((5, 10))), [2, 3], 2, query=t64(np.zeros((2, 4))))
+        with pytest.raises(ContractError, match="mixed"):
+            causal_attention(qkv, [2, 3], 2, query=Tensor(np.zeros((2, 4), dtype=np.float32)))
+
+    def test_last_row_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(97)
+        lengths = [1, 4, 3]
+        qkv, _ = attention_qkv(rng, lengths, 2, 3, np.float64)
+        kv, query = last_row_inputs(qkv.data, lengths)
+        upstream = rng.normal(size=(3, 6))
+        with GradTape() as tape:
+            tape.backward(total(mul(causal_attention(kv, lengths, 2, query=query), t64(upstream))))
+
+        def f():
+            return float(np.sum(causal_attention(kv, lengths, 2, query=query).data * upstream))
+
+        # 1.4e-6 is the worst at the default step, and it shrinks with a
+        # larger step, so it is rounding in the differences
+        assert max_rel_err(kv.grad, numeric_grad(f, kv.data)) < 1e-5
+        assert max_rel_err(query.grad, numeric_grad(f, query.data)) < 1e-5
+
     def test_untaped_forward_matches_taped(self):
         rng = np.random.default_rng(67)
         lengths, n_heads, d_head = packed_case((2, 2, 6, 3))
         qkv, _ = attention_qkv(rng, lengths, n_heads, d_head, np.float32)
-        plain = causal_attention(Tensor(qkv.data), lengths, n_heads)
+        plain = causal_attention(Tensor(qkv.data), lengths, n_heads, return_weights=True)
         with GradTape():
-            taped = causal_attention(qkv, lengths, n_heads)
+            taped = causal_attention(qkv, lengths, n_heads, return_weights=True)
         assert plain[0].data.tobytes() == taped[0].data.tobytes()
         for a, b in zip(plain[1], taped[1]):
             assert a.tobytes() == b.tobytes()
@@ -311,7 +429,7 @@ class TestCausalAttention:
         attention_grads(qkv, lengths, n_heads, upstream)
 
         def f():
-            return float(np.sum(causal_attention(qkv, lengths, n_heads)[0].data * upstream))
+            return float(np.sum(causal_attention(qkv, lengths, n_heads).data * upstream))
 
         assert max_rel_err(qkv.grad, numeric_grad(f, qkv.data)) < 1e-6
 
@@ -319,7 +437,7 @@ class TestCausalAttention:
     def test_weights_are_causal_rows_summing_to_one(self, dtype):
         rng = np.random.default_rng(73)
         qkv, _ = attention_qkv(rng, [7, 4], 3, 4, dtype)
-        _, weights = causal_attention(qkv, [7, 4], 3)
+        _, weights = causal_attention(qkv, [7, 4], 3, return_weights=True)
         atol = 1e-12 if dtype == np.float64 else 1e-6
         for w, n in zip(weights, [7, 4]):
             assert w.shape == (3, n, n) and w.dtype == dtype
