@@ -188,6 +188,11 @@ class NliClassifier(ParamsMixin):
     ) -> "NliClassifier":
         """A fitted classifier from existing weights and a vocabulary."""
         config = params.config
+        if config.n_classes != len(CLASSES):
+            raise ContractError(
+                f"model has n_classes {config.n_classes}, but the classifier "
+                f"reads {len(CLASSES)} classes {CLASSES}"
+            )
         clf = cls(
             **{name: getattr(config, name) for name in cls._model_args()},
             dtype=str(params.dtype),

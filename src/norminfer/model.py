@@ -29,15 +29,15 @@ from .tensor import (
     embedding_lookup,
     gelu,
     layer_norm,
-    masked_fill,  # noqa: F401  unused here; kept importable from this module
+    masked_fill,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     matmul,
     narrow,
     parameter,
-    reshape,  # noqa: F401  unused here; kept importable from this module
-    scale,  # noqa: F401  unused here; kept importable from this module
+    reshape,  # noqa: F401  perfbench/tracing.py patches it by name in this module
+    scale,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     softmax,
-    take_rows,  # noqa: F401  unused here; kept importable from this module
-    transpose,  # noqa: F401  unused here; kept importable from this module
+    take_rows,  # noqa: F401  perfbench/tracing.py patches it by name in this module
+    transpose,  # noqa: F401  perfbench/tracing.py patches it by name in this module
 )
 from .text import EOS_ID, MAX_SEQUENCE_LENGTH, EncodedPair
 
@@ -260,97 +260,65 @@ class ModelParameters:
 
 @dataclass
 class Batch:
-    """Right-padded model input.
+    """Packed model input, with no padding.
 
-    Each row holds one pair's tokens up to and including its
-    end-of-sequence token at ``eos_index``, then padding. The model computes
-    on the real tokens only: it packs them into one row per token, so
-    padding costs nothing and cannot influence any result. position_ids
-    keep counting through the padding to stay within the embedding table.
+    ``token_ids`` (N,) holds each pair's tokens up to and including its
+    end-of-sequence token, pairs laid end to end in batch order. Pair i
+    has ``eos_index[i] + 1`` tokens and its end-of-sequence token at
+    offset ``eos_index[i]`` within them.
     """
 
     token_ids: np.ndarray
-    position_ids: np.ndarray
     eos_index: np.ndarray
     labels: np.ndarray | None = None
 
     @property
     def size(self) -> int:
-        return int(self.token_ids.shape[0])
-
-    @property
-    def seq_len(self) -> int:
-        return int(self.token_ids.shape[1])
-
-    @property
-    def real_tokens(self) -> np.ndarray:
-        """(B, T) mask of each pair's tokens up to and including its EOS."""
-        return np.arange(self.seq_len) < self.eos_index[:, None] + 1
+        return int(self.eos_index.shape[0])
 
 
-def make_batch(pairs: Sequence[EncodedPair], pad_id: int = 0) -> Batch:
-    """Right-padded batch of ``pairs``, each of which must hold the
-    end-of-sequence token at its ``eos_index``."""
+def make_batch(pairs: Sequence[EncodedPair]) -> Batch:
+    """Packed batch of ``pairs``, each of which must end in the
+    end-of-sequence token."""
     if not pairs:
         raise ContractError("cannot build a batch from zero pairs")
-    n = len(pairs)
-    t = max(len(p) for p in pairs)
-    token_ids = np.full((n, t), pad_id, dtype=np.int64)
-    position_ids = np.tile(np.arange(1, t + 1, dtype=np.int64), (n, 1))
-    eos_index = np.empty(n, dtype=np.int64)
-    labels = np.empty(n, dtype=np.int64)
-    have_labels = True
     for i, pair in enumerate(pairs):
-        k = len(pair)
-        if not 0 <= pair.eos_index < k or pair.token_ids[pair.eos_index] != EOS_ID:
-            raise ContractError(
-                f"pair {i} needs the end-of-sequence token at its eos_index "
-                f"{pair.eos_index}"
-            )
-        token_ids[i, :k] = pair.token_ids
-        position_ids[i, :k] = pair.position_ids
-        eos_index[i] = pair.eos_index
-        if pair.label_id is None:
-            have_labels = False
-        else:
-            labels[i] = pair.label_id
+        if not len(pair) or pair.token_ids[-1] != EOS_ID:
+            raise ContractError(f"pair {i} must end in the end-of-sequence token")
+    labels = [pair.label_id for pair in pairs]
     return Batch(
-        token_ids=token_ids,
-        position_ids=position_ids,
-        eos_index=eos_index,
-        labels=labels if have_labels else None,
+        token_ids=np.concatenate([pair.token_ids for pair in pairs], dtype=np.int64),
+        eos_index=np.array([len(pair) - 1 for pair in pairs], dtype=np.int64),
+        labels=None if None in labels else np.array(labels, dtype=np.int64),
     )
 
 
 def embed(batch: Batch, params: ModelParameters) -> Tensor:
-    """Sum of word row and position row from the joint table, per real token.
+    """Sum of word row and position row from the joint table, per token.
 
-    The result is packed, shape (N, d) with N the number of real tokens:
-    each pair's tokens up to and including its end-of-sequence token, pairs
-    in batch order. Both id sets go through one lookup, so the backward
-    pass scatters into a single dense table gradient.
+    The result is packed as ``batch.token_ids`` is, shape (N, d); each
+    pair's positions run from 1 to its length. Both id sets go through one
+    lookup, so the backward pass scatters into a single dense table
+    gradient.
     """
     config = params.config
-    ids = batch.token_ids
-    if ids.size and (ids.min() < 0 or ids.max() >= config.vocab_words):
+    ids, lengths = batch.token_ids, batch.eos_index + 1
+    if (ids.ndim != 1 or lengths.ndim != 1 or not lengths.size
+            or lengths.min() < 1 or lengths.sum() != ids.size):
+        raise ContractError(
+            f"eos_index needs one offset >= 0 per pair, the pair lengths summing "
+            f"to the {ids.size} packed tokens: got {batch.eos_index}"
+        )
+    if lengths.max() > config.max_len:
+        raise ContractError(f"pair length {lengths.max()} exceeds max_len {config.max_len}")
+    if ids.min() < 0 or ids.max() >= config.vocab_words:
         raise ContractError(
             f"token id out of range [0, {config.vocab_words}): "
             f"min {ids.min()}, max {ids.max()}"
         )
-    pos = batch.position_ids
-    if pos.min() < 1 or pos.max() > config.max_len:
-        raise ContractError(
-            f"position out of range [1, {config.max_len}]: "
-            f"min {pos.min()}, max {pos.max()}"
-        )
-    eos = batch.eos_index
-    if eos.shape != (batch.size,) or eos.min() < 0 or eos.max() >= batch.seq_len:
-        raise ContractError(
-            f"eos_index needs one position in [0, {batch.seq_len}) per pair: "
-            f"shape {eos.shape}, min {eos.min()}, max {eos.max()}"
-        )
-    real = batch.real_tokens
-    return embedding_lookup(params.embedding, ids[real], config.vocab_words + pos[real] - 1)
+    # 0-based position of each token within its pair
+    positions = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return embedding_lookup(params.embedding, ids, config.vocab_words + positions)
 
 
 def multi_head_attention(
@@ -369,9 +337,8 @@ def multi_head_attention(
     another. With ``last``, the (B, d) rows of ``x`` that end each
     sequence, only those rows query: keys and values still cover every row,
     and the result is (B, d). With ``return_weights`` the attention weights
-    also come back, as a (B, n_heads, T, T) array (B, n_heads, 1, T with
-    ``last``) with T the longest length and exact zeros beyond each
-    sequence's end.
+    also come back, one (n_heads, L, L) array per sequence ((n_heads, 1, L)
+    with ``last``).
     """
     if last is None:
         attended = causal_attention(matmul(x, block.w_qkv), lengths, n_heads, return_weights)
@@ -383,13 +350,7 @@ def multi_head_attention(
         )
     ctx, weights = attended if return_weights else (attended, None)
     out = matmul(ctx, block.w_o)
-    if not return_weights:
-        return out
-    t = max(w.shape[-1] for w in weights)
-    padded = np.zeros((len(weights), n_heads, t if last is None else 1, t), dtype=x.dtype)
-    for row, w in zip(padded, weights):
-        row[:, : w.shape[-2], : w.shape[-1]] = w
-    return out, padded
+    return (out, weights) if return_weights else out
 
 
 def position_wise_ffn(x: Tensor, block: BlockParameters) -> Tensor:
@@ -433,23 +394,18 @@ def forward_batch(
 ):
     """Class probabilities for every pair in the batch, shape (B, n_classes).
 
-    Every layer runs on the packed real tokens (see ``embed``), so padding
-    costs nothing. The head reads only the end-of-sequence rows, so the
-    last block computes only those rows (``decoder_block`` with
-    ``eos_only``): one query per pair against all its keys and values, then
-    the output projection, residuals, layer norms and feed-forward network
-    on B rows. Training takes the same path, and its gradients are exact.
-    Dropout fires only when a generator is supplied; calls without one are
-    the deterministic inference path. With return_hidden=True every block
-    runs on every row instead, and the embedding output and each block
-    output also come back as plain (B, T, d) arrays, exactly zero after
-    each end-of-sequence token.
+    Every layer runs on the packed tokens (see ``embed``). The head reads
+    only the end-of-sequence rows, so the last block computes only those
+    rows (``decoder_block`` with ``eos_only``): one query per pair against
+    all its keys and values, then the output projection, residuals, layer
+    norms and feed-forward network on B rows. Training takes the same
+    path, and its gradients are exact. Dropout fires only when a generator
+    is supplied; calls without one are the deterministic inference path.
+    With return_hidden=True every block runs on every row instead, and the
+    embedding output and each block output also come back as plain packed
+    (N, d) arrays, row for row with ``batch.token_ids``.
     """
     config = params.config
-    if batch.seq_len > config.max_len:
-        raise ContractError(
-            f"batch length {batch.seq_len} exceeds max_len {config.max_len}"
-        )
     x = embed(batch, params)
     lengths = (batch.eos_index + 1).tolist()
     hidden = [x.data] if return_hidden else None
@@ -463,14 +419,5 @@ def forward_batch(
             hidden.append(x.data)
     if return_hidden:
         x = embedding_lookup(x, np.cumsum(lengths) - 1)
-    logits = add(matmul(x, params.w_cls), params.b_cls)
-    probs = softmax(logits, axis=-1)
-    if return_hidden:
-        real = batch.real_tokens
-        padded = []
-        for h in hidden:
-            full = np.zeros(real.shape + h.shape[-1:], dtype=h.dtype)
-            full[real] = h
-            padded.append(full)
-        return probs, padded
-    return probs
+    probs = softmax(add(matmul(x, params.w_cls), params.b_cls), axis=-1)
+    return (probs, hidden) if return_hidden else probs

@@ -342,7 +342,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path} ({exc})") from None
     return parse_config_text(text, source=str(path))
 

@@ -96,9 +96,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, shape is {self.shape}")

@@ -3,7 +3,7 @@
 Tokenization is lowercasing with punctuation split into separate tokens.
 A premise-hypothesis pair is encoded as one sequence, premise tokens then
 hypothesis tokens then a single end-of-sequence token, with no separator
-between the sentences. Positions are numbered from 1.
+between the sentences.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         try:
             content = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise IngestError(f"cannot read vocabulary file {path}: {exc}") from exc
         tokens = content.splitlines()
         if not tokens:
@@ -147,15 +147,12 @@ class NliExample:
 class EncodedPair:
     """One premise-hypothesis pair as model input.
 
-    token_ids ends with the end-of-sequence id; position_ids run from 1;
-    eos_index is the offset of the final token, whose hidden state feeds
+    token_ids ends with the end-of-sequence id, whose hidden state feeds
     the classification head.
     """
 
     token_ids: np.ndarray
-    position_ids: np.ndarray
     premise_len: int
-    eos_index: int
     truncated: bool
     label_id: int | None = None
 
@@ -196,12 +193,9 @@ def encode_pair(
         h_tokens = h_tokens[: budget - len(p_tokens)]
 
     ids = vocab.tokens_to_ids(p_tokens) + vocab.tokens_to_ids(h_tokens) + [EOS_ID]
-    n = len(ids)
     return EncodedPair(
         token_ids=np.asarray(ids, dtype=np.int64),
-        position_ids=np.arange(1, n + 1, dtype=np.int64),
         premise_len=len(p_tokens),
-        eos_index=n - 1,
         truncated=truncated,
         label_id=LABEL_TO_INDEX[label] if label is not None else None,
     )
@@ -247,7 +241,7 @@ def load_snli(path: str | Path) -> list[NliExample]:
                     logger.warning("%s:%d: malformed record skipped", path, line_no)
                     continue
                 examples.append(NliExample(premise, hypothesis, label))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
     logger.info(
         "%s: %d examples loaded, %d without consensus dropped, %d malformed skipped",
@@ -303,7 +297,7 @@ def load_norm_conflicts(path: str | Path) -> list[ConflictRecord]:
                         f"{row['conflict_type']!r}; known types are {CONFLICT_TYPES}"
                     )
                 records.append(ConflictRecord(norm_a, norm_b, ctype))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestError(f"cannot read conflicts file {path}: {exc}") from exc
     if not records:
         raise IngestError(f"{path}: no conflict records found")

@@ -231,9 +231,9 @@ def make_batches(
 ) -> list[Batch]:
     """Length-sorted batches in a shuffled order.
 
-    Pairs are stably sorted by combined sentence length so each batch pads
-    to near-uniform lengths, chunked into batch_size groups, and the order
-    of the batches (not their contents) is shuffled by the epoch seed.
+    Pairs are stably sorted by combined sentence length, chunked into
+    batch_size groups of similar length, and the order of the batches
+    (not their contents) is shuffled by the epoch seed.
     """
     if not pairs:
         raise ContractError("cannot batch an empty dataset")

@@ -170,9 +170,7 @@ def build_random_pair(rng, config, t=None, label_id=None):
     ids[-1] = EOS_ID
     return EncodedPair(
         token_ids=ids,
-        position_ids=np.arange(1, t + 1, dtype=np.int64),
         premise_len=max(1, (t - 1) // 2),
-        eos_index=t - 1,
         truncated=False,
         label_id=label_id,
     )

@@ -130,16 +130,15 @@ def test_02_causality():
         perturbed_ids[j] = rng.choice(choices)
         perturbed = type(pair)(
             token_ids=perturbed_ids,
-            position_ids=pair.position_ids,
             premise_len=pair.premise_len,
-            eos_index=pair.eos_index,
             truncated=pair.truncated,
             label_id=pair.label_id,
         )
         _, h_base = forward_batch(make_batch([pair]), params, return_hidden=True)
         _, h_pert = forward_batch(make_batch([perturbed]), params, return_hidden=True)
+        # hidden layers are packed (N, d): rows before j are the prefix
         for a, b in zip(h_base, h_pert):
-            if not np.array_equal(a[0, :j], b[0, :j]):
+            if not np.array_equal(a[:j], b[:j]):
                 violations += 1
                 break
     conclude("02 causality", violations == 0, f"{violations} violations in 100 trials")

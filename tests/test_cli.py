@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from helpers import make_corpus
+from helpers import build_toy_config, build_toy_params, make_corpus
 
 from norminfer.cli import (
     CHECKPOINT_FILE,
@@ -24,6 +24,8 @@ from norminfer.cli import (
     _resolve_output_dir,
     run_cli,
 )
+from norminfer.persistence import save_checkpoint
+from norminfer.text import Vocabulary
 
 TINY_MODEL_LINES = (
     "n_blocks = 1",
@@ -362,6 +364,45 @@ class TestInfer:
         )
         assert code == EXIT_DATA
         assert "vocabulary" in capsys.readouterr().err
+
+
+class TestInputsTheClassifierCannotRead:
+    @pytest.mark.parametrize("command", ["infer", "eval", "analyze-conflicts"])
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_checkpoint_with_other_class_count(self, workspace, tmp_path, capsys,
+                                               n_classes, command):
+        vocab = Vocabulary.load(artifact(workspace, VOCAB_FILE))
+        config = build_toy_config(vocab_words=len(vocab), n_classes=n_classes)
+        checkpoint = tmp_path / "classes.bin"
+        save_checkpoint(build_toy_params(config), {"vocab_sha256": vocab.content_hash()},
+                        checkpoint)
+        extra = {
+            "infer": ["--premise", "a dog", "--hypothesis", "a man"],
+            "eval": ["--data", str(workspace / "val.jsonl")],
+            "analyze-conflicts": ["--output-dir", str(tmp_path / "reports")],
+        }[command]
+        code = run_cli([command, "--checkpoint", str(checkpoint),
+                        "--vocab", artifact(workspace, VOCAB_FILE), *extra])
+        assert code == EXIT_DATA
+        assert f"n_classes {n_classes}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reader", ["conflicts", "corpus", "config", "vocabulary"])
+    def test_file_that_is_not_utf8(self, workspace, tmp_path, capsys, reader):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes(b"norm_a,norm_b,conflict_type\nthe caf\xe9 shall pay\xff\n")
+        model = ["--checkpoint", artifact(workspace, CHECKPOINT_FILE),
+                 "--vocab", artifact(workspace, VOCAB_FILE)]
+        argv = {
+            "conflicts": ["analyze-conflicts", *model, "--conflicts", str(bad),
+                          "--output-dir", str(tmp_path / "reports")],
+            "corpus": ["eval", *model, "--data", str(bad)],
+            "config": ["inspect", "--config", str(bad)],
+            "vocabulary": ["infer", "--checkpoint", artifact(workspace, CHECKPOINT_FILE),
+                           "--vocab", str(bad), "--premise", "a", "--hypothesis", "b"],
+        }[reader]
+        assert run_cli(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "cannot read" in err and "utf-8" in err
 
 
 class TestAnalyzeConflicts:

@@ -123,10 +123,9 @@ class TestAttention:
         out, weights = multi_head_attention(x, block, 3, lengths, return_weights=True)
         qkv = matmul(x, block.w_qkv).data
         _, want_weights, _ = reference_packed_attention(qkv, lengths, 3, np.zeros_like(x.data))
-        assert isinstance(weights, np.ndarray) and weights.shape == (2, 3, 6, 6)
-        assert weights[0].tobytes() == want_weights[0].tobytes()
-        assert weights[1, :, :4, :4].tobytes() == want_weights[1].tobytes()
-        assert not weights[1, :, 4:].any() and not weights[1, :, :, 4:].any()
+        assert [w.shape for w in weights] == [(3, 6, 6), (3, 4, 4)]
+        for w, want in zip(weights, want_weights):
+            assert w.tobytes() == want.tobytes()
         plain = multi_head_attention(x, block, 3, lengths)
         assert plain.data.tobytes() == out.data.tobytes()
 
@@ -209,8 +208,8 @@ class TestAttention:
 
     def test_last_rows_attend_as_the_full_block_does(self):
         """With ``last``, attention runs for each sequence's last row only;
-        its output and (B, n_heads, 1, T) weights match those rows of the
-        all-rows attention."""
+        its output and per-sequence (n_heads, 1, L) weights match those rows
+        of the all-rows attention."""
         config = build_toy_config(n_heads=3, d_model=12)
         block = build_toy_params(config, seed=53, dtype=np.float64).blocks[0]
         lengths = [6, 1, 4]
@@ -220,12 +219,11 @@ class TestAttention:
         out, weights = multi_head_attention(
             x, block, 3, lengths, return_weights=True, last=Tensor(x.data[ends])
         )
-        assert out.shape == (3, 12) and weights.shape == (3, 3, 1, 6)
+        assert out.shape == (3, 12)
+        assert [w.shape for w in weights] == [(3, 1, n) for n in lengths]
         np.testing.assert_allclose(out.data, full.data[ends], rtol=0, atol=1e-12)
-        for i, n in enumerate(lengths):
-            np.testing.assert_allclose(
-                weights[i, :, 0], full_weights[i, :, n - 1], rtol=0, atol=1e-12
-            )
+        for w, full_w in zip(weights, full_weights):
+            np.testing.assert_allclose(w[:, 0], full_w[:, -1], rtol=0, atol=1e-12)
 
     def test_heads_attend_differently(self):
         config = build_toy_config(n_heads=2, d_model=8)
@@ -234,8 +232,8 @@ class TestAttention:
         _, weights = multi_head_attention(
             x, params.blocks[0], 2, [6], return_weights=True
         )
-        assert weights.shape == (1, 2, 6, 6)
-        assert not np.allclose(weights[0, 0], weights[0, 1])
+        assert [w.shape for w in weights] == [(2, 6, 6)]
+        assert not np.allclose(weights[0][0], weights[0][1])
 
 
 class TestCausality:
@@ -262,61 +260,29 @@ class TestCausality:
 
             _, h_base = forward_batch(make_batch([pair]), params, return_hidden=True)
             # built directly, since make_batch rejects a perturbed end-of-sequence token
-            pert_batch = Batch(perturbed.token_ids[None], perturbed.position_ids[None],
-                               np.array([perturbed.eos_index]))
+            pert_batch = Batch(perturbed.token_ids, np.array([t - 1]))
             _, h_pert = forward_batch(pert_batch, params, return_hidden=True)
+            # hidden layers are packed (N, d): rows before j are the prefix
             for layer_base, layer_pert in zip(h_base, h_pert):
-                assert np.array_equal(layer_base[0, :j], layer_pert[0, :j])
-
-    def test_tokens_after_eos_cannot_change_the_prediction(self):
-        config = build_toy_config(vocab_words=20, max_len=12)
-        params = build_toy_params(config, seed=1)
-        rng = np.random.default_rng(53)
-        pair = build_random_pair(rng, config, t=6)
-        base = forward_batch(make_batch([pair]), params).data
-
-        token_ids = np.concatenate([pair.token_ids, [7, 9]])
-        extended = Batch(
-            token_ids=token_ids[None, :],
-            position_ids=np.arange(1, 9, dtype=np.int64)[None, :],
-            eos_index=np.array([5]),
-        )
-        assert np.array_equal(forward_batch(extended, params).data, base)
-
-
-    def test_tokens_after_eos_cannot_change_any_row_of_a_batch(self):
-        config = build_toy_config(vocab_words=20, max_len=12)
-        params = build_toy_params(config, seed=1)
-        rng = np.random.default_rng(61)
-        pairs = [build_random_pair(rng, config, t=n) for n in (6, 3, 9)]
-        base = forward_batch(make_batch(pairs), params).data
-
-        extended = make_batch(pairs)
-        for row, pair in zip(extended.token_ids, pairs):
-            row[len(pair):] = rng.integers(3, 20, size=len(row) - len(pair))
-        token_ids = np.concatenate([extended.token_ids, [[7], [9], [11]]], axis=1)
-        extended = Batch(
-            token_ids=token_ids,
-            position_ids=np.tile(np.arange(1, 11, dtype=np.int64), (3, 1)),
-            eos_index=extended.eos_index,
-        )
-        assert np.array_equal(forward_batch(extended, params).data, base)
+                assert np.array_equal(layer_base[:j], layer_pert[:j])
 
     def test_batch_rows_match_pairs_scored_alone(self):
         """Pairs of 5 and 140 tokens batched together score as they do
-        alone, and hidden rows after each end-of-sequence token are zero."""
+        alone, and their packed hidden rows match the rows computed alone."""
         config = build_toy_config(vocab_words=20, max_len=140)
         params = build_toy_params(config, seed=17)
         rng = np.random.default_rng(67)
         pairs = [build_random_pair(rng, config, t=n) for n in (5, 140)]
         probs, hidden = forward_batch(make_batch(pairs), params, return_hidden=True)
+        starts = [0, 5]
         for i, pair in enumerate(pairs):
             alone, alone_hidden = forward_batch(make_batch([pair]), params, return_hidden=True)
             np.testing.assert_allclose(probs.data[i], alone.data[0], rtol=0, atol=1e-6)
+            rows = slice(starts[i], starts[i] + len(pair))
             for h, h_alone in zip(hidden, alone_hidden):
-                assert h.shape == (2, 140, config.d_model)
-                np.testing.assert_allclose(h[i, : len(pair)], h_alone[0], rtol=0, atol=1e-6)
-                assert np.all(h[i, len(pair) :] == 0.0)
+                assert h.shape == (145, config.d_model)
+                assert h_alone.shape == (len(pair), config.d_model)
+                np.testing.assert_allclose(h[rows], h_alone, rtol=0, atol=1e-6)
 
 
 class TestBlocksAndShapes:
@@ -404,6 +370,18 @@ class TestEmbedding:
             expected = table[pair.token_ids[pos]] + table[6 + pos]
             np.testing.assert_array_equal(x[pos], expected)
 
+    def test_positions_restart_at_one_for_each_pair(self):
+        config = build_toy_config(vocab_words=6, n_blocks=1, d_model=4, max_len=5)
+        params = build_toy_params(config, seed=4)
+        rng = np.random.default_rng(3)
+        pairs = [build_random_pair(rng, config, t=n) for n in (3, 1, 5)]
+        x = embed(make_batch(pairs), params).data
+        table = params.embedding.data
+        expected = [table[pair.token_ids[pos]] + table[6 + pos]
+                    for pair in pairs for pos in range(len(pair))]
+        assert x.shape == (9, 4)
+        np.testing.assert_array_equal(x, np.array(expected))
+
     def test_out_of_range_token_rejected(self):
         config = build_toy_config(vocab_words=6, max_len=5)
         params = build_toy_params(config)
@@ -424,13 +402,11 @@ class TestEmbedding:
     def test_sequence_longer_than_max_len_rejected(self):
         config = build_toy_config(vocab_words=6, max_len=4)
         params = build_toy_params(config)
-        pair = build_random_pair(np.random.default_rng(0), config, t=4)
         long_batch = Batch(
-            token_ids=np.full((1, 5), 3, dtype=np.int64),
-            position_ids=np.arange(1, 6, dtype=np.int64)[None],
+            token_ids=np.array([3, 3, 3, 3, EOS_ID], dtype=np.int64),
             eos_index=np.array([4]),
         )
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="max_len"):
             forward_batch(long_batch, params)
 
 
@@ -500,19 +476,20 @@ class TestForward:
 
 
 class TestMakeBatch:
-    def test_padding_and_labels(self):
+    def test_concatenates_pair_tokens_and_labels(self):
         config = build_toy_config(vocab_words=10, max_len=9)
         rng = np.random.default_rng(21)
         pairs = [
             build_random_pair(rng, config, t=4, label_id=0),
             build_random_pair(rng, config, t=7, label_id=2),
+            build_random_pair(rng, config, t=1, label_id=1),
         ]
         batch = make_batch(pairs)
-        assert batch.token_ids.shape == (2, 7)
-        assert batch.token_ids[0, 4:].tolist() == [0, 0, 0]
-        assert batch.position_ids[0].tolist() == [1, 2, 3, 4, 5, 6, 7]
-        assert batch.eos_index.tolist() == [3, 6]
-        assert batch.labels.tolist() == [0, 2]
+        assert batch.token_ids.dtype == np.int64 and batch.token_ids.shape == (12,)
+        assert batch.token_ids.tolist() == [i for p in pairs for i in p.token_ids.tolist()]
+        assert batch.eos_index.tolist() == [3, 6, 0]
+        assert batch.size == 3
+        assert batch.labels.tolist() == [0, 2, 1]
 
     def test_labels_none_when_any_missing(self):
         config = build_toy_config(vocab_words=10)

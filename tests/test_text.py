@@ -118,14 +118,8 @@ class TestEncodePair:
         assert len(pair) == 6 + 4 + 1
         assert pair.premise_len == 6
         assert pair.hypothesis_len == 4
-        assert pair.eos_index == len(pair) - 1
         assert not pair.truncated
         assert PAD_ID not in pair.token_ids
-
-    def test_positions_start_at_one(self):
-        vocab = make_vocab("short text here")
-        pair = encode_pair("short text", "here", vocab)
-        assert pair.position_ids.tolist() == list(range(1, len(pair) + 1))
 
     def test_label_id(self):
         vocab = make_vocab("x y")

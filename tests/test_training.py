@@ -301,8 +301,8 @@ class TestMakeBatches:
         batches = make_batches(pairs, cfg(batch_size=4), epoch_seed=5)
         assert sum(b.size for b in batches) == 23
         seen = sorted(
-            tuple(b.token_ids[i, : b.eos_index[i] + 1]) for b in batches
-            for i in range(b.size)
+            tuple(ids) for b in batches
+            for ids in np.split(b.token_ids, np.cumsum(b.eos_index + 1)[:-1])
         )
         expected = sorted(tuple(p.token_ids) for p in pairs)
         assert seen == expected
