@@ -27,6 +27,7 @@ from .model import (
     forward_batch,
     make_batch,
 )
+from .tensor import _ACTIVE_TAPES
 from .text import (
     CLASSES,
     MAX_SEQUENCE_LENGTH,
@@ -215,15 +216,21 @@ class NliClassifier(ParamsMixin):
         """Class probability rows for encoded pairs, in input order.
 
         This is the one inference loop: pairs run shortest first,
-        batch_size to a forward pass, on the deterministic path.
+        batch_size to a forward pass, on the deterministic path. Recording
+        is suspended for the loop, so a tape open in the caller's context
+        stays untouched and every primitive takes its untaped path.
         """
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
         order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
         step = max(1, self.batch_size)
-        for start in range(0, len(order), step):
-            idx = order[start : start + step]
-            probs = forward_batch(make_batch([encoded[i] for i in idx]), self.params_)
-            out[idx] = probs.data
+        suspended = _ACTIVE_TAPES.set(())
+        try:
+            for start in range(0, len(order), step):
+                idx = order[start : start + step]
+                probs = forward_batch(make_batch([encoded[i] for i in idx]), self.params_)
+                out[idx] = probs.data
+        finally:
+            _ACTIVE_TAPES.reset(suspended)
         return out
 
     def predict(self, pairs) -> np.ndarray:

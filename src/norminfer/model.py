@@ -27,7 +27,8 @@ from .tensor import (
     causal_attention,
     dropout as dropout_op,
     embedding_lookup,
-    gelu,
+    feed_forward,
+    gelu,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     layer_norm,
     masked_fill,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     matmul,
@@ -354,9 +355,11 @@ def multi_head_attention(
 
 
 def position_wise_ffn(x: Tensor, block: BlockParameters) -> Tensor:
-    """gelu(x W1 + b1) W2 + b2, applied at every position."""
-    return add(matmul(gelu(add(matmul(x, block.w_ffn1), block.b_ffn1)), block.w_ffn2),
-               block.b_ffn2)
+    """gelu(x W1 + b1) W2 + b2 at every row of ``x``, as one
+    ``feed_forward`` call: untaped it runs over row tiles and holds no
+    (N, d_ffn) activation; under a tape it keeps three for the backward pass.
+    """
+    return feed_forward(x, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
 
 
 def decoder_block(
@@ -373,6 +376,9 @@ def decoder_block(
     layer normalization, over (N, d) packed sequences of ``lengths`` rows.
     Shape is preserved, except that with ``eos_only`` the block computes
     only the last row of each sequence and returns those (B, d) rows.
+    Attention and the feed-forward network are one fused primitive each
+    (``causal_attention``, ``feed_forward``), so an untaped block allocates
+    no (N, d_ffn) array and at most one attention weights buffer.
     """
     live_dropout = dropout > 0.0 and rng is not None
     last = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else None

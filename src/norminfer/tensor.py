@@ -3,8 +3,9 @@
 The module provides exactly the operations the decoder classifier needs:
 dense and batched matrix products, broadcast addition for biases, embedding
 row gathers, causal masking, a numerically stabilized softmax, the tanh
-form of the gaussian error linear unit, layer normalization, and the scalar
-reductions used by the loss.
+form of the gaussian error linear unit, fused causal attention and
+feed-forward primitives, layer normalization, and the scalar reductions
+used by the loss.
 
 Gradients are computed with a tape. While a :class:`GradTape` is open in
 the current thread, every primitive that touches a tensor requiring
@@ -38,9 +39,17 @@ the separate ``matmul``, ``scale``, ``masked_fill`` and ``softmax``
 primitives give on each sequence alone, which remain for the classification
 head and as the reference the fused primitive is tested against.
 
-The elementwise gelu and layer-norm passes work in a few full-size buffers,
-in place, in the operation order of their textbook formulas, so they give
-the bits those formulas give.
+The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
+primitive too, ``feed_forward``. Its hidden layer is wider than its input
+(four times, by default), so without a recording tape it runs over tiles
+of rows, each at most ``FFN_TILE_ELEMENTS`` hidden activations, and never
+holds a full-size hidden array. Under a tape it keeps the three full-size arrays its backward
+pass reads: the biased pre-activation, the tanh term and the gelu output.
+
+The elementwise passes, the gelu kernels shared by ``gelu`` and
+``feed_forward`` and the layer-norm forward and pull, work in place in a
+few buffers, in the operation order of their textbook formulas, so they
+give the bits those formulas give.
 
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
@@ -62,6 +71,8 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
+# hidden activations per row tile of an untaped ``feed_forward``: 1 MiB of float32
+FFN_TILE_ELEMENTS = 1 << 18
 
 
 class Tensor:
@@ -589,6 +600,40 @@ def causal_attention(
     return (result, weights) if return_weights else result
 
 
+def _gelu_rows(d: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
+    """Write the gelu tanh term of ``d`` into ``t`` and gelu(d) into
+    ``out``, in place, in the operation order of the formula. ``out`` may
+    be ``t``, when the tanh term is not needed afterwards."""
+    np.multiply(_GELU_CUBIC, d, out=t)
+    t *= d
+    t *= d
+    t += d
+    t *= _GELU_SCALE
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=out)
+    out *= 0.5
+    out *= d
+
+
+def _gelu_slope(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The local gelu slope at ``d``, given its tanh term ``t``, as a new
+    array built in three buffers, in place:
+    0.5 * (1 + t) + 0.5 * d * (1 - t^2) * sqrt(2/pi) * (1 + 3 * 0.044715 * d^2)."""
+    du = np.multiply(d, 3.0 * _GELU_CUBIC, out=np.empty_like(d))
+    du *= d
+    du += 1.0
+    du *= _GELU_SCALE
+    slope = np.multiply(d, 0.5, out=np.empty_like(d))
+    local = np.multiply(t, t, out=np.empty_like(d))
+    np.subtract(1.0, local, out=local)
+    slope *= local
+    slope *= du
+    np.add(t, 1.0, out=local)
+    local *= 0.5
+    local += slope
+    return local
+
+
 def gelu(x: Tensor) -> Tensor:
     """Gaussian error linear unit in its tanh form.
 
@@ -598,34 +643,70 @@ def gelu(x: Tensor) -> Tensor:
     the backward pass builds the local slope in three, in place.
     """
     d = x.data
-    t = np.multiply(_GELU_CUBIC, d, out=np.empty_like(d))
-    t *= d
-    t *= d
-    t += d
-    t *= _GELU_SCALE
-    np.tanh(t, out=t)
-    data = t + 1.0
-    data *= 0.5
-    data *= d
+    t, data = np.empty_like(d), np.empty_like(d)
+    _gelu_rows(d, t, data)
 
     def pull(g):
-        # 0.5 * (1 + t) + 0.5 * d * (1 - t^2) * sqrt(2/pi) * (1 + 3 * 0.044715 * d^2)
-        du = np.multiply(d, 3.0 * _GELU_CUBIC, out=np.empty_like(d))
-        du *= d
-        du += 1.0
-        du *= _GELU_SCALE
-        slope = np.multiply(d, 0.5, out=np.empty_like(d))
-        local = np.multiply(t, t, out=np.empty_like(d))
-        np.subtract(1.0, local, out=local)
-        slope *= local
-        slope *= du
-        np.add(t, 1.0, out=local)
-        local *= 0.5
-        local += slope
+        local = _gelu_slope(d, t)
         local *= g
         return (local,)
 
     return _result((x,), data, pull)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, for
+    (N, d) rows ``x``, W1 (d, f) and W2 (f, d_out).
+
+    Without a recording tape the rows run in tiles of at most
+    ``FFN_TILE_ELEMENTS`` hidden activations, balanced so their heights
+    differ by at most one row, and every tile reuses two (rows, f) buffers:
+    no (N, f) array is allocated. A recording tape gets one record whose
+    forward keeps three (N, f) arrays, the biased pre-activation, the tanh
+    term and the gelu output, and whose pull runs its four products over all
+    N rows. Both bias adds work in place on the product outputs. Taped, the
+    output and the gradients are the bits of ``matmul``, ``add``, ``gelu``,
+    ``matmul`` and ``add`` applied in turn. Untaped, each tile gives the bits
+    of those products over its rows alone. With OpenBLAS 0.3.31, at the
+    model's shapes, a tile of five rows or more gave the whole product's
+    bits; a tile of one to four rows takes other kernels and may not. At
+    the default tile size a tile is that short only when N is, and then the
+    one tile is the whole product.
+    """
+    _check_dtypes(x, w1, b1, w2, b2)
+    if (x.ndim != 2 or w1.ndim != 2 or w2.ndim != 2 or x.shape[1] != w1.shape[0]
+            or b1.shape != w1.shape[1:] or w2.shape[0] != w1.shape[1]
+            or b2.shape != w2.shape[1:]):
+        raise ShapeError(
+            f"feed_forward needs x (N, d), w1 (d, f), b1 (f,), w2 (f, e), b2 (e,); got "
+            f"{x.shape}, {w1.shape}, {b1.shape}, {w2.shape}, {b2.shape}"
+        )
+    n, f = x.shape[0], w1.shape[1]
+    inputs = (x, w1, b1, w2, b2)
+    recorded = any(t.requires_grad for t in inputs) and bool(_ACTIVE_TAPES.get())
+    tiles = 1 if recorded else max(1, -(-n // max(1, FFN_TILE_ELEMENTS // f)))
+    bounds = [n * i // tiles for i in range(tiles + 1)]
+    rows = -(-n // tiles)
+    pre = np.empty((rows, f), dtype=x.dtype)
+    t = np.empty_like(pre)
+    act = np.empty_like(pre) if recorded else t
+    out = np.empty((n, w2.shape[1]), dtype=x.dtype)
+    for a, b in zip(bounds, bounds[1:]):
+        m = b - a
+        np.matmul(x.data[a:b], w1.data, out=pre[:m])
+        pre[:m] += b1.data
+        _gelu_rows(pre[:m], t[:m], act[:m])
+        np.matmul(act[:m], w2.data, out=out[a:b])
+        out[a:b] += b2.data
+
+    def pull(g):
+        g_act = g @ w2.data.T
+        g_w2 = act.T @ g
+        g_pre = _gelu_slope(pre, t)
+        g_pre *= g_act
+        return g_pre @ w1.data.T, x.data.T @ g_pre, g_pre.sum(axis=0), g_w2, g.sum(axis=0)
+
+    return _result(inputs, out, pull)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

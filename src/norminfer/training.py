@@ -131,11 +131,19 @@ def clip_gradients(params, bound: float) -> None:
         g = tensor.grad
         if g is None or not g.size:
             continue
-        lo, hi = g.min(), g.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise NumericError(f"non-finite gradient in {name}")
+        lo, hi = _finite_range(name, g)
         if lo < -bound or hi > bound:
             np.clip(g, -bound, bound, out=g)
+
+
+def _finite_range(name: str, g: np.ndarray):
+    """(min, max) of a non-empty gradient; NumericError naming the tensor
+    if it holds NaN or +-inf. Two reductions, no boolean mask the size of
+    the gradient."""
+    lo, hi = g.min(), g.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError(f"non-finite gradient in {name}")
+    return lo, hi
 
 
 def _row_size(a: np.ndarray) -> int:
@@ -195,8 +203,8 @@ class AdamOptimizer:
             g = tensor.grad
             if g is None:
                 continue
-            if not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient in {name}")
+            if g.size:
+                _finite_range(name, g)
             self._update(
                 np.atleast_1d(tensor.data), np.atleast_1d(g),
                 np.atleast_1d(self.m[name]), np.atleast_1d(self.v[name]),

@@ -9,6 +9,7 @@ import sys
 import pytest
 from helpers import build_toy_config, build_toy_params, make_corpus
 
+from norminfer.base import CheckpointError
 from norminfer.cli import (
     CHECKPOINT_FILE,
     EXIT_DATA,
@@ -24,7 +25,7 @@ from norminfer.cli import (
     _resolve_output_dir,
     run_cli,
 )
-from norminfer.persistence import save_checkpoint
+from norminfer.persistence import load_checkpoint, save_checkpoint
 from norminfer.text import Vocabulary
 
 TINY_MODEL_LINES = (
@@ -403,6 +404,74 @@ class TestInputsTheClassifierCannotRead:
         assert run_cli(argv) == EXIT_DATA
         err = capsys.readouterr().err
         assert "cannot read" in err and "utf-8" in err
+
+
+def _header_edit(edit):
+    """A fault that rewrites the JSON header with ``edit`` and fixes the
+    header length to match."""
+    def fault(raw):
+        header_end = 20 + int.from_bytes(raw[12:20], "little")
+        header = json.loads(raw[20:header_end])
+        edit(header)
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        return (raw[:12] + len(header_bytes).to_bytes(8, "little") + header_bytes
+                + raw[header_end:])
+    return fault
+
+
+def _flip(where):
+    """A fault that inverts one byte, at an offset ``where(raw, header_end)``."""
+    def fault(raw):
+        header_end = 20 + int.from_bytes(raw[12:20], "little")
+        out = bytearray(raw)
+        out[where(raw, header_end)] ^= 0xFF
+        return bytes(out)
+    return fault
+
+
+def _mutate(field, value):
+    return _header_edit(lambda header: header.__setitem__(field, value))
+
+
+# fault name -> (section the error must name first, fault)
+CHECKPOINT_FAULTS = {
+    **{f"delete {field}": ("header", _header_edit(lambda header, field=field: header.pop(field)))
+       for field in ("config", "config_sha256", "meta", "tensors", "payload_sha256")},
+    "mutate config": ("config", _header_edit(lambda header: header["config"].update(n_heads=1))),
+    "mutate config_sha256": ("config", _mutate("config_sha256", "0" * 64)),
+    "mutate meta": ("header", _mutate("meta", ["vocab_sha256"])),
+    "mutate tensors": ("tensor manifest",
+                       _header_edit(lambda header: header["tensors"].pop())),
+    "mutate payload_sha256": ("payload", _mutate("payload_sha256", "0" * 64)),
+    "flip magic byte": ("magic", _flip(lambda raw, end: 0)),
+    "flip version byte": ("version", _flip(lambda raw, end: 8)),
+    "flip header length byte": ("header", _flip(lambda raw, end: 12)),
+    "flip first header byte": ("header", _flip(lambda raw, end: 20)),
+    "flip middle header byte": ("header", _flip(lambda raw, end: (20 + end) // 2)),
+    "flip last header byte": ("header", _flip(lambda raw, end: end - 1)),
+    "flip first payload byte": ("payload", _flip(lambda raw, end: end)),
+    "flip middle payload byte": ("payload", _flip(lambda raw, end: (end + len(raw)) // 2)),
+    "flip last payload byte": ("payload", _flip(lambda raw, end: len(raw) - 1)),
+}
+
+
+class TestCheckpointFuzz:
+    """Every damaged checkpoint is a CheckpointError whose message starts
+    with the section at fault, and analyze-conflicts exits 2 on it."""
+
+    @pytest.mark.parametrize("fault", list(CHECKPOINT_FAULTS))
+    def test_fault_names_its_section_and_exits_data(self, workspace, tmp_path, capsys, fault):
+        section, damage = CHECKPOINT_FAULTS[fault]
+        broken = tmp_path / "broken.bin"
+        broken.write_bytes(damage((workspace / "run" / CHECKPOINT_FILE).read_bytes()))
+        with pytest.raises(CheckpointError) as caught:
+            load_checkpoint(broken)
+        assert str(caught.value).startswith(f"{section}: ")
+        code = run_cli(["analyze-conflicts", "--checkpoint", str(broken),
+                        "--vocab", artifact(workspace, VOCAB_FILE),
+                        "--output-dir", str(tmp_path / "reports")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {section}: ")
 
 
 class TestAnalyzeConflicts:

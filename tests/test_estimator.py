@@ -7,6 +7,8 @@ from helpers import make_corpus
 from norminfer.base import ConfigError, ContractError, NotFittedError
 from norminfer.estimator import NliClassifier, PairEncoder
 from norminfer.model import forward_batch, make_batch
+from norminfer.persistence import load_checkpoint, save_checkpoint
+from norminfer.tensor import GradTape, add
 from norminfer.text import CLASSES, EOS_ID
 
 
@@ -220,6 +222,20 @@ class TestFromArtifacts:
         rebuilt = NliClassifier.from_artifacts(clf.params_, clf.vocabulary_)
         pairs = [(e.premise, e.hypothesis) for e in make_corpus(6, seed=9)]
         assert np.array_equal(clf.predict_proba(pairs), rebuilt.predict_proba(pairs))
+
+    def test_inference_never_records_onto_an_open_tape(self, fitted, tmp_path):
+        save_checkpoint(fitted.params_, {}, tmp_path / "model.bin")
+        params = load_checkpoint(tmp_path / "model.bin").params
+        assert all(t.requires_grad for _, t in params.named_tensors())
+        clf = NliClassifier.from_artifacts(params, fitted.vocabulary_)
+        pairs = [(e.premise, e.hypothesis) for e in make_corpus(6, seed=9)]
+        untaped = clf.predict_proba(pairs)
+        with GradTape() as tape:
+            taped = clf.predict_proba(pairs)
+            assert len(tape) == 0
+            add(params.w_cls, params.w_cls)  # the caller's tape records again
+        assert len(tape) == 1
+        assert taped.tobytes() == untaped.tobytes()
 
     def test_constructor_args_forwarded(self):
         clf = tiny_classifier(max_epochs=1)

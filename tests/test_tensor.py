@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import (
@@ -19,6 +21,7 @@ from norminfer.tensor import (
     clamp_min,
     dropout,
     embedding_lookup,
+    feed_forward,
     gelu,
     layer_norm,
     log,
@@ -178,6 +181,108 @@ class TestGelu:
         for got, want in zip((out.data, x.grad), reference_gelu(x.data, upstream)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def reference_ffn(x, w1, b1, w2, b2):
+    """The feed-forward network as the separate primitives it fuses."""
+    return add(matmul(gelu(add(matmul(x, w1), b1)), w2), b2)
+
+
+def ffn_arrays(rng, n, dtype, d=8, f=32):
+    shapes = [(n, d), (d, f), (f,), (f, d), (d,)]
+    scales = [1.0, 0.3, 0.5, 0.3, 0.5]
+    return [(s * rng.normal(size=shape)).astype(dtype) for s, shape in zip(scales, shapes)]
+
+
+def ffn_run(fn, arrays, upstream):
+    """(output, input gradients) of ``fn`` under a tape, for the output
+    gradient ``upstream``."""
+    inputs = [parameter(a.copy(), dtype=a.dtype) for a in arrays]
+    with GradTape() as tape:
+        out = fn(*inputs)
+        tape.backward(total(mul(out, Tensor(upstream))))
+    return out.data, [t.grad for t in inputs]
+
+
+class TestFeedForward:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_tile_bytes_equal_composition(self, dtype):
+        rng = np.random.default_rng(41)
+        arrays = ffn_arrays(rng, 37, dtype)
+        upstream = rng.normal(size=(37, 8)).astype(dtype)
+        want, want_grads = ffn_run(reference_ffn, arrays, upstream)
+        got, grads = ffn_run(feed_forward, arrays, upstream)
+        untaped = feed_forward(*(Tensor(a) for a in arrays)).data
+        for a, b in zip([got, untaped] + grads, [want, want] + want_grads):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("n", [7, 8, 9, 29], ids=["tile-1", "tile", "tile+1", "3tile+5"])
+    def test_tile_boundaries_match_composition(self, monkeypatch, dtype, tol, n):
+        monkeypatch.setattr(T, "FFN_TILE_ELEMENTS", 8 * 32)  # 8 rows of the width 32
+        rng = np.random.default_rng(43)
+        arrays = ffn_arrays(rng, n, dtype)
+        upstream = rng.normal(size=(n, 8)).astype(dtype)
+        want, want_grads = ffn_run(reference_ffn, arrays, upstream)
+        got, grads = ffn_run(feed_forward, arrays, upstream)
+        untaped = feed_forward(*(Tensor(a) for a in arrays)).data
+        for a, b in zip([got, untaped] + grads, [want, want] + want_grads):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=tol, atol=tol)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(47)
+        arrays = ffn_arrays(rng, 5, np.float64, d=3, f=4)
+        x, w1, b1, w2, b2 = inputs = [parameter(a, dtype=np.float64) for a in arrays]
+        upstream = rng.normal(size=(5, 3))
+        with GradTape() as tape:
+            tape.backward(total(mul(feed_forward(*inputs), Tensor(upstream))))
+
+        def f():
+            return float((upstream * (gelu_np(x.data @ w1.data + b1.data) @ w2.data
+                                      + b2.data)).sum())
+
+        for t in inputs:
+            assert max_rel_err(t.grad, numeric_grad(f, t.data)) < 1e-5
+
+    def test_memory_untaped_in_tiles_taped_three_activations(self, monkeypatch):
+        tile, f = 64, 256
+        n = 16 * tile
+        monkeypatch.setattr(T, "FFN_TILE_ELEMENTS", tile * f)
+        arrays = ffn_arrays(np.random.default_rng(53), n, np.float64, d=64, f=f)
+        inputs = [parameter(a, dtype=np.float64) for a in arrays]
+        activation = n * f * 8  # bytes of one (N, d_ffn) float64 array
+
+        def held(fn):
+            """(peak, still held) bytes allocated by one call of fn."""
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = fn(*inputs)  # noqa: F841  keeps the output alive
+            now, peak = tracemalloc.get_traced_memory()
+            return peak - base, now - base
+
+        tracemalloc.start()
+        try:
+            untaped_peak, _ = held(feed_forward)
+            with GradTape():
+                _, taped_kept = held(feed_forward)
+                _, reference_kept = held(reference_ffn)
+        finally:
+            tracemalloc.stop()
+        assert untaped_peak < activation / 2
+        # the output adds a quarter activation to the three kept arrays
+        assert 3 * activation <= taped_kept < 4 * activation
+        assert reference_kept >= 4 * activation
+
+    def test_shapes_checked(self):
+        arrays = ffn_arrays(np.random.default_rng(59), 4, np.float64)
+        for i, bad in enumerate([np.ones((4, 7)), np.ones((8, 5)), np.ones(5),
+                                 np.ones((5, 8)), np.ones(3)]):
+            args = [Tensor(a) for a in arrays]
+            args[i] = Tensor(bad)
+            with pytest.raises(ShapeError, match="feed_forward"):
+                feed_forward(*args)
 
 
 class TestLayerNorm:

@@ -202,11 +202,13 @@ class TestAdam:
         assert w.grad is None
 
     def test_non_finite_gradient_raises(self):
-        w = parameter(np.array([1.0]), dtype=np.float64)
-        opt = AdamOptimizer([("w", w)])
-        w.grad = np.array([np.nan])
-        with pytest.raises(NumericError, match="w"):
-            opt.step(0.1)
+        for bad in (np.nan, np.inf, -np.inf):
+            w = parameter(np.array([1.0, 2.0, 3.0]), dtype=np.float64)
+            opt = AdamOptimizer([("w", w)])
+            w.grad = np.array([0.5, bad, -0.5])
+            with pytest.raises(NumericError, match="non-finite gradient in w"):
+                opt.step(0.1)
+            np.testing.assert_array_equal(w.data, [1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("scratch", [5, AdamOptimizer.SCRATCH_ELEMENTS])
     def test_fused_update_matches_reference(self, monkeypatch, scratch):
