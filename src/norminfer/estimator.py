@@ -27,7 +27,7 @@ from .model import (
     forward_batch,
     make_batch,
 )
-from .tensor import _ACTIVE_TAPES
+from .tensor import untaped
 from .text import (
     CLASSES,
     MAX_SEQUENCE_LENGTH,
@@ -223,14 +223,11 @@ class NliClassifier(ParamsMixin):
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
         order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
         step = max(1, self.batch_size)
-        suspended = _ACTIVE_TAPES.set(())
-        try:
+        with untaped():
             for start in range(0, len(order), step):
                 idx = order[start : start + step]
                 probs = forward_batch(make_batch([encoded[i] for i in idx]), self.params_)
                 out[idx] = probs.data
-        finally:
-            _ACTIVE_TAPES.reset(suspended)
         return out
 
     def predict(self, pairs) -> np.ndarray:

@@ -6,9 +6,9 @@ embedding table: word rows first, then one row per position starting at
 position 1. The sequence passes through a stack of identical blocks, each
 applying causally masked multi-head self attention and a position-wise
 feed-forward network, both followed by residual addition and layer
-normalization. The hidden state of the end-of-sequence token feeds a
-linear head whose softmax gives the class probabilities. Since nothing
-else reads the last block's output, that block computes only the
+normalization in one step. The hidden state of the end-of-sequence token
+feeds a linear head whose softmax gives the class probabilities. Since
+nothing else reads the last block's output, that block computes only the
 end-of-sequence rows.
 """
 
@@ -354,14 +354,6 @@ def multi_head_attention(
     return (out, weights) if return_weights else out
 
 
-def position_wise_ffn(x: Tensor, block: BlockParameters) -> Tensor:
-    """gelu(x W1 + b1) W2 + b2 at every row of ``x``, as one
-    ``feed_forward`` call: untaped it runs over row tiles and holds no
-    (N, d_ffn) activation; under a tape it keeps three for the backward pass.
-    """
-    return feed_forward(x, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
-
-
 def decoder_block(
     x: Tensor,
     block: BlockParameters,
@@ -372,24 +364,25 @@ def decoder_block(
     rng: np.random.Generator | None = None,
     eos_only: bool = False,
 ) -> Tensor:
-    """Residual attention then residual feed-forward, each followed by
-    layer normalization, over (N, d) packed sequences of ``lengths`` rows.
-    Shape is preserved, except that with ``eos_only`` the block computes
-    only the last row of each sequence and returns those (B, d) rows.
-    Attention and the feed-forward network are one fused primitive each
-    (``causal_attention``, ``feed_forward``), so an untaped block allocates
-    no (N, d_ffn) array and at most one attention weights buffer.
+    """Attention, then the feed-forward network, each closed by add & norm,
+    LayerNorm(x + Sublayer(x)), over (N, d) packed sequences of ``lengths``
+    rows. Shape is preserved, except that with ``eos_only`` the block
+    computes only the last row of each sequence and returns those (B, d)
+    rows. The attention core, the feed-forward network and each add & norm
+    are one fused primitive (``causal_attention``, ``feed_forward``,
+    ``layer_norm``), so an untaped block allocates no (N, d_ffn) array, at
+    most one attention weights buffer and no separate residual sum.
     """
     live_dropout = dropout > 0.0 and rng is not None
     last = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else None
     attn = multi_head_attention(x, block, n_heads, lengths, last=last)
     if live_dropout:
         attn = dropout_op(attn, dropout, rng)
-    y = layer_norm(add(x if last is None else last, attn), block.ln1_gain, block.ln1_bias, eps)
-    ffn = position_wise_ffn(y, block)
+    y = layer_norm(attn, x if last is None else last, block.ln1_gain, block.ln1_bias, eps)
+    ffn = feed_forward(y, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
     if live_dropout:
         ffn = dropout_op(ffn, dropout, rng)
-    return layer_norm(add(y, ffn), block.ln2_gain, block.ln2_bias, eps)
+    return layer_norm(ffn, y, block.ln2_gain, block.ln2_bias, eps)
 
 
 def forward_batch(

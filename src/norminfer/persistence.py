@@ -9,10 +9,11 @@ Checkpoint layout, in file order:
   payload       raw little-endian tensor bytes, concatenated in the
                 deterministic parameter traversal order
 
-The header records the model config with its hash, caller metadata, a
-tensor manifest (name, shape, dtype per tensor), and the SHA-256 of the
-payload. Every section is verified on load so corruption is reported by
-section name instead of surfacing as garbage weights.
+The header records the model config and the caller metadata, each with
+its hash, a tensor manifest (name, shape, dtype per tensor), and the
+SHA-256 of the payload. Every section is verified on load so corruption is
+reported by section name instead of surfacing as garbage weights. Files
+written before ``meta_sha256`` was added to version 1 load unverified meta.
 
 Run configuration is a flat ``key = value`` text file. Unknown keys are
 rejected rather than ignored, omitted keys take the full-scale defaults,
@@ -44,12 +45,16 @@ _PREFIX = struct.Struct("<8sIQ")
 _PAYLOAD_ALIGN = 64
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _canonical_json(obj, **options) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), **options).encode("utf-8")
+
+
+def _sha256_json(obj) -> str:
+    return hashlib.sha256(_canonical_json(obj)).hexdigest()
 
 
 def config_hash(config: ModelConfig) -> str:
-    return hashlib.sha256(_canonical_json(config.to_dict())).hexdigest()
+    return _sha256_json(config.to_dict())
 
 
 def _le_dtype(name: str) -> np.dtype:
@@ -81,20 +86,20 @@ def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path
         )
         arrays.append(arr)
         digest.update(arr)
+    try:
+        # through JSON and back, so the checksum covers what a load reads
+        meta = json.loads(_canonical_json(meta or {}, default=_jsonable, allow_nan=False))
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"header: {exc}") from None
     header = {
         "config": params.config.to_dict(),
         "config_sha256": config_hash(params.config),
-        "meta": meta or {},
+        "meta": meta,
+        "meta_sha256": _sha256_json(meta),
         "tensors": manifest,
         "payload_sha256": digest.hexdigest(),
     }
-    try:
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":"), default=_jsonable,
-            allow_nan=False,
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"header: {exc}") from None
+    header_bytes = _canonical_json(header)
     with atomic_write(path, binary=True) as fh:
         fh.write(_PREFIX.pack(MAGIC, CHECKPOINT_VERSION, len(header_bytes)))
         fh.write(header_bytes)
@@ -161,6 +166,8 @@ def _read_header(raw: np.ndarray) -> tuple[dict, int]:
         raise CheckpointError(
             f"header: meta must be an object, got {type(header['meta']).__name__}"
         )
+    if "meta_sha256" in header and _sha256_json(header["meta"]) != header["meta_sha256"]:
+        raise CheckpointError("meta: checksum mismatch, metadata is corrupt")
     return header, header_end
 
 

@@ -4,16 +4,18 @@ The module provides exactly the operations the decoder classifier needs:
 dense and batched matrix products, broadcast addition for biases, embedding
 row gathers, causal masking, a numerically stabilized softmax, the tanh
 form of the gaussian error linear unit, fused causal attention and
-feed-forward primitives, layer normalization, and the scalar reductions
-used by the loss.
+feed-forward primitives, layer normalization of a residual sum, and the
+scalar reductions used by the loss.
 
 Gradients are computed with a tape. While a :class:`GradTape` is open in
-the current thread, every primitive that touches a tensor requiring
-gradients appends one record in execution order. ``GradTape.backward``
-walks those records exactly once in reverse, accumulating adjoints
-additively, so a value consumed by several later operations receives the
-sum of the gradients from each use. With no active tape the primitives run
-plain numpy with no bookkeeping, which is the inference path.
+the current thread (and not suspended by ``untaped``), every primitive that
+touches a tensor requiring gradients appends one record in execution order.
+``GradTape.backward`` walks those records exactly once in reverse,
+accumulating adjoints additively, so a value consumed by several later
+operations receives the sum of the gradients from each use, and releases
+each record once pulled, so activations are freed during the pass. With no
+active tape the primitives run plain numpy with no bookkeeping, which is
+the inference path.
 
 Dense products of a batched input with a 2-d weight fold every leading
 dimension into rows, so the forward pass and both gradients are one matrix
@@ -43,13 +45,15 @@ The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
 primitive too, ``feed_forward``. Its hidden layer is wider than its input
 (four times, by default), so without a recording tape it runs over tiles
 of rows, each at most ``FFN_TILE_ELEMENTS`` hidden activations, and never
-holds a full-size hidden array. Under a tape it keeps the three full-size arrays its backward
-pass reads: the biased pre-activation, the tanh term and the gelu output.
+holds a full-size hidden array. Under a tape it keeps the three full-size
+arrays its backward pass reads: the biased pre-activation, the tanh term
+and the gelu output.
 
-The elementwise passes, the gelu kernels shared by ``gelu`` and
-``feed_forward`` and the layer-norm forward and pull, work in place in a
-few buffers, in the operation order of their textbook formulas, so they
-give the bits those formulas give.
+``layer_norm`` is the whole add & norm step, LayerNorm(x + Sublayer(x)),
+and hands one gradient to both summands. It, the other elementwise passes
+and the gelu kernels shared by ``gelu`` and ``feed_forward`` work in place
+in a few buffers, in the operation order of their textbook formulas, so
+they give the bits those formulas give.
 
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
@@ -59,9 +63,10 @@ inherits the dtype of its tensor inputs and mixing dtypes is an error.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -119,41 +124,20 @@ class Tensor:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return add(self, neg(other))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-
-class _TapeRecord:
-    __slots__ = ("inputs", "output", "pull")
-
-    def __init__(self, inputs, output, pull):
-        self.inputs = inputs
-        self.output = output
-        self.pull = pull
-
 
 class GradTape:
     """Ordered record of primitive operations for one backward pass.
 
     Execution order is a topological order of the data flow, so replaying
     the records back to front visits each operation exactly once with the
-    full adjoint of its output already accumulated.
+    full adjoint of its output already accumulated. ``len`` counts the
+    records made, also once ``backward`` has released them.
     """
 
     def __init__(self):
-        self._records: list[_TapeRecord] = []
+        # (inputs, output, pull) per recorded call, None once pulled
+        self._records: list[tuple | None] = []
+        self._pulled = False
 
     def __enter__(self) -> "GradTape":
         _ACTIVE_TAPES.set(_ACTIVE_TAPES.get() + (self,))
@@ -165,28 +149,30 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def _record(self, inputs: tuple[Tensor, ...], output: Tensor, pull: Callable) -> None:
-        self._records.append(_TapeRecord(inputs, output, pull))
-
     def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every recorded tensor that requires it.
+        """Populate ``grad`` on every recorded leaf tensor that requires it.
 
-        ``loss`` must be a scalar (a single-element tensor); seeding the
-        adjoint of a non-scalar output is not defined for this tape.
+        ``loss`` must be a scalar (a single-element tensor). Each record is
+        dropped once pulled, with the activations its pull holds, so a tape
+        runs backward once and non-leaf tensors end with ``grad`` None.
         """
+        if self._pulled:
+            raise ContractError("backward already ran on this tape, which released its records")
         if loss.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {loss.shape}"
             )
-        produced = {id(rec.output) for rec in self._records}
+        self._pulled = True
+        records = self._records
+        produced = {id(output) for _, output, _ in records}
         held: set[int] = set()
         loss.grad = np.ones_like(loss.data)
-        for rec in reversed(self._records):
-            g_out = rec.output.grad
+        for i in reversed(range(len(records))):
+            (inputs, output, pull), records[i] = records[i], None
+            g_out, output.grad = output.grad, None
             if g_out is None:
                 continue
-            grads = rec.pull(g_out)
-            for tensor, grad in zip(rec.inputs, grads):
+            for tensor, grad in zip(inputs, pull(g_out)):
                 if grad is None or not tensor.requires_grad:
                     continue
                 if tensor.grad is not None:
@@ -196,14 +182,21 @@ class GradTape:
                 else:
                     tensor.grad = _leaf_grad(grad, held)
 
-    def clear(self) -> None:
-        self._records.clear()
-
 
 # Open tapes, innermost last. A context variable keeps them per thread (and
 # per asyncio task), so inference in one thread never records onto a tape
 # another thread is training with.
 _ACTIVE_TAPES: ContextVar[tuple[GradTape, ...]] = ContextVar("active_tapes", default=())
+
+
+@contextmanager
+def untaped() -> Iterator[None]:
+    """Suspend the open tapes of this context: nothing inside records."""
+    token = _ACTIVE_TAPES.set(())
+    try:
+        yield
+    finally:
+        _ACTIVE_TAPES.reset(token)
 
 
 def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
@@ -227,14 +220,18 @@ def backward(loss: Tensor) -> None:
     tapes[-1].backward(loss)
 
 
+def _recording(inputs: tuple[Tensor, ...]) -> GradTape | None:
+    """The innermost open tape, if any of ``inputs`` requires a gradient."""
+    tapes = _ACTIVE_TAPES.get()
+    return tapes[-1] if tapes and any(t.requires_grad for t in inputs) else None
+
+
 def _result(inputs: tuple[Tensor, ...], data: np.ndarray, pull: Callable) -> Tensor:
     """Wrap a primitive result, recording it if a tape is listening."""
-    needs = any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=needs, dtype=data.dtype)
-    if needs:
-        tapes = _ACTIVE_TAPES.get()
-        if tapes:
-            tapes[-1]._record(inputs, out, pull)
+    out = Tensor(data, requires_grad=any(t.requires_grad for t in inputs), dtype=data.dtype)
+    tape = _recording(inputs)
+    if tape is not None:
+        tape._records.append((inputs, out, pull))
     return out
 
 
@@ -545,8 +542,7 @@ def causal_attention(
         scratch = n_heads * longest
         inputs = (qkv, query)
     v_col = k_col + d
-    recorded = any(t.requires_grad for t in inputs) and bool(_ACTIVE_TAPES.get())
-    keep = recorded or return_weights
+    keep = return_weights or _recording(inputs) is not None
 
     def heads(rows: np.ndarray, col: int) -> np.ndarray:
         """(n_heads, L, d_head) view of columns [col, col + d)."""
@@ -683,7 +679,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         )
     n, f = x.shape[0], w1.shape[1]
     inputs = (x, w1, b1, w2, b2)
-    recorded = any(t.requires_grad for t in inputs) and bool(_ACTIVE_TAPES.get())
+    recorded = _recording(inputs) is not None
     tiles = 1 if recorded else max(1, -(-n // max(1, FFN_TILE_ELEMENTS // f)))
     bounds = [n * i // tiles for i in range(tiles + 1)]
     rows = -(-n // tiles)
@@ -709,21 +705,25 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     return _result(inputs, out, pull)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last dimension to zero mean and unit variance, then
-    apply a learned elementwise gain and bias.
+def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
+    """Add & norm: normalize the last dimension of ``x + residual`` to zero
+    mean and unit variance, then apply a learned elementwise gain and bias.
 
     Variance is the population variance over the last dimension; ``eps``
-    sits inside the square root. The forward and the backward pass each
-    work in two row-sized buffers, in place.
+    sits inside the square root. The sum is centred in place in the buffer
+    that forms it, so the bits are those of ``add`` then the normalization.
+    The forward and the backward pass each work in two buffers, in place,
+    and ``x`` and ``residual`` get one gradient, as from ``add``.
     """
-    _check_dtypes(x, gain, bias)
+    _check_dtypes(x, residual, gain, bias)
     n = x.shape[-1]
-    if gain.shape != (n,) or bias.shape != (n,):
+    if residual.shape != x.shape or gain.shape != (n,) or bias.shape != (n,):
         raise ShapeError(
-            f"layer_norm gain/bias must be ({n},), got {gain.shape} and {bias.shape}"
+            f"layer_norm needs residual {x.shape}, gain and bias ({n},); got "
+            f"{residual.shape}, {gain.shape} and {bias.shape}"
         )
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    xhat = np.add(x.data, residual.data)
+    xhat -= xhat.mean(axis=-1, keepdims=True)
     data = np.multiply(xhat, xhat)
     var = data.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.dtype.type(eps))
@@ -745,9 +745,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx -= g_hat_sum
         gx -= scratch
         gx *= inv / n
-        return gx, g_gain, g_bias
+        return gx, gx, g_gain, g_bias
 
-    return _result((x, gain, bias), data, pull)
+    return _result((x, residual, gain, bias), data, pull)
 
 
 def log(x: Tensor) -> Tensor:

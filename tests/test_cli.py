@@ -433,6 +433,17 @@ def _mutate(field, value):
     return _header_edit(lambda header: header.__setitem__(field, value))
 
 
+def _flip_meta_digit(raw):
+    """Invert the lowest bit of the last digit of ``best_epoch``, which
+    leaves the header valid JSON with another epoch number."""
+    end = raw.index(b'"best_epoch":') + len(b'"best_epoch":')
+    while raw[end : end + 1].isdigit():
+        end += 1
+    out = bytearray(raw)
+    out[end - 1] ^= 0x01
+    return bytes(out)
+
+
 # fault name -> (section the error must name first, fault)
 CHECKPOINT_FAULTS = {
     **{f"delete {field}": ("header", _header_edit(lambda header, field=field: header.pop(field)))
@@ -440,6 +451,8 @@ CHECKPOINT_FAULTS = {
     "mutate config": ("config", _header_edit(lambda header: header["config"].update(n_heads=1))),
     "mutate config_sha256": ("config", _mutate("config_sha256", "0" * 64)),
     "mutate meta": ("header", _mutate("meta", ["vocab_sha256"])),
+    "flip meta digit": ("meta", _flip_meta_digit),
+    "mutate meta_sha256": ("meta", _mutate("meta_sha256", "0" * 64)),
     "mutate tensors": ("tensor manifest",
                        _header_edit(lambda header: header["tensors"].pop())),
     "mutate payload_sha256": ("payload", _mutate("payload_sha256", "0" * 64)),

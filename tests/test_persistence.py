@@ -254,6 +254,28 @@ class TestCheckpointIntegrity:
         with pytest.raises(CheckpointError, match="header: meta"):
             load_checkpoint(bad)
 
+    def test_tampered_meta_checksum_mismatch(self, saved, tmp_path):
+        *_, path = saved
+        header, payload = split_file(path.read_bytes())
+        header["meta"]["best_epoch"] = 2
+        bad = tmp_path / "meta.bin"
+        bad.write_bytes(rebuild_file(header, payload))
+        with pytest.raises(CheckpointError, match="^meta: checksum mismatch"):
+            load_checkpoint(bad)
+
+    def test_file_without_meta_checksum_loads(self, saved, tmp_path):
+        """Files written before the meta checksum existed have no
+        ``meta_sha256``; they load under the same format version."""
+        _, params, meta, path = saved
+        header, payload = split_file(path.read_bytes())
+        del header["meta_sha256"]
+        old = tmp_path / "old.bin"
+        old.write_bytes(rebuild_file(header, payload))
+        loaded = load_checkpoint(old)
+        assert loaded.meta == meta
+        for (_, want), (_, got) in zip(params.named_tensors(), loaded.params.named_tensors()):
+            assert got.data.tobytes() == want.data.tobytes()
+
     def test_invalid_config_in_header(self, saved, tmp_path):
         *_, path = saved
         header, payload = split_file(path.read_bytes())

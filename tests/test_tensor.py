@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -285,26 +286,34 @@ class TestFeedForward:
                 feed_forward(*args)
 
 
+def zeros64(shape):
+    return t64(np.zeros(shape))
+
+
 class TestLayerNorm:
     def test_two_point_row(self):
-        out = layer_norm(t64([[1.0, 3.0]]), t64([1.0, 1.0]), t64([0.0, 0.0]))
+        out = layer_norm(t64([[1.0, 3.0]]), zeros64((1, 2)), t64([1.0, 1.0]), t64([0.0, 0.0]), 1e-5)
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-4)
 
     def test_gain_and_bias_applied(self):
-        out = layer_norm(t64([[1.0, 3.0]]), t64([2.0, 2.0]), t64([5.0, 5.0]))
+        out = layer_norm(t64([[1.0, 3.0]]), zeros64((1, 2)), t64([2.0, 2.0]), t64([5.0, 5.0]), 1e-5)
         np.testing.assert_allclose(out.data, [[3.0, 7.0]], atol=1e-4)
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(19)
         x = t64(rng.normal(loc=3.0, scale=2.0, size=(6, 16)))
         ones, zeros = t64(np.ones(16)), t64(np.zeros(16))
-        out = layer_norm(x, ones, zeros).data
+        out = layer_norm(x, zeros64((6, 16)), ones, zeros, 1e-5).data
         assert np.abs(out.mean(axis=-1)).max() < 1e-6
         assert np.abs(out.var(axis=-1) - 1.0).max() < 1e-4
 
     def test_gain_bias_shape_checked(self):
         with pytest.raises(ShapeError):
-            layer_norm(t64(np.ones((2, 4))), t64(np.ones(3)), t64(np.zeros(4)))
+            layer_norm(t64(np.ones((2, 4))), zeros64((2, 4)), t64(np.ones(3)), t64(np.zeros(4)), 1e-5)
+
+    def test_residual_shape_checked(self):
+        with pytest.raises(ShapeError):
+            layer_norm(t64(np.ones((2, 4))), zeros64((4,)), t64(np.ones(4)), t64(np.zeros(4)), 1e-5)
 
     def test_gradients(self):
         rng = np.random.default_rng(23)
@@ -312,38 +321,45 @@ class TestLayerNorm:
         gain = parameter(rng.normal(size=(8,)), dtype=np.float64)
         bias = parameter(rng.normal(size=(8,)), dtype=np.float64)
         w = rng.normal(size=(3, 8))
+        residual = parameter(rng.normal(size=(3, 8)), dtype=np.float64)
         with GradTape() as tape:
-            out = layer_norm(x, gain, bias)
+            out = layer_norm(x, residual, gain, bias, 1e-5)
             tape.backward(total(mul(out, Tensor(w, dtype=np.float64))))
 
         def f():
-            mu = x.data.mean(axis=-1, keepdims=True)
-            c = x.data - mu
+            s = x.data + residual.data
+            mu = s.mean(axis=-1, keepdims=True)
+            c = s - mu
             v = (c * c).mean(axis=-1, keepdims=True)
             xh = c / np.sqrt(v + 1e-5)
             return float(((gain.data * xh + bias.data) * w).sum())
 
         assert max_rel_err(x.grad, numeric_grad(f, x.data)) < 1e-5
+        assert max_rel_err(residual.grad, numeric_grad(f, residual.data)) < 1e-5
         assert max_rel_err(gain.grad, numeric_grad(f, gain.data)) < 1e-6
         assert max_rel_err(bias.grad, numeric_grad(f, bias.data)) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(8,), (6, 16), (2, 5, 240)], ids=str)
     def test_bytes_equal_formulas(self, shape, dtype):
-        """The in-place forward and pull give the bits of the formulas."""
+        """The in-place forward and pull give the bits of the formulas
+        applied to ``x + residual``, and both summands get the same
+        gradient, in separate memory."""
         rng = np.random.default_rng(31)
-        x, gain, bias = (
+        x, gain, bias, residual = (
             parameter(rng.normal(loc=1.0, scale=2.0, size=s).astype(dtype), dtype=dtype)
-            for s in (shape, shape[-1:], shape[-1:])
+            for s in (shape, shape[-1:], shape[-1:], shape)
         )
         upstream = rng.normal(size=shape).astype(dtype)
         with GradTape() as tape:
-            out = layer_norm(x, gain, bias, eps=1e-5)
+            out = layer_norm(x, residual, gain, bias, 1e-5)
             tape.backward(total(mul(out, Tensor(upstream))))
-        want = reference_layer_norm(x.data, gain.data, bias.data, 1e-5, upstream)
+        want = reference_layer_norm(x.data + residual.data, gain.data, bias.data, 1e-5, upstream)
         for got, w in zip((out.data, x.grad, gain.grad, bias.grad), want):
             assert got.dtype == w.dtype and got.shape == w.shape
             assert got.tobytes() == w.tobytes()
+        assert residual.grad.tobytes() == x.grad.tobytes()
+        assert not np.shares_memory(residual.grad, x.grad)
 
 
 class TestCausalMask:
@@ -706,6 +722,32 @@ class TestTapeMechanics:
         tape = GradTape()
         assert len(tape) == 0
 
+    def test_backward_releases_each_record_once_pulled(self):
+        x = parameter(np.linspace(-1.0, 1.0, 6).reshape(2, 3), dtype=np.float64)
+        w = parameter(np.ones((3, 4)), dtype=np.float64)
+        with GradTape() as tape:
+            h = matmul(x, w)
+            a = gelu(h)
+            loss = total(a)
+            activations = [weakref.ref(h.data), weakref.ref(a.data)]
+            del h, a
+            n_records = len(tape)
+            tape.backward(loss)
+            assert all(ref() is None for ref in activations)
+            assert len(tape) == n_records == 3
+            assert loss.grad is None and x.grad is not None and w.grad is not None
+            with pytest.raises(ContractError):
+                tape.backward(loss)
+
+    def test_untaped_suspends_open_tapes(self):
+        x = parameter(np.ones(3), dtype=np.float64)
+        with GradTape() as tape:
+            with T.untaped():
+                y = mul(x, x)
+            assert y.requires_grad and len(tape) == 0
+            mul(x, x)
+        assert len(tape) == 1
+
     def test_leaf_gradients_are_writeable_and_unshared(self):
         a = parameter(np.array([1.0, 2.0]), dtype=np.float64)
         b = parameter(np.array([3.0, 4.0]), dtype=np.float64)
@@ -758,26 +800,29 @@ class TestFiniteDifferenceSweep:
         b = parameter(rng.normal(size=(3,)), dtype=np.float64)
         gain = parameter(np.ones(3), dtype=np.float64)
         bias = parameter(np.zeros(3), dtype=np.float64)
+        residual = parameter(rng.normal(size=(4, 3)), dtype=np.float64)
         sel = np.array([2, 0, 1, 1])
 
         def forward_value():
             h = np.log(
                 np.maximum(
-                    _softmax_np(_ln_np(gelu_np(x.data @ w.data + b.data), gain.data, bias.data)),
+                    _softmax_np(_ln_np(
+                        gelu_np(x.data @ w.data + b.data) + residual.data, gain.data, bias.data
+                    )),
                     1e-12,
                 )
             )
             return float(-np.mean(h[np.arange(4), sel]))
 
         with GradTape() as tape:
-            h = layer_norm(gelu(add(matmul(x, w), b)), gain, bias)
+            h = layer_norm(gelu(add(matmul(x, w), b)), residual, gain, bias, 1e-5)
             p = softmax(h)
             picked = take_rows(p, sel)
             loss = neg(mean(log(clamp_min(picked, 1e-12))))
             tape.backward(loss)
 
         assert abs(loss.item() - forward_value()) < 1e-12
-        for t in (x, w, b, gain, bias):
+        for t in (x, w, b, residual, gain, bias):
             assert max_rel_err(t.grad, numeric_grad(forward_value, t.data)) < 1e-5
 
 
