@@ -371,7 +371,7 @@ def decoder_block(
     rows. The attention core, the feed-forward network and each add & norm
     are one fused primitive (``causal_attention``, ``feed_forward``,
     ``layer_norm``), so an untaped block allocates no (N, d_ffn) array, at
-    most one attention weights buffer and no separate residual sum.
+    most one attention tile buffer and no separate residual sum.
     """
     live_dropout = dropout > 0.0 and rng is not None
     last = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else None

@@ -28,23 +28,23 @@ Causal attention is one primitive, ``causal_attention``, rather than a chain
 of head split, score product, scaling, masking, softmax, value product and
 head merge. It works on packed sequences: the fused query/key/value rows of
 several sequences laid end to end in one (N, 3d) array, so padding is never
-computed. Heads are split and merged through strided views, and the weights
-of a sequence of length L, (H, L, L), are filled in place from the score
-product to the value product; no other L x L array is allocated. Each
-sequence keeps its own weights array only when a tape records the call or
-the caller asks for the weights; otherwise all sequences reuse one buffer
-sized for the longest. The primitive can also run only the last row of each
-sequence as a query, against all its keys and values, which is all a reader
-of the end-of-sequence rows needs. The backward pass writes the input
-gradients into one array shaped like its input. The results are the bits
-the separate ``matmul``, ``scale``, ``masked_fill`` and ``softmax``
-primitives give on each sequence alone, which remain for the classification
-head and as the reference the fused primitive is tested against.
+computed. Heads are split and merged through strided views. As in
+FlashAttention (Dao et al., 2022), each sequence runs in query-row tiles of
+at most ``TILE_ELEMENTS`` weights, filled in place from the score product
+to the value product; rows [r0, r1) score only the keys [0, r1) they can
+see. Only when a tape records the call or the caller asks for the weights
+does a sequence keep its own (H, L, L) weights array; otherwise every tile
+reuses one buffer. The primitive can also run only the last row of each
+sequence as a query, which is all a reader of the end-of-sequence rows
+needs. A sequence of one tile gets the bits the separate ``matmul``,
+``scale``, ``masked_fill`` and ``softmax`` primitives give on it alone,
+which remain for the classification head and as the reference the fused
+primitive is tested against; longer ones differ by float32 rounding.
 
 The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
 primitive too, ``feed_forward``. Its hidden layer is wider than its input
 (four times, by default), so without a recording tape it runs over tiles
-of rows, each at most ``FFN_TILE_ELEMENTS`` hidden activations, and never
+of rows, each at most ``TILE_ELEMENTS`` hidden activations, and never
 holds a full-size hidden array. Under a tape it keeps the three full-size
 arrays its backward pass reads: the biased pre-activation, the tanh term
 and the gelu output.
@@ -76,8 +76,9 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
-# hidden activations per row tile of an untaped ``feed_forward``: 1 MiB of float32
-FFN_TILE_ELEMENTS = 1 << 18
+# elements per row tile of ``causal_attention`` weights and of untaped
+# ``feed_forward`` hidden activations: 512 KiB of float32
+TILE_ELEMENTS = 1 << 17
 
 
 class Tensor:
@@ -423,8 +424,17 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 
 
 @lru_cache(maxsize=64)
-def _keep_matrix(size: int) -> np.ndarray:
-    return np.tril(np.ones((size, size), dtype=bool))
+def _causal_matrix(size: int, keep: bool) -> np.ndarray:
+    """Read-only mask, True where key j <= query i (``keep``), else where j > i."""
+    mask = np.tri(size, dtype=bool) if keep else ~np.tri(size, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _row_tiles(rows: int, per_tile: int) -> tuple[list[int], int]:
+    """Bounds of balanced row tiles at most max(1, per_tile) high, and the tallest height."""
+    tiles = max(1, -(-rows // max(1, per_tile)))
+    return [rows * i // tiles for i in range(tiles + 1)], -(-rows // tiles)
 
 
 class CausalMask:
@@ -439,7 +449,7 @@ class CausalMask:
         if size < 1:
             raise ContractError(f"mask size must be >= 1, got {size}")
         self.size = size
-        self.keep = _keep_matrix(size)
+        self.keep = _causal_matrix(size, True)
 
 
 def masked_fill(scores: Tensor, mask: CausalMask) -> Tensor:
@@ -497,16 +507,18 @@ def causal_attention(
 
     Returns the output, and with ``return_weights`` also each sequence's
     (n_heads, L, L) weights ((n_heads, 1, L) with ``query``). Heads are
-    split and merged through strided views, so the weights are the only
-    L x L arrays. Each sequence gets its own weights array only when a tape
-    records the call or the caller asks for the weights; otherwise all
-    sequences reuse one buffer sized for the longest, with the same ops
-    and bits. Per sequence the result is bit-identical to ``matmul``,
-    ``scale``, ``masked_fill`` (left out with ``query``), ``softmax`` and
-    ``matmul`` applied in turn to its (n_heads, L, d_head) head views, with
-    the mask a ``keep[:L, :L]`` view of one max-length keep-matrix. The
-    backward pass writes the gradients into arrays shaped like the inputs
-    and walks the sequences with two scratch buffers sized for the longest.
+    split and merged through strided views. Each sequence runs in balanced
+    query-row tiles of at most ``TILE_ELEMENTS`` weights (at least one
+    row); rows [r0, r1) score keys [0, r1) only, mask just their diagonal
+    block and weigh just those keys' values (``query`` is one tile). Only a
+    recorded call or ``return_weights`` gives each sequence its own
+    weights array, zero past each tile's keys; otherwise every tile reuses
+    one buffer, with the same bits. Tiles depend only on a sequence's own
+    length. A one-tile sequence (n_heads * L**2 <= ``TILE_ELEMENTS``) gets
+    the bits of ``matmul``, ``scale``, ``masked_fill`` (not with ``query``),
+    ``softmax`` and ``matmul`` on its (n_heads, L, d_head) head views; in a
+    longer one, smaller products may take other BLAS kernels and move it by
+    float32 rounding. The pull walks each sequence's full weights array.
     """
     lengths = [int(n) for n in lengths]
     parts = 3 if query is None else 2
@@ -528,8 +540,7 @@ def causal_attention(
     if query is None:
         # queries are the rows of each sequence, at columns [0, d)
         q_src, q_spans, k_col = qkv.data, [(s, s + n) for s, n in zip(starts, lengths)], d
-        drop = ~_keep_matrix(longest)
-        scratch = n_heads * longest * longest
+        drop = _causal_matrix(longest, False)
         inputs = (qkv,)
     else:
         _check_dtypes(qkv, query)
@@ -539,7 +550,6 @@ def causal_attention(
             )
         q_src, q_spans, k_col = query.data, [(i, i + 1) for i in range(len(lengths))], 0
         drop = None
-        scratch = n_heads * longest
         inputs = (qkv, query)
     v_col = k_col + d
     keep = return_weights or _recording(inputs) is not None
@@ -551,27 +561,35 @@ def causal_attention(
 
     kd = qkv.data
     out = np.empty((q_src.shape[0], d), dtype=dtype)
-    shared = None if keep else np.empty(scratch, dtype=dtype)
+    tiles = [
+        _row_tiles(b - a, TILE_ELEMENTS // (n_heads * n)) for n, (a, b) in zip(lengths, q_spans)
+    ]
+    size = max(n_heads * height * n for n, (_, height) in zip(lengths, tiles))
+    shared = None if keep else np.empty(size, dtype=dtype)
     weights = []
-    for s, n, (a, b) in zip(starts, lengths, q_spans):
+    for s, n, (a, b), (bounds, _) in zip(starts, lengths, q_spans, tiles):
         seg = kd[s : s + n]
-        shape = (n_heads, b - a, n)
-        w = np.empty(shape, dtype=dtype) if keep else shared[: math.prod(shape)].reshape(shape)
-        np.matmul(heads(q_src[a:b], 0), heads(seg, k_col).swapaxes(-2, -1), out=w)
-        w *= c
-        if drop is not None:
-            np.copyto(w, fill, where=drop[:n, :n])
-        w -= w.max(axis=-1, keepdims=True)
-        np.exp(w, out=w)
-        w /= w.sum(axis=-1, keepdims=True)
-        np.matmul(w, heads(seg, v_col), out=heads(out[a:b], 0))
+        q, k, v, o = heads(q_src[a:b], 0), heads(seg, k_col), heads(seg, v_col), heads(out[a:b], 0)
+        w = np.zeros((n_heads, b - a, n), dtype=dtype) if keep else None
+        for r0, r1 in zip(bounds, bounds[1:]):
+            keys = n if drop is None else r1  # the last-row query sees every key
+            shape = (n_heads, r1 - r0, keys)
+            tile = w[:, r0:r1, :keys] if keep else shared[: math.prod(shape)].reshape(shape)
+            np.matmul(q[:, r0:r1], k[:, :keys].swapaxes(-2, -1), out=tile)
+            tile *= c
+            if drop is not None:
+                np.copyto(tile[..., r0:], fill, where=drop[: r1 - r0, : r1 - r0])
+            tile -= tile.max(axis=-1, keepdims=True)
+            np.exp(tile, out=tile)
+            tile /= tile.sum(axis=-1, keepdims=True)
+            np.matmul(tile, v[:, :keys], out=o[:, r0:r1])
         if keep:
             weights.append(w)
 
     def pull(g):
         g_kv = np.empty_like(kd)
         g_q = g_kv if query is None else np.empty_like(q_src)
-        gs_buf = np.empty(scratch, dtype=dtype)
+        gs_buf = np.empty(max(w.size for w in weights), dtype=dtype)
         prod_buf = np.empty_like(gs_buf)
         for s, n, (a, b), w in zip(starts, lengths, q_spans, weights):
             seg, g_seg, g_rows = kd[s : s + n], heads(g[a:b], 0), g_kv[s : s + n]
@@ -655,7 +673,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     (N, d) rows ``x``, W1 (d, f) and W2 (f, d_out).
 
     Without a recording tape the rows run in tiles of at most
-    ``FFN_TILE_ELEMENTS`` hidden activations, balanced so their heights
+    ``TILE_ELEMENTS`` hidden activations, balanced so their heights
     differ by at most one row, and every tile reuses two (rows, f) buffers:
     no (N, f) array is allocated. A recording tape gets one record whose
     forward keeps three (N, f) arrays, the biased pre-activation, the tanh
@@ -680,9 +698,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     n, f = x.shape[0], w1.shape[1]
     inputs = (x, w1, b1, w2, b2)
     recorded = _recording(inputs) is not None
-    tiles = 1 if recorded else max(1, -(-n // max(1, FFN_TILE_ELEMENTS // f)))
-    bounds = [n * i // tiles for i in range(tiles + 1)]
-    rows = -(-n // tiles)
+    bounds, rows = _row_tiles(n, n if recorded else TILE_ELEMENTS // f)
     pre = np.empty((rows, f), dtype=x.dtype)
     t = np.empty_like(pre)
     act = np.empty_like(pre) if recorded else t

@@ -25,6 +25,7 @@ from norminfer.model import (
     make_batch,
     multi_head_attention,
 )
+from norminfer import tensor
 from norminfer.tensor import (
     CausalMask,
     GradTape,
@@ -236,35 +237,45 @@ class TestAttention:
         assert not np.allclose(weights[0][0], weights[0][1])
 
 
+def assert_future_perturbation_leaves_prefix(rng):
+    """Over ten random toy models and pairs, changing token j leaves every
+    layer's rows before j bitwise identical."""
+    for _ in range(10):
+        config = build_toy_config(
+            vocab_words=20,
+            n_blocks=int(rng.integers(1, 3)),
+            d_model=8,
+            n_heads=2,
+            max_len=10,
+        )
+        params = build_toy_params(config, seed=int(rng.integers(1000)),
+                                  dtype=np.float64)
+        t = int(rng.integers(3, 9))
+        pair = build_random_pair(rng, config, t=t)
+        j = int(rng.integers(1, t))
+
+        perturbed = build_random_pair(rng, config, t=t)
+        perturbed.token_ids[:] = pair.token_ids
+        new_token = 3 + (int(pair.token_ids[j]) - 3 + 1) % (config.vocab_words - 3)
+        perturbed.token_ids[j] = new_token
+
+        _, h_base = forward_batch(make_batch([pair]), params, return_hidden=True)
+        # built directly, since make_batch rejects a perturbed end-of-sequence token
+        pert_batch = Batch(perturbed.token_ids, np.array([t - 1]))
+        _, h_pert = forward_batch(pert_batch, params, return_hidden=True)
+        # hidden layers are packed (N, d): rows before j are the prefix
+        for layer_base, layer_pert in zip(h_base, h_pert):
+            assert np.array_equal(layer_base[:j], layer_pert[:j])
+
+
 class TestCausality:
     def test_future_perturbation_leaves_prefix_bitwise_identical(self):
-        rng = np.random.default_rng(47)
-        for _ in range(10):
-            config = build_toy_config(
-                vocab_words=20,
-                n_blocks=int(rng.integers(1, 3)),
-                d_model=8,
-                n_heads=2,
-                max_len=10,
-            )
-            params = build_toy_params(config, seed=int(rng.integers(1000)),
-                                      dtype=np.float64)
-            t = int(rng.integers(3, 9))
-            pair = build_random_pair(rng, config, t=t)
-            j = int(rng.integers(1, t))
+        assert_future_perturbation_leaves_prefix(np.random.default_rng(47))
 
-            perturbed = build_random_pair(rng, config, t=t)
-            perturbed.token_ids[:] = pair.token_ids
-            new_token = 3 + (int(pair.token_ids[j]) - 3 + 1) % (config.vocab_words - 3)
-            perturbed.token_ids[j] = new_token
-
-            _, h_base = forward_batch(make_batch([pair]), params, return_hidden=True)
-            # built directly, since make_batch rejects a perturbed end-of-sequence token
-            pert_batch = Batch(perturbed.token_ids, np.array([t - 1]))
-            _, h_pert = forward_batch(pert_batch, params, return_hidden=True)
-            # hidden layers are packed (N, d): rows before j are the prefix
-            for layer_base, layer_pert in zip(h_base, h_pert):
-                assert np.array_equal(layer_base[:j], layer_pert[:j])
+    def test_future_perturbation_at_multi_tile_sizes(self, monkeypatch):
+        # at 2 heads, pairs of 3 to 8 tokens run in attention tiles of 1 or 2 rows
+        monkeypatch.setattr(tensor, "TILE_ELEMENTS", 16)
+        assert_future_perturbation_leaves_prefix(np.random.default_rng(139))
 
     def test_batch_rows_match_pairs_scored_alone(self):
         """Pairs of 5 and 140 tokens batched together score as they do

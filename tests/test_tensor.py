@@ -221,7 +221,7 @@ class TestFeedForward:
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("n", [7, 8, 9, 29], ids=["tile-1", "tile", "tile+1", "3tile+5"])
     def test_tile_boundaries_match_composition(self, monkeypatch, dtype, tol, n):
-        monkeypatch.setattr(T, "FFN_TILE_ELEMENTS", 8 * 32)  # 8 rows of the width 32
+        monkeypatch.setattr(T, "TILE_ELEMENTS", 8 * 32)  # 8 rows of the width 32
         rng = np.random.default_rng(43)
         arrays = ffn_arrays(rng, n, dtype)
         upstream = rng.normal(size=(n, 8)).astype(dtype)
@@ -250,7 +250,7 @@ class TestFeedForward:
     def test_memory_untaped_in_tiles_taped_three_activations(self, monkeypatch):
         tile, f = 64, 256
         n = 16 * tile
-        monkeypatch.setattr(T, "FFN_TILE_ELEMENTS", tile * f)
+        monkeypatch.setattr(T, "TILE_ELEMENTS", tile * f)
         arrays = ffn_arrays(np.random.default_rng(53), n, np.float64, d=64, f=f)
         inputs = [parameter(a, dtype=np.float64) for a in arrays]
         activation = n * f * 8  # bytes of one (N, d_ffn) float64 array
@@ -389,6 +389,16 @@ class TestCausalMask:
         with np.errstate(over="ignore"), GradTape() as tape:
             tape.backward(total(masked_fill(x, CausalMask(3))))
         assert np.array_equal(x.grad, np.tril(np.ones((3, 3))))
+
+    def test_cached_masks_are_read_only(self):
+        """The keep- and drop-matrices are cached for the whole process, so
+        a write into one would corrupt every later attention call."""
+        with pytest.raises(ValueError):
+            CausalMask(5).keep[0, 4] = True
+        with pytest.raises(ValueError):
+            T._causal_matrix(5, False)[0, 4] = False
+        assert CausalMask(5).keep is CausalMask(5).keep
+        assert np.array_equal(CausalMask(5).keep, np.tril(np.ones((5, 5), dtype=bool)))
 
 
 def packed_case(shape):
@@ -571,6 +581,118 @@ class TestCausalAttention:
         for lengths in ([3], [2, 3], [4, 0]):
             with pytest.raises(ShapeError, match="lengths"):
                 causal_attention(qkv, lengths, 1)
+
+
+# At 3 heads, tiles of at most 360 weights are one tile for 9 tokens or
+# fewer, two tiles of 6 and 7 rows for 13 tokens and eight tiles of 3 or 4
+# rows for 30 tokens.
+SMALL_TILE = 360
+TILED_LENGTHS = [9, 1, 30, 13]
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    monkeypatch.setattr(T, "TILE_ELEMENTS", SMALL_TILE)
+    assert len(T._row_tiles(30, SMALL_TILE // (3 * 30))[0]) == 9
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestCausalAttentionTiles:
+    """Sequences longer than one tile run in query-row tiles that score only
+    the keys their rows can see."""
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
+    def test_matches_composition(self, dtype, tol):
+        rng = np.random.default_rng(103)
+        qkv, upstream = attention_qkv(rng, TILED_LENGTHS, 3, 4, dtype)
+        out, weights, grad = attention_grads(qkv, TILED_LENGTHS, 3, upstream)
+        want_out, want_weights, want_grad = reference_packed_attention(
+            qkv.data, TILED_LENGTHS, 3, upstream
+        )
+        for got, want in zip([out, grad, *weights], [want_out, want_grad, *want_weights]):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_plain_kept_and_taped_give_the_same_bits(self, dtype):
+        rng = np.random.default_rng(107)
+        qkv, _ = attention_qkv(rng, TILED_LENGTHS, 3, 4, dtype)
+        plain = causal_attention(Tensor(qkv.data), TILED_LENGTHS, 3)
+        kept, weights = causal_attention(Tensor(qkv.data), TILED_LENGTHS, 3, return_weights=True)
+        with GradTape() as tape:
+            taped, taped_weights = causal_attention(qkv, TILED_LENGTHS, 3, return_weights=True)
+        assert len(tape) == 1
+        assert plain.data.tobytes() == kept.data.tobytes() == taped.data.tobytes()
+        for a, b in zip(weights, taped_weights):
+            assert a.tobytes() == b.tobytes()
+
+    def test_packed_rows_equal_each_sequence_alone(self):
+        rng = np.random.default_rng(109)
+        qkv, upstream = attention_qkv(rng, TILED_LENGTHS, 3, 4, np.float32)
+        out, weights, grad = attention_grads(qkv, TILED_LENGTHS, 3, upstream)
+        plain = causal_attention(Tensor(qkv.data), TILED_LENGTHS, 3).data
+        start = 0
+        for n, w in zip(TILED_LENGTHS, weights):
+            rows = slice(start, start + n)
+            start += n
+            alone = parameter(qkv.data[rows].copy(), dtype=np.float32)
+            alone_out, (alone_w,), alone_grad = attention_grads(alone, [n], 3, upstream[rows])
+            assert out[rows].tobytes() == plain[rows].tobytes() == alone_out.tobytes()
+            assert w.tobytes() == alone_w.tobytes()
+            assert grad[rows].tobytes() == alone_grad.tobytes()
+
+    def test_last_row_query_is_one_tile(self):
+        rng = np.random.default_rng(113)
+        qkv, _ = attention_qkv(rng, TILED_LENGTHS, 3, 4, np.float32)
+        kv, query = last_row_inputs(qkv.data, TILED_LENGTHS)
+        out, weights = causal_attention(kv, TILED_LENGTHS, 3, return_weights=True, query=query)
+        want_out, want_weights, _ = reference_packed_attention(
+            qkv.data, TILED_LENGTHS, 3, np.zeros((4, 12), dtype=np.float32), last_only=True
+        )
+        assert out.data.tobytes() == want_out.tobytes()
+        for w, want in zip(weights, want_weights):
+            assert w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_are_causal_rows_summing_to_one(self, dtype):
+        rng = np.random.default_rng(127)
+        qkv, _ = attention_qkv(rng, TILED_LENGTHS, 3, 4, dtype)
+        _, weights = causal_attention(Tensor(qkv.data), TILED_LENGTHS, 3, return_weights=True)
+        atol = 1e-12 if dtype == np.float64 else 1e-6
+        for w, n in zip(weights, TILED_LENGTHS):
+            assert w.shape == (3, n, n) and w.dtype == dtype
+            future = np.triu(np.ones((n, n), dtype=bool), 1)
+            assert np.all(w[..., future] == 0.0)
+            np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=atol)
+
+    def test_gradients_match_finite_differences(self, monkeypatch):
+        # at 2 heads: 5 tokens run in one-row tiles, 3 in tiles of 1 and 2
+        monkeypatch.setattr(T, "TILE_ELEMENTS", 12)
+        rng = np.random.default_rng(131)
+        lengths = [5, 1, 3]
+        qkv, upstream = attention_qkv(rng, lengths, 2, 3, np.float64)
+        attention_grads(qkv, lengths, 2, upstream)
+
+        def f():
+            return float(np.sum(causal_attention(qkv, lengths, 2).data * upstream))
+
+        assert max_rel_err(qkv.grad, numeric_grad(f, qkv.data)) < 1e-6
+
+
+def test_untaped_attention_peaks_below_half_a_weights_array():
+    """At the default tile size, four 300-token sequences with 12 heads
+    never hold one (12, 300, 300) weights array: the tile buffer is reused."""
+    h, t, d_head = 12, 300, 4
+    rng = np.random.default_rng(137)
+    qkv = Tensor(rng.normal(size=(4 * t, 3 * h * d_head)).astype(np.float32))
+    one_weights_bytes = h * t * t * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        causal_attention(qkv, [t] * 4, h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < one_weights_bytes / 2, f"peak {peak / one_weights_bytes:.2f} weights arrays"
 
 
 class TestEmbeddingAndRowSelection:
