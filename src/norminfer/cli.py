@@ -82,11 +82,6 @@ def _load_classifier(checkpoint: str, vocab: str) -> NliClassifier:
         raise CheckpointError(
             "vocabulary file does not match the one the checkpoint was trained with"
         )
-    if len(vocabulary) != ckpt.params.config.vocab_words:
-        raise CheckpointError(
-            f"vocabulary has {len(vocabulary)} entries, checkpoint expects "
-            f"{ckpt.params.config.vocab_words}"
-        )
     return NliClassifier.from_artifacts(ckpt.params, vocabulary)
 
 

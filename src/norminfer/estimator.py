@@ -187,12 +187,17 @@ class NliClassifier(ParamsMixin):
     def from_artifacts(
         cls, params: ModelParameters, vocabulary: Vocabulary, **constructor_args
     ) -> "NliClassifier":
-        """A fitted classifier from existing weights and a vocabulary."""
+        """A fitted classifier from existing weights and their vocabulary."""
         config = params.config
         if config.n_classes != len(CLASSES):
             raise ContractError(
                 f"model has n_classes {config.n_classes}, but the classifier "
                 f"reads {len(CLASSES)} classes {CLASSES}"
+            )
+        if len(vocabulary) != config.vocab_words:
+            raise ContractError(
+                f"vocabulary has {len(vocabulary)} entries, the model has "
+                f"{config.vocab_words} word rows"
             )
         clf = cls(
             **{name: getattr(config, name) for name in cls._model_args()},

@@ -8,8 +8,8 @@ applying causally masked multi-head self attention and a position-wise
 feed-forward network, both followed by residual addition and layer
 normalization in one step. The hidden state of the end-of-sequence token
 feeds a linear head whose softmax gives the class probabilities. Since
-nothing else reads the last block's output, that block computes only the
-end-of-sequence rows.
+nothing else reads the last block's output, that block goes on past its
+attention with the end-of-sequence rows alone.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .tensor import (
     layer_norm,
     masked_fill,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     matmul,
-    narrow,
+    narrow,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     parameter,
     reshape,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     scale,  # noqa: F401  perfbench/tracing.py patches it by name in this module
@@ -328,27 +328,22 @@ def multi_head_attention(
     n_heads: int,
     lengths: Sequence[int],
     return_weights: bool = False,
-    last: Tensor | None = None,
+    last_only: bool = False,
 ):
     """Fused projection to queries, keys and values, independent causal
     attention per head within each packed sequence, concatenation, and
     output projection.
 
     ``x`` is (N, d): sequences of ``lengths`` rows packed one after
-    another. With ``last``, the (B, d) rows of ``x`` that end each
-    sequence, only those rows query: keys and values still cover every row,
-    and the result is (B, d). With ``return_weights`` the attention weights
-    also come back, one (n_heads, L, L) array per sequence ((n_heads, 1, L)
-    with ``last``).
+    another. Every row is projected; with ``last_only`` only the last row
+    of each sequence queries, against all its keys, and the result is
+    (B, d). With ``return_weights`` the attention weights also come back,
+    one (n_heads, L, L) array per sequence ((n_heads, 1, L) with
+    ``last_only``).
     """
-    if last is None:
-        attended = causal_attention(matmul(x, block.w_qkv), lengths, n_heads, return_weights)
-    else:
-        d = x.shape[-1]
-        attended = causal_attention(
-            matmul(x, narrow(block.w_qkv, d, 2 * d)), lengths, n_heads, return_weights,
-            query=matmul(last, narrow(block.w_qkv, 0, d)),
-        )
+    attended = causal_attention(
+        matmul(x, block.w_qkv), lengths, n_heads, return_weights, last_only
+    )
     ctx, weights = attended if return_weights else (attended, None)
     out = matmul(ctx, block.w_o)
     return (out, weights) if return_weights else out
@@ -366,19 +361,19 @@ def decoder_block(
 ) -> Tensor:
     """Attention, then the feed-forward network, each closed by add & norm,
     LayerNorm(x + Sublayer(x)), over (N, d) packed sequences of ``lengths``
-    rows. Shape is preserved, except that with ``eos_only`` the block
-    computes only the last row of each sequence and returns those (B, d)
+    rows. Shape is preserved, except that with ``eos_only`` only the last
+    row of each sequence queries, and the block returns just those (B, d)
     rows. The attention core, the feed-forward network and each add & norm
     are one fused primitive (``causal_attention``, ``feed_forward``,
     ``layer_norm``), so an untaped block allocates no (N, d_ffn) array, at
     most one attention tile buffer and no separate residual sum.
     """
     live_dropout = dropout > 0.0 and rng is not None
-    last = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else None
-    attn = multi_head_attention(x, block, n_heads, lengths, last=last)
+    attn = multi_head_attention(x, block, n_heads, lengths, last_only=eos_only)
     if live_dropout:
         attn = dropout_op(attn, dropout, rng)
-    y = layer_norm(attn, x if last is None else last, block.ln1_gain, block.ln1_bias, eps)
+    residual = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else x
+    y = layer_norm(attn, residual, block.ln1_gain, block.ln1_bias, eps)
     ffn = feed_forward(y, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
     if live_dropout:
         ffn = dropout_op(ffn, dropout, rng)
@@ -394,15 +389,14 @@ def forward_batch(
     """Class probabilities for every pair in the batch, shape (B, n_classes).
 
     Every layer runs on the packed tokens (see ``embed``). The head reads
-    only the end-of-sequence rows, so the last block computes only those
-    rows (``decoder_block`` with ``eos_only``): one query per pair against
-    all its keys and values, then the output projection, residuals, layer
-    norms and feed-forward network on B rows. Training takes the same
-    path, and its gradients are exact. Dropout fires only when a generator
-    is supplied; calls without one are the deterministic inference path.
-    With return_hidden=True every block runs on every row instead, and the
-    embedding output and each block output also come back as plain packed
-    (N, d) arrays, row for row with ``batch.token_ids``.
+    only the end-of-sequence rows, so in the last block (``decoder_block``
+    with ``eos_only``) only each pair's last row queries, as one attention
+    tile against all its rows, and the later steps run on B rows. Training
+    takes the same path, and its gradients are exact. Dropout fires only
+    when a generator is supplied; calls without one are the deterministic
+    inference path. With return_hidden=True every block runs on every row
+    instead, and the embedding output and each block output also come back
+    as plain packed (N, d) arrays, row for row with ``batch.token_ids``.
     """
     config = params.config
     x = embed(batch, params)

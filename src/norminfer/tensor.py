@@ -34,12 +34,13 @@ at most ``TILE_ELEMENTS`` weights, filled in place from the score product
 to the value product; rows [r0, r1) score only the keys [0, r1) they can
 see. Only when a tape records the call or the caller asks for the weights
 does a sequence keep its own (H, L, L) weights array; otherwise every tile
-reuses one buffer. The primitive can also run only the last row of each
-sequence as a query, which is all a reader of the end-of-sequence rows
-needs. A sequence of one tile gets the bits the separate ``matmul``,
-``scale``, ``masked_fill`` and ``softmax`` primitives give on it alone,
-which remain for the classification head and as the reference the fused
-primitive is tested against; longer ones differ by float32 rounding.
+reuses one buffer. With ``last_only`` each sequence runs just one tile,
+its last row against all its keys, on the same (N, 3d) input: that is all
+a reader of the end-of-sequence rows needs. A sequence of one tile gets
+the bits the separate ``matmul``, ``scale``, ``masked_fill`` and
+``softmax`` primitives give on it alone, which remain for the
+classification head and as the reference the fused primitive is tested
+against; longer ones differ by float32 rounding.
 
 The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
 primitive too, ``feed_forward``. Its hidden layer is wider than its input
@@ -492,7 +493,7 @@ def causal_attention(
     lengths: Sequence[int],
     n_heads: int,
     return_weights: bool = False,
-    query: Tensor | None = None,
+    last_only: bool = False,
 ):
     """Multi-head causal self attention over packed sequences.
 
@@ -500,85 +501,71 @@ def causal_attention(
     rows, shape (N, 3d): the sequences lie one after another, ``lengths``
     long, and attend only within themselves. For each sequence and head,
     softmax(mask(q k^T / sqrt(d / n_heads))) v is computed, and the heads
-    are merged back into an (N, d) output tensor. With ``query``, one
-    (B, d) row per sequence, only each sequence's last row queries:
-    ``qkv`` then holds just the keys and values, (N, 2d), the output is
-    (B, d), and no mask applies, since the last row sees every row.
+    are merged back into an (N, d) output tensor. With ``last_only`` only
+    each sequence's last row queries, as one tile against all its keys, and
+    the output is (B, d), one row per sequence.
 
     Returns the output, and with ``return_weights`` also each sequence's
-    (n_heads, L, L) weights ((n_heads, 1, L) with ``query``). Heads are
+    (n_heads, L, L) weights ((n_heads, 1, L) with ``last_only``). Heads are
     split and merged through strided views. Each sequence runs in balanced
     query-row tiles of at most ``TILE_ELEMENTS`` weights (at least one
     row); rows [r0, r1) score keys [0, r1) only, mask just their diagonal
-    block and weigh just those keys' values (``query`` is one tile). Only a
-    recorded call or ``return_weights`` gives each sequence its own
-    weights array, zero past each tile's keys; otherwise every tile reuses
-    one buffer, with the same bits. Tiles depend only on a sequence's own
-    length. A one-tile sequence (n_heads * L**2 <= ``TILE_ELEMENTS``) gets
-    the bits of ``matmul``, ``scale``, ``masked_fill`` (not with ``query``),
-    ``softmax`` and ``matmul`` on its (n_heads, L, d_head) head views; in a
-    longer one, smaller products may take other BLAS kernels and move it by
-    float32 rounding. The pull walks each sequence's full weights array.
+    block (for a last row alone, a 1 x 1 block that masks nothing) and
+    weigh just those keys' values. Only a recorded call or
+    ``return_weights`` gives each sequence its own weights array, zero past
+    each tile's keys; otherwise every tile reuses one buffer, with the same
+    bits. Tiles depend only on a sequence's own length. A one-tile sequence
+    (n_heads * L**2 <= ``TILE_ELEMENTS``, or any with ``last_only``) gets
+    the bits of ``matmul``, ``scale``, ``masked_fill``, ``softmax`` and
+    ``matmul`` on its (n_heads, L, d_head) head views; in a longer one,
+    smaller products may take other BLAS kernels and move it by float32
+    rounding. The pull walks each sequence's full weights array and gives
+    rows that did not query exact zeros in their query columns.
     """
     lengths = [int(n) for n in lengths]
-    parts = 3 if query is None else 2
-    if qkv.ndim != 2 or qkv.shape[1] % (parts * n_heads):
+    if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
         raise ShapeError(
-            f"qkv must be (N, {parts}d) with d divisible into {n_heads} heads, got {qkv.shape}"
+            f"qkv must be (N, 3d) with d divisible into {n_heads} heads, got {qkv.shape}"
         )
     if not lengths or min(lengths) < 1 or sum(lengths) != qkv.shape[0]:
         raise ShapeError(
             f"sequence lengths {lengths} must be positive and sum to {qkv.shape[0]} rows"
         )
-    d = qkv.shape[1] // parts
+    d = qkv.shape[1] // 3
     d_head = d // n_heads
     dtype = qkv.dtype
     c = dtype.type(1.0 / np.sqrt(d_head))
     fill = np.finfo(dtype).min
-    longest = max(lengths)
+    drop = _causal_matrix(max(lengths), False)
     starts = np.cumsum([0] + lengths[:-1]).tolist()
-    if query is None:
-        # queries are the rows of each sequence, at columns [0, d)
-        q_src, q_spans, k_col = qkv.data, [(s, s + n) for s, n in zip(starts, lengths)], d
-        drop = _causal_matrix(longest, False)
-        inputs = (qkv,)
-    else:
-        _check_dtypes(qkv, query)
-        if query.shape != (len(lengths), d):
-            raise ShapeError(
-                f"query must be one row of width {d} per sequence, got {query.shape}"
-            )
-        q_src, q_spans, k_col = query.data, [(i, i + 1) for i in range(len(lengths))], 0
-        drop = None
-        inputs = (qkv, query)
-    v_col = k_col + d
-    keep = return_weights or _recording(inputs) is not None
+    # query rows per sequence, its last ones, and where its output rows start
+    queries = [1 if last_only else n for n in lengths]
+    outs = np.cumsum([0] + queries[:-1]).tolist()
+    keep = return_weights or _recording((qkv,)) is not None
 
     def heads(rows: np.ndarray, col: int) -> np.ndarray:
         """(n_heads, L, d_head) view of columns [col, col + d)."""
         cols = rows[:, col : col + d]
         return cols.reshape(-1, n_heads, d_head).swapaxes(0, 1)
 
-    kd = qkv.data
-    out = np.empty((q_src.shape[0], d), dtype=dtype)
-    tiles = [
-        _row_tiles(b - a, TILE_ELEMENTS // (n_heads * n)) for n, (a, b) in zip(lengths, q_spans)
-    ]
+    data = qkv.data
+    out = np.empty((sum(queries), d), dtype=dtype)
+    tiles = [_row_tiles(m, TILE_ELEMENTS // (n_heads * n)) for n, m in zip(lengths, queries)]
     size = max(n_heads * height * n for n, (_, height) in zip(lengths, tiles))
     shared = None if keep else np.empty(size, dtype=dtype)
     weights = []
-    for s, n, (a, b), (bounds, _) in zip(starts, lengths, q_spans, tiles):
-        seg = kd[s : s + n]
-        q, k, v, o = heads(q_src[a:b], 0), heads(seg, k_col), heads(seg, v_col), heads(out[a:b], 0)
-        w = np.zeros((n_heads, b - a, n), dtype=dtype) if keep else None
+    for s, n, m, a, (bounds, _) in zip(starts, lengths, queries, outs, tiles):
+        seg, first = data[s : s + n], n - m
+        q, k, v = heads(seg[first:], 0), heads(seg, d), heads(seg, 2 * d)
+        o = heads(out[a : a + m], 0)
+        w = np.zeros((n_heads, m, n), dtype=dtype) if keep else None
         for r0, r1 in zip(bounds, bounds[1:]):
-            keys = n if drop is None else r1  # the last-row query sees every key
+            keys = first + r1
             shape = (n_heads, r1 - r0, keys)
             tile = w[:, r0:r1, :keys] if keep else shared[: math.prod(shape)].reshape(shape)
             np.matmul(q[:, r0:r1], k[:, :keys].swapaxes(-2, -1), out=tile)
             tile *= c
-            if drop is not None:
-                np.copyto(tile[..., r0:], fill, where=drop[: r1 - r0, : r1 - r0])
+            np.copyto(tile[..., first + r0 :], fill, where=drop[: r1 - r0, : r1 - r0])
             tile -= tile.max(axis=-1, keepdims=True)
             np.exp(tile, out=tile)
             tile /= tile.sum(axis=-1, keepdims=True)
@@ -587,30 +574,30 @@ def causal_attention(
             weights.append(w)
 
     def pull(g):
-        g_kv = np.empty_like(kd)
-        g_q = g_kv if query is None else np.empty_like(q_src)
+        g_qkv = np.empty_like(data)
         gs_buf = np.empty(max(w.size for w in weights), dtype=dtype)
         prod_buf = np.empty_like(gs_buf)
-        for s, n, (a, b), w in zip(starts, lengths, q_spans, weights):
-            seg, g_seg, g_rows = kd[s : s + n], heads(g[a:b], 0), g_kv[s : s + n]
+        for s, n, m, a, w in zip(starts, lengths, queries, outs, weights):
+            seg, g_rows, first = data[s : s + n], g_qkv[s : s + n], n - m
+            g_seg = heads(g[a : a + m], 0)
             gs = gs_buf[: w.size].reshape(w.shape)
             prod = prod_buf[: w.size].reshape(w.shape)
-            np.matmul(g_seg, heads(seg, v_col).swapaxes(-2, -1), out=gs)
-            np.matmul(w.swapaxes(-2, -1), g_seg, out=heads(g_rows, v_col))
+            np.matmul(g_seg, heads(seg, 2 * d).swapaxes(-2, -1), out=gs)
+            np.matmul(w.swapaxes(-2, -1), g_seg, out=heads(g_rows, 2 * d))
             np.multiply(gs, w, out=prod)
             gs -= prod.sum(axis=-1, keepdims=True)
             gs *= w
-            if drop is not None:
-                np.copyto(gs, 0.0, where=drop[:n, :n])
+            np.copyto(gs, 0.0, where=drop[first:n, :n])
             gs *= c
-            np.matmul(gs, heads(seg, k_col), out=heads(g_q[a:b], 0))
+            g_rows[:first, :d] = 0.0
+            np.matmul(gs, heads(seg, d), out=heads(g_rows[first:], 0))
             np.matmul(
-                heads(q_src[a:b], 0).swapaxes(-2, -1), gs,
-                out=heads(g_rows, k_col).swapaxes(-2, -1),
+                heads(seg[first:], 0).swapaxes(-2, -1), gs,
+                out=heads(g_rows, d).swapaxes(-2, -1),
             )
-        return (g_kv,) if query is None else (g_kv, g_q)
+        return (g_qkv,)
 
-    result = _result(inputs, out, pull)
+    result = _result((qkv,), out, pull)
     return (result, weights) if return_weights else result
 
 

@@ -193,20 +193,20 @@ class AdamOptimizer:
 
     def step(self, lr: float) -> None:
         """Apply one update using the gradients currently on the tensors,
-        then clear them. Raises NumericError on non-finite gradients.
+        then clear them. A non-finite gradient raises NumericError before
+        any tensor, moment or the step count changes.
         """
+        updates = [(name, t) for name, t in self.tensors if t.grad is not None]
+        for name, tensor in updates:
+            if tensor.grad.size:
+                _finite_range(name, tensor.grad)
         self.step_count += 1
         t = self.step_count
         step_size = lr / (1.0 - self.beta1**t)
         v_scale = 1.0 / math.sqrt(1.0 - self.beta2**t)
-        for name, tensor in self.tensors:
-            g = tensor.grad
-            if g is None:
-                continue
-            if g.size:
-                _finite_range(name, g)
+        for name, tensor in updates:
             self._update(
-                np.atleast_1d(tensor.data), np.atleast_1d(g),
+                np.atleast_1d(tensor.data), np.atleast_1d(tensor.grad),
                 np.atleast_1d(self.m[name]), np.atleast_1d(self.v[name]),
                 step_size, v_scale,
             )

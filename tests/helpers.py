@@ -50,8 +50,8 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-5) 
 def reference_attention(q, k, v, mask):
     """Causal attention as the five separate tape primitives that
     ``tensor.causal_attention`` fuses: (output tensor, weights array).
-    With ``mask`` None the masking step is left out, as it is for a query
-    at the last row, which sees every key."""
+    With ``mask`` None the masking step is left out: a query at the last
+    row sees every key, so no mask changes its scores."""
     from norminfer.tensor import masked_fill, matmul, scale, softmax, transpose
 
     axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)

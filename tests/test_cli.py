@@ -366,6 +366,21 @@ class TestInfer:
         assert code == EXIT_DATA
         assert "vocabulary" in capsys.readouterr().err
 
+    def test_vocabulary_of_another_size_without_stored_hash(self, workspace, tmp_path, capsys):
+        """With no vocabulary hash in the meta to compare, the size check
+        alone rejects the vocabulary."""
+        params = load_checkpoint(artifact(workspace, CHECKPOINT_FILE)).params
+        checkpoint = tmp_path / "no_hash.bin"
+        save_checkpoint(params, {}, checkpoint)
+        longer = tmp_path / "vocab.txt"
+        original = (workspace / "run" / VOCAB_FILE).read_text(encoding="utf-8")
+        longer.write_text(original + "zzzz\n", encoding="utf-8")
+        code = run_cli(["infer", "--checkpoint", str(checkpoint), "--vocab", str(longer),
+                        "--premise", "a", "--hypothesis", "b"])
+        n = params.config.vocab_words
+        assert code == EXIT_DATA
+        assert f"vocabulary has {n + 1} entries, the model has {n}" in capsys.readouterr().err
+
 
 class TestInputsTheClassifierCannotRead:
     @pytest.mark.parametrize("command", ["infer", "eval", "analyze-conflicts"])

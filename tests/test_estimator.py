@@ -9,7 +9,7 @@ from norminfer.estimator import NliClassifier, PairEncoder
 from norminfer.model import forward_batch, make_batch
 from norminfer.persistence import load_checkpoint, save_checkpoint
 from norminfer.tensor import GradTape, add
-from norminfer.text import CLASSES, EOS_ID
+from norminfer.text import CLASSES, EOS_ID, Vocabulary
 
 
 def tiny_classifier(**overrides):
@@ -236,6 +236,15 @@ class TestFromArtifacts:
             add(params.w_cls, params.w_cls)  # the caller's tape records again
         assert len(tape) == 1
         assert taped.tobytes() == untaped.tobytes()
+
+    @pytest.mark.parametrize("change", [-1, 1], ids=["smaller", "larger"])
+    def test_vocabulary_of_another_size_rejected(self, fitted, change):
+        tokens = fitted.vocabulary_.id_to_token
+        n = len(tokens)
+        words = tokens[:change] if change < 0 else tokens + ["zzzz"]
+        with pytest.raises(ContractError,
+                           match=f"vocabulary has {n + change} entries, the model has {n}"):
+            NliClassifier.from_artifacts(fitted.params_, Vocabulary(words))
 
     def test_constructor_args_forwarded(self):
         clf = tiny_classifier(max_epochs=1)

@@ -208,9 +208,9 @@ class TestAttention:
             assert np.array_equal(via_heads[rows], direct)
 
     def test_last_rows_attend_as_the_full_block_does(self):
-        """With ``last``, attention runs for each sequence's last row only;
-        its output and per-sequence (n_heads, 1, L) weights match those rows
-        of the all-rows attention."""
+        """With ``last_only``, only each sequence's last row queries; its
+        output and per-sequence (n_heads, 1, L) weights match those rows of
+        the all-rows attention."""
         config = build_toy_config(n_heads=3, d_model=12)
         block = build_toy_params(config, seed=53, dtype=np.float64).blocks[0]
         lengths = [6, 1, 4]
@@ -218,7 +218,7 @@ class TestAttention:
         ends = np.cumsum(lengths) - 1
         full, full_weights = multi_head_attention(x, block, 3, lengths, return_weights=True)
         out, weights = multi_head_attention(
-            x, block, 3, lengths, return_weights=True, last=Tensor(x.data[ends])
+            x, block, 3, lengths, return_weights=True, last_only=True
         )
         assert out.shape == (3, 12)
         assert [w.shape for w in weights] == [(3, 1, n) for n in lengths]

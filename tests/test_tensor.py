@@ -424,15 +424,6 @@ def attention_grads(qkv, lengths, n_heads, upstream):
     return out.data, weights, qkv.grad
 
 
-def last_row_inputs(qkv, lengths):
-    """The (N, 2d) key/value leaf and the (B, d) leaf of last-row queries
-    taken from a packed (N, 3d) array."""
-    d = qkv.shape[1] // 3
-    last = np.cumsum(lengths) - 1
-    return (parameter(qkv[:, d:].copy(), dtype=qkv.dtype),
-            parameter(qkv[last, :d].copy(), dtype=qkv.dtype))
-
-
 def assert_bytes_equal_composition(rng, lengths, n_heads, d_head, dtype, copies):
     qkv, upstream = attention_qkv(rng, lengths, n_heads, d_head, dtype)
     out, weights, grad = attention_grads(qkv, lengths, n_heads, upstream)
@@ -474,27 +465,27 @@ class TestCausalAttention:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_last_rows_bytes_equal_composition(self, dtype):
-        """With one query per sequence, at its last row, the output, the
-        (n_heads, 1, L) weights and every gradient are the bits of the
-        unmasked composition run on that row of each sequence alone."""
+        """With only the last row of each sequence querying, the output,
+        the (n_heads, 1, L) weights and every gradient are the bits of the
+        unmasked composition run on that row of each sequence alone, and
+        the rows that did not query get zero query-column gradients."""
         rng = np.random.default_rng(83)
         lengths, d = [1, 7, 130], 12
         qkv, _ = attention_qkv(rng, lengths, 3, 4, dtype)
         upstream = rng.normal(size=(len(lengths), d)).astype(dtype)
-        kv, query = last_row_inputs(qkv.data, lengths)
         with GradTape() as tape:
-            out, weights = causal_attention(kv, lengths, 3, return_weights=True, query=query)
+            out, weights = causal_attention(qkv, lengths, 3, return_weights=True, last_only=True)
             tape.backward(total(mul(out, Tensor(upstream))))
-        grad = np.zeros_like(qkv.data)
-        grad[:, d:] = kv.grad
-        grad[np.cumsum(lengths) - 1, :d] = query.grad
         want_out, want_weights, want_grad = reference_packed_attention(
             qkv.data, lengths, 3, upstream, last_only=True
         )
         assert [w.shape for w in weights] == [(3, 1, n) for n in lengths]
-        for got, want in zip([out.data, grad, *weights], [want_out, want_grad, *want_weights]):
+        for got, want in zip([out.data, qkv.grad, *weights], [want_out, want_grad, *want_weights]):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+        not_queried = np.ones(sum(lengths), dtype=bool)
+        not_queried[np.cumsum(lengths) - 1] = False
+        assert np.all(qkv.grad[not_queried, :d] == 0.0)
 
     @pytest.mark.parametrize("last_only", [False, True], ids=["all-rows", "last-row"])
     def test_weights_kept_or_not_give_the_same_bits(self, last_only):
@@ -503,42 +494,33 @@ class TestCausalAttention:
         rng = np.random.default_rng(89)
         lengths = [9, 1, 30, 4]
         qkv, _ = attention_qkv(rng, lengths, 3, 4, np.float32)
-        args = last_row_inputs(qkv.data, lengths) if last_only else (qkv,)
-        inputs = {"query": args[1]} if last_only else {}
-        plain = causal_attention(Tensor(args[0].data), lengths, 3, **inputs)
+        plain = causal_attention(Tensor(qkv.data), lengths, 3, last_only=last_only)
         kept, weights = causal_attention(
-            Tensor(args[0].data), lengths, 3, return_weights=True, **inputs
+            Tensor(qkv.data), lengths, 3, return_weights=True, last_only=last_only
         )
         with GradTape() as tape:
-            taped = causal_attention(args[0], lengths, 3, **inputs)
+            taped = causal_attention(qkv, lengths, 3, last_only=last_only)
         assert len(tape) == 1 and len(weights) == len(lengths)
         assert plain.data.tobytes() == kept.data.tobytes() == taped.data.tobytes()
-
-    def test_query_must_be_one_row_per_sequence(self):
-        qkv = t64(np.zeros((5, 8)))
-        with pytest.raises(ShapeError, match="one row of width 4"):
-            causal_attention(qkv, [2, 3], 2, query=t64(np.zeros((5, 4))))
-        with pytest.raises(ShapeError, match="divisible into 2 heads"):
-            causal_attention(t64(np.zeros((5, 10))), [2, 3], 2, query=t64(np.zeros((2, 4))))
-        with pytest.raises(ContractError, match="mixed"):
-            causal_attention(qkv, [2, 3], 2, query=Tensor(np.zeros((2, 4), dtype=np.float32)))
 
     def test_last_row_gradients_match_finite_differences(self):
         rng = np.random.default_rng(97)
         lengths = [1, 4, 3]
         qkv, _ = attention_qkv(rng, lengths, 2, 3, np.float64)
-        kv, query = last_row_inputs(qkv.data, lengths)
         upstream = rng.normal(size=(3, 6))
+
+        def attend():
+            return causal_attention(qkv, lengths, 2, last_only=True)
+
         with GradTape() as tape:
-            tape.backward(total(mul(causal_attention(kv, lengths, 2, query=query), t64(upstream))))
+            tape.backward(total(mul(attend(), t64(upstream))))
 
         def f():
-            return float(np.sum(causal_attention(kv, lengths, 2, query=query).data * upstream))
+            return float(np.sum(attend().data * upstream))
 
         # 1.4e-6 is the worst at the default step, and it shrinks with a
         # larger step, so it is rounding in the differences
-        assert max_rel_err(kv.grad, numeric_grad(f, kv.data)) < 1e-5
-        assert max_rel_err(query.grad, numeric_grad(f, query.data)) < 1e-5
+        assert max_rel_err(qkv.grad, numeric_grad(f, qkv.data)) < 1e-5
 
     def test_untaped_forward_matches_taped(self):
         rng = np.random.default_rng(67)
@@ -644,8 +626,9 @@ class TestCausalAttentionTiles:
     def test_last_row_query_is_one_tile(self):
         rng = np.random.default_rng(113)
         qkv, _ = attention_qkv(rng, TILED_LENGTHS, 3, 4, np.float32)
-        kv, query = last_row_inputs(qkv.data, TILED_LENGTHS)
-        out, weights = causal_attention(kv, TILED_LENGTHS, 3, return_weights=True, query=query)
+        out, weights = causal_attention(
+            Tensor(qkv.data), TILED_LENGTHS, 3, return_weights=True, last_only=True
+        )
         want_out, want_weights, _ = reference_packed_attention(
             qkv.data, TILED_LENGTHS, 3, np.zeros((4, 12), dtype=np.float32), last_only=True
         )

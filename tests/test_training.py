@@ -210,6 +210,25 @@ class TestAdam:
                 opt.step(0.1)
             np.testing.assert_array_equal(w.data, [1.0, 2.0, 3.0])
 
+    def test_non_finite_gradient_leaves_every_tensor_unchanged(self):
+        """A NaN in the second tensor stops the step before the first one
+        moves: weights, gradients and the step count stay as they were, and
+        the next finite step is the reference's first step."""
+        a = parameter(np.array([1.0]), dtype=np.float64)
+        b = parameter(np.array([2.0]), dtype=np.float64)
+        opt = AdamOptimizer([("a", a), ("b", b)])
+        a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+        with pytest.raises(NumericError, match="non-finite gradient in b"):
+            opt.step(0.1)
+        assert a.data[0] == 1.0 and b.data[0] == 2.0 and opt.step_count == 0
+        assert a.grad[0] == 1.0 and np.isnan(b.grad[0])
+        b.grad = np.array([-0.5])
+        opt.step(0.1)
+        want = reference_adam([np.array([1.0]), np.array([2.0])],
+                              [[np.array([1.0]), np.array([-0.5])]], 0.1, 1)
+        for t, expected in zip((a, b), want):
+            np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("scratch", [5, AdamOptimizer.SCRATCH_ELEMENTS])
     def test_fused_update_matches_reference(self, monkeypatch, scratch):
         # a tiny scratch buffer splits every tensor into several row blocks
