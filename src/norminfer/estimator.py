@@ -145,6 +145,7 @@ class NliClassifier(ParamsMixin):
         examples: Sequence[NliExample],
         validation: Sequence[NliExample] | None = None,
     ) -> "NliClassifier":
+        train_config = self._train_config()
         examples = list(examples)
         if not examples:
             raise ContractError("fit needs at least one training example")
@@ -163,7 +164,7 @@ class NliClassifier(ParamsMixin):
         init_rng = np.random.default_rng(split_seed(self.seed, SEED_INIT))
         params = ModelParameters.initialize(config, init_rng, dtype=self._np_dtype())
 
-        result = Trainer(self._train_config()).fit(params, train_pairs, val_pairs)
+        result = Trainer(train_config).fit(params, train_pairs, val_pairs)
         self.params_ = result.params
         self.train_log_ = result.log
         self.model_config_ = config
@@ -242,6 +243,8 @@ class NliClassifier(ParamsMixin):
     def score(self, examples, y=None) -> float:
         """Accuracy against gold labels taken from the examples or from y."""
         examples = list(examples)
+        if not examples:
+            raise ContractError("score needs at least one example")
         if y is not None:
             labels = list(y)
         else:

@@ -15,6 +15,7 @@ attention with the end-of-sequence rows alone.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -35,6 +36,7 @@ from .tensor import (
     narrow,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     parameter,
     reshape,  # noqa: F401  perfbench/tracing.py patches it by name in this module
+    row_tiles,
     scale,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     softmax,
     take_rows,  # noqa: F401  perfbench/tracing.py patches it by name in this module
@@ -45,8 +47,6 @@ from .text import EOS_ID, MAX_SEQUENCE_LENGTH, EncodedPair
 logger = logging.getLogger(__name__)
 
 INIT_STD = 0.02
-# float64 elements per block of an initial-weight draw
-_DRAW_ELEMENTS = 1 << 16
 # tensor groups in the order initialize draws them
 _DRAW_ORDER = ("blocks", "embedding", "head")
 
@@ -156,16 +156,16 @@ def parameter_shapes(config: ModelConfig) -> dict[str, ParameterSpec]:
 
 
 def _draw_normal(out: np.ndarray, rng: np.random.Generator) -> None:
-    """Fill ``out`` with N(0, 0.02^2) draws, a block of rows at a time.
+    """Fill ``out`` with N(0, 0.02^2) draws, one ``row_tiles`` tile of rows
+    at a time.
 
     The generator yields the same float64 sequence whether it is asked
-    for one block or for the whole array, so the weights match a one-shot
+    for one tile or for the whole array, so the weights match a one-shot
     draw cast to ``out.dtype``, without a full-size float64 temporary.
     """
-    rows = max(1, _DRAW_ELEMENTS // out[0].size)
-    for start in range(0, len(out), rows):
-        chunk = out[start : start + rows]
-        chunk[...] = rng.normal(0.0, INIT_STD, chunk.shape)
+    bounds, _ = row_tiles(len(out), math.prod(out.shape[1:]))
+    for a, b in zip(bounds, bounds[1:]):
+        out[a:b] = rng.normal(0.0, INIT_STD, out[a:b].shape)
 
 
 @dataclass
@@ -322,33 +322,6 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
     return embedding_lookup(params.embedding, ids, config.vocab_words + positions)
 
 
-def multi_head_attention(
-    x: Tensor,
-    block: BlockParameters,
-    n_heads: int,
-    lengths: Sequence[int],
-    return_weights: bool = False,
-    last_only: bool = False,
-):
-    """Fused projection to queries, keys and values, independent causal
-    attention per head within each packed sequence, concatenation, and
-    output projection.
-
-    ``x`` is (N, d): sequences of ``lengths`` rows packed one after
-    another. Every row is projected; with ``last_only`` only the last row
-    of each sequence queries, against all its keys, and the result is
-    (B, d). With ``return_weights`` the attention weights also come back,
-    one (n_heads, L, L) array per sequence ((n_heads, 1, L) with
-    ``last_only``).
-    """
-    attended = causal_attention(
-        matmul(x, block.w_qkv), lengths, n_heads, return_weights, last_only
-    )
-    ctx, weights = attended if return_weights else (attended, None)
-    out = matmul(ctx, block.w_o)
-    return (out, weights) if return_weights else out
-
-
 def decoder_block(
     x: Tensor,
     block: BlockParameters,
@@ -363,19 +336,22 @@ def decoder_block(
     LayerNorm(x + Sublayer(x)), over (N, d) packed sequences of ``lengths``
     rows. Shape is preserved, except that with ``eos_only`` only the last
     row of each sequence queries, and the block returns just those (B, d)
-    rows. The attention core, the feed-forward network and each add & norm
-    are one fused primitive (``causal_attention``, ``feed_forward``,
-    ``layer_norm``), so an untaped block allocates no (N, d_ffn) array, at
-    most one attention tile buffer and no separate residual sum.
+    rows. The attention sublayer is one expression, so an untaped block
+    frees its (N, 3d) query/key/value projection and (N, d) context before
+    the feed-forward step. With the fused primitives it also allocates no
+    (N, d_ffn) array, at most one attention tile buffer and no separate
+    residual sum. Dropout applies when ``rng`` is given.
     """
-    live_dropout = dropout > 0.0 and rng is not None
-    attn = multi_head_attention(x, block, n_heads, lengths, last_only=eos_only)
-    if live_dropout:
+    attn = matmul(
+        causal_attention(matmul(x, block.w_qkv), lengths, n_heads, last_only=eos_only),
+        block.w_o,
+    )
+    if rng is not None:
         attn = dropout_op(attn, dropout, rng)
     residual = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else x
     y = layer_norm(attn, residual, block.ln1_gain, block.ln1_bias, eps)
     ffn = feed_forward(y, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
-    if live_dropout:
+    if rng is not None:
         ffn = dropout_op(ffn, dropout, rng)
     return layer_norm(ffn, y, block.ln2_gain, block.ln2_bias, eps)
 

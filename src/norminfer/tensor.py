@@ -50,6 +50,10 @@ holds a full-size hidden array. Under a tape it keeps the three full-size
 arrays its backward pass reads: the biased pre-activation, the tanh term
 and the gelu output.
 
+Every loop over a large array in blocks of rows, these two and, outside
+this module, the Adam update and the initial-weight draws, takes its tiles
+from one rule, ``row_tiles``, and so from the one ``TILE_ELEMENTS``.
+
 ``layer_norm`` is the whole add & norm step, LayerNorm(x + Sublayer(x)),
 and hands one gradient to both summands. It, the other elementwise passes
 and the gelu kernels shared by ``gelu`` and ``feed_forward`` work in place
@@ -77,8 +81,7 @@ DEFAULT_DTYPE = np.float32
 
 _GELU_SCALE = math.sqrt(2.0 / math.pi)
 _GELU_CUBIC = 0.044715
-# elements per row tile of ``causal_attention`` weights and of untaped
-# ``feed_forward`` hidden activations: 512 KiB of float32
+# elements per tile of ``row_tiles``: 512 KiB of float32
 TILE_ELEMENTS = 1 << 17
 
 
@@ -432,9 +435,12 @@ def _causal_matrix(size: int, keep: bool) -> np.ndarray:
     return mask
 
 
-def _row_tiles(rows: int, per_tile: int) -> tuple[list[int], int]:
-    """Bounds of balanced row tiles at most max(1, per_tile) high, and the tallest height."""
-    tiles = max(1, -(-rows // max(1, per_tile)))
+def row_tiles(rows: int, row_elements: int) -> tuple[list[int], int]:
+    """Bounds of balanced tiles over ``rows`` rows of ``row_elements``
+    elements each, and the tallest tile's height. Heights differ by at most
+    one, and a tile holds at most ``TILE_ELEMENTS`` elements or is one row."""
+    per_tile = max(1, TILE_ELEMENTS // max(1, row_elements))
+    tiles = max(1, -(-rows // per_tile))
     return [rows * i // tiles for i in range(tiles + 1)], -(-rows // tiles)
 
 
@@ -507,14 +513,14 @@ def causal_attention(
 
     Returns the output, and with ``return_weights`` also each sequence's
     (n_heads, L, L) weights ((n_heads, 1, L) with ``last_only``). Heads are
-    split and merged through strided views. Each sequence runs in balanced
-    query-row tiles of at most ``TILE_ELEMENTS`` weights (at least one
-    row); rows [r0, r1) score keys [0, r1) only, mask just their diagonal
-    block (for a last row alone, a 1 x 1 block that masks nothing) and
-    weigh just those keys' values. Only a recorded call or
-    ``return_weights`` gives each sequence its own weights array, zero past
-    each tile's keys; otherwise every tile reuses one buffer, with the same
-    bits. Tiles depend only on a sequence's own length. A one-tile sequence
+    split and merged through strided views. Each sequence runs in the
+    ``row_tiles`` of its (n_heads, rows, L) weights; rows [r0, r1) score
+    keys [0, r1) only, mask just their diagonal block (for a last row
+    alone, a 1 x 1 block that masks nothing) and weigh just those keys'
+    values. Only a recorded call or ``return_weights`` gives each sequence
+    its own weights array, zero past each tile's keys; otherwise every tile
+    reuses one buffer, with the same bits. Tiles depend only on a
+    sequence's own length. A one-tile sequence
     (n_heads * L**2 <= ``TILE_ELEMENTS``, or any with ``last_only``) gets
     the bits of ``matmul``, ``scale``, ``masked_fill``, ``softmax`` and
     ``matmul`` on its (n_heads, L, d_head) head views; in a longer one,
@@ -550,7 +556,7 @@ def causal_attention(
 
     data = qkv.data
     out = np.empty((sum(queries), d), dtype=dtype)
-    tiles = [_row_tiles(m, TILE_ELEMENTS // (n_heads * n)) for n, m in zip(lengths, queries)]
+    tiles = [row_tiles(m, n_heads * n) for n, m in zip(lengths, queries)]
     size = max(n_heads * height * n for n, (_, height) in zip(lengths, tiles))
     shared = None if keep else np.empty(size, dtype=dtype)
     weights = []
@@ -659,10 +665,9 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     """Position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, for
     (N, d) rows ``x``, W1 (d, f) and W2 (f, d_out).
 
-    Without a recording tape the rows run in tiles of at most
-    ``TILE_ELEMENTS`` hidden activations, balanced so their heights
-    differ by at most one row, and every tile reuses two (rows, f) buffers:
-    no (N, f) array is allocated. A recording tape gets one record whose
+    Without a recording tape the rows run in ``row_tiles`` tiles of hidden
+    activations, and every tile reuses two (rows, f) buffers: no (N, f)
+    array is allocated. A recording tape gets one record whose
     forward keeps three (N, f) arrays, the biased pre-activation, the tanh
     term and the gelu output, and whose pull runs its four products over all
     N rows. Both bias adds work in place on the product outputs. Taped, the
@@ -685,7 +690,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     n, f = x.shape[0], w1.shape[1]
     inputs = (x, w1, b1, w2, b2)
     recorded = _recording(inputs) is not None
-    bounds, rows = _row_tiles(n, n if recorded else TILE_ELEMENTS // f)
+    bounds, rows = ([0, n], n) if recorded else row_tiles(n, f)
     pre = np.empty((rows, f), dtype=x.dtype)
     t = np.empty_like(pre)
     act = np.empty_like(pre) if recorded else t

@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
-from .tensor import GradTape, Tensor, clamp_min, log, mean, neg, take_rows
+from .tensor import GradTape, Tensor, clamp_min, log, mean, neg, row_tiles, take_rows
 from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
@@ -47,8 +47,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.base_lr > 0):
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not (0 < self.base_lr < math.inf):
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if not (0.0 < self.warmup_fraction < 1.0):
             raise ConfigError(
                 f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}"
@@ -63,6 +63,8 @@ class TrainConfig:
             )
         if not isinstance(self.max_epochs, int) or self.max_epochs < 0:
             raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,17 +118,15 @@ def lr_at(step: float, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * ((total_steps - step) / (total_steps - warmup_end))
 
 
-def clip_gradients(params, bound: float) -> None:
-    """Clamp every gradient into [-bound, +bound] in place.
+def clip_gradients(params: Iterable[tuple[str, Tensor]], bound: float) -> None:
+    """Clamp every gradient of the (name, tensor) pairs ``params`` into
+    [-bound, +bound] in place.
 
-    ``params`` is a ModelParameters or a sequence of (name, tensor) pairs.
     Raises NumericError naming the tensor if a gradient holds NaN or +-inf.
     The check runs before the clamp, which would turn +-inf into +-bound.
     """
     if not (bound > 0):
         raise ContractError(f"clip bound must be > 0, got {bound}")
-    if hasattr(params, "named_tensors"):
-        params = params.named_tensors()
     for name, tensor in params:
         g = tensor.grad
         if g is None or not g.size:
@@ -146,12 +146,6 @@ def _finite_range(name: str, g: np.ndarray):
     return lo, hi
 
 
-def _row_size(a: np.ndarray) -> int:
-    """Elements per index of the first axis, treating a scalar as one row."""
-    a = np.atleast_1d(a)
-    return a[0].size if len(a) else 1
-
-
 class AdamOptimizer:
     """Adam with bias correction.
 
@@ -162,33 +156,25 @@ class AdamOptimizer:
     The update is lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t)
     and v_hat = v / (1 - beta2^t). Both corrections are folded into scalars,
     lr / (1 - beta1^t) and 1 / sqrt(1 - beta2^t), so no corrected moment is
-    materialized. Moments and weights are updated in place, a block of rows
-    at a time through a small scratch buffer that stays in cache.
+    materialized. Moments and weights are updated in place, one
+    ``row_tiles`` tile of rows at a time through a tile-sized buffer per
+    tensor that stays in cache. The update is elementwise, so the tiling
+    leaves its bits as they are.
     """
-
-    SCRATCH_ELEMENTS = 1 << 16
 
     def __init__(
         self,
-        params,
+        params: Iterable[tuple[str, Tensor]],
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if hasattr(params, "named_tensors"):
-            params = list(params.named_tensors())
         self.tensors: list[tuple[str, Tensor]] = list(params)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.m = {name: np.zeros_like(t.data) for name, t in self.tensors}
         self.v = {name: np.zeros_like(t.data) for name, t in self.tensors}
-        scratch_sizes: dict = {}
-        for _, t in self.tensors:
-            scratch_sizes[t.dtype] = max(
-                scratch_sizes.get(t.dtype, self.SCRATCH_ELEMENTS), _row_size(t.data)
-            )
-        self._scratch = {dt: np.empty(n, dt) for dt, n in scratch_sizes.items()}
         self.step_count = 0
 
     def step(self, lr: float) -> None:
@@ -213,12 +199,11 @@ class AdamOptimizer:
             tensor.grad = None
 
     def _update(self, w, g, m, v, step_size, v_scale) -> None:
-        scratch = self._scratch[w.dtype]
-        rows = max(1, scratch.size // _row_size(w))
-        for start in range(0, len(w), rows):
-            end = min(len(w), start + rows)
+        bounds, height = row_tiles(len(w), math.prod(w.shape[1:]))
+        scratch = np.empty((height,) + w.shape[1:], dtype=w.dtype)
+        for start, end in zip(bounds, bounds[1:]):
             gs, ms, vs = g[start:end], m[start:end], v[start:end]
-            buf = scratch[: gs.size].reshape(gs.shape)
+            buf = scratch[: end - start]
             ms *= self.beta1
             np.multiply(gs, 1.0 - self.beta1, out=buf)
             ms += buf
@@ -338,7 +323,8 @@ class Trainer:
         batches_per_epoch = math.ceil(len(train_pairs) / cfg.batch_size)
         total_steps = cfg.max_epochs * batches_per_epoch
         log.total_steps = total_steps
-        optimizer = AdamOptimizer(params)
+        named = list(params.named_tensors())
+        optimizer = AdamOptimizer(named)
         val_batches = make_batches(val_pairs, cfg, epoch_seed=0)
         dropout_rng = (
             np.random.default_rng(split_seed(cfg.seed, SEED_DROPOUT))
@@ -366,7 +352,7 @@ class Trainer:
                                 f"loss diverged at epoch {epoch}: {loss_value}"
                             )
                         tape.backward(loss)
-                    clip_gradients(params, cfg.clip_bound)
+                    clip_gradients(named, cfg.clip_bound)
                     step += 1
                     optimizer.step(lr_at(step, total_steps, cfg))
                     epoch_loss += loss_value * batch.size

@@ -171,6 +171,21 @@ class TestTrain:
             recorded = load_config(tmp_path / "out" / RUNCONFIG_FILE)
             assert built == recorded.model_config(vocab_words=built.vocab_words)
 
+    @pytest.mark.parametrize("line", ["seed = -1", "base_lr = inf"])
+    def test_bad_train_values_exit_data_before_any_write(self, tmp_path, capsys, line):
+        write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
+        (tmp_path / "out").mkdir()
+        write_config(
+            tmp_path / "c.cfg",
+            f"train_path = {tmp_path / 'train.jsonl'}",
+            f"output_dir = {tmp_path / 'out'}",
+            "max_epochs = 1",
+            line,
+        )
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
+        assert line.split()[0] in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_run_cfg_records_the_built_vocabulary(self, tmp_path, capsys):
         """run.cfg holds the size of the vocabulary train built, so
         inspect on it counts the parameters of the saved model."""

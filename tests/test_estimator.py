@@ -175,6 +175,11 @@ class TestClassifierFit:
         with pytest.raises(ContractError, match="labeled"):
             fitted.score([("a b", "c d")])
 
+    @pytest.mark.parametrize("y", [None, []], ids=["labels-from-examples", "empty-y"])
+    def test_score_rejects_an_empty_set(self, fitted, y):
+        with pytest.raises(ContractError, match="at least one example"):
+            fitted.score([], y)
+
     def test_n_parameters_matches_params(self, fitted):
         assert fitted.n_parameters() == fitted.params_.n_parameters()
 
@@ -201,6 +206,12 @@ class TestFitVariants:
     def test_empty_fit_rejected(self):
         with pytest.raises(ContractError):
             tiny_classifier().fit([])
+
+    @pytest.mark.parametrize("validation", [None, make_corpus(4, seed=1)],
+                             ids=["holdout", "given"])
+    def test_negative_seed_rejected_before_any_draw(self, validation):
+        with pytest.raises(ConfigError, match="seed"):
+            tiny_classifier(seed=-1).fit(make_corpus(10), validation)
 
     def test_float64_fit(self):
         clf = tiny_classifier(max_epochs=1, dtype="float64")

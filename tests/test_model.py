@@ -23,7 +23,6 @@ from norminfer.model import (
     embed,
     forward_batch,
     make_batch,
-    multi_head_attention,
 )
 from norminfer import tensor
 from norminfer.tensor import (
@@ -121,13 +120,15 @@ class TestAttention:
         block = build_toy_params(config, seed=47).blocks[0]
         lengths = [6, 4]
         x = Tensor(np.random.default_rng(47).normal(size=(10, 12)).astype(np.float32))
-        out, weights = multi_head_attention(x, block, 3, lengths, return_weights=True)
-        qkv = matmul(x, block.w_qkv).data
-        _, want_weights, _ = reference_packed_attention(qkv, lengths, 3, np.zeros_like(x.data))
+        qkv = matmul(x, block.w_qkv)
+        out, weights = causal_attention(qkv, lengths, 3, return_weights=True)
+        _, want_weights, _ = reference_packed_attention(
+            qkv.data, lengths, 3, np.zeros_like(x.data)
+        )
         assert [w.shape for w in weights] == [(3, 6, 6), (3, 4, 4)]
         for w, want in zip(weights, want_weights):
             assert w.tobytes() == want.tobytes()
-        plain = multi_head_attention(x, block, 3, lengths)
+        plain = causal_attention(qkv, lengths, 3)
         assert plain.data.tobytes() == out.data.tobytes()
 
     @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
@@ -197,7 +198,7 @@ class TestAttention:
         rng = np.random.default_rng(4)
         x = Tensor(rng.normal(size=(10, 8)).astype(np.float32))
 
-        via_heads = multi_head_attention(x, block, 1, [5, 5]).data
+        via_heads = matmul(causal_attention(matmul(x, block.w_qkv), [5, 5], 1), block.w_o).data
 
         for rows in (slice(0, 5), slice(5, 10)):
             qkv = matmul(Tensor(x.data[rows]), block.w_qkv)
@@ -216,10 +217,9 @@ class TestAttention:
         lengths = [6, 1, 4]
         x = Tensor(np.random.default_rng(53).normal(size=(11, 12)))
         ends = np.cumsum(lengths) - 1
-        full, full_weights = multi_head_attention(x, block, 3, lengths, return_weights=True)
-        out, weights = multi_head_attention(
-            x, block, 3, lengths, return_weights=True, last_only=True
-        )
+        qkv = matmul(x, block.w_qkv)
+        full, full_weights = causal_attention(qkv, lengths, 3, return_weights=True)
+        out, weights = causal_attention(qkv, lengths, 3, return_weights=True, last_only=True)
         assert out.shape == (3, 12)
         assert [w.shape for w in weights] == [(3, 1, n) for n in lengths]
         np.testing.assert_allclose(out.data, full.data[ends], rtol=0, atol=1e-12)
@@ -230,8 +230,8 @@ class TestAttention:
         config = build_toy_config(n_heads=2, d_model=8)
         params = build_toy_params(config, seed=9)
         x = Tensor(np.random.default_rng(5).normal(size=(6, 8)).astype(np.float32))
-        _, weights = multi_head_attention(
-            x, params.blocks[0], 2, [6], return_weights=True
+        _, weights = causal_attention(
+            matmul(x, params.blocks[0].w_qkv), [6], 2, return_weights=True
         )
         assert [w.shape for w in weights] == [(2, 6, 6)]
         assert not np.allclose(weights[0][0], weights[0][1])
@@ -313,6 +313,32 @@ class TestBlocksAndShapes:
         single = decoder_block(Tensor(x[:4]), params.blocks[0], config.n_heads, [4]).data
         batched = decoder_block(Tensor(x), params.blocks[0], config.n_heads, [4, 3]).data
         assert np.array_equal(single, batched[:4])
+
+    def test_untaped_block_frees_the_projection_before_its_feed_forward(self, monkeypatch):
+        """When the feed-forward step starts, an untaped block holds neither
+        the (N, 3d) query/key/value projection nor the (N, d) attention
+        context: besides its input, only the attention output and the first
+        add & norm, two (N, d) arrays, are live."""
+        n, d = 512, 64
+        config = build_toy_config(n_heads=2, d_model=d, max_len=256)
+        block = build_toy_params(config, seed=61).blocks[0]
+        x = Tensor(np.random.default_rng(61).normal(size=(n, d)).astype(np.float32))
+        held = []
+
+        def measured(*args):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return tensor.feed_forward(*args)
+
+        monkeypatch.setattr("norminfer.model.feed_forward", measured)
+        decoder_block(x, block, 2, [256, 256])  # fills the causal-mask cache
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            decoder_block(x, block, 2, [256, 256])
+        finally:
+            tracemalloc.stop()
+        rows_bytes = n * d * np.dtype(np.float32).itemsize
+        assert (held[-1] - base) / rows_bytes < 2.5
 
 
 class TestEosOnlyLastBlock:
@@ -573,8 +599,8 @@ class TestInitialize:
     @pytest.mark.parametrize("draw_elements", [7, 1 << 16])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_draw_matches_one_shot_draw(self, monkeypatch, draw_elements, dtype):
-        monkeypatch.setattr("norminfer.model._DRAW_ELEMENTS", draw_elements)
-        # the embedding (600 + 16) x 128 spans two default-sized blocks
+        monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", draw_elements)
+        # the embedding (600 + 16) x 128 spans two tiles of 1 << 16 elements
         config = build_toy_config(vocab_words=600, n_blocks=2, d_model=128, n_heads=2)
         params = build_toy_params(config, seed=5, dtype=dtype)
         want = reference_initialize(config, np.random.default_rng(5), dtype)

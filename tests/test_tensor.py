@@ -575,7 +575,7 @@ TILED_LENGTHS = [9, 1, 30, 13]
 @pytest.fixture
 def small_tiles(monkeypatch):
     monkeypatch.setattr(T, "TILE_ELEMENTS", SMALL_TILE)
-    assert len(T._row_tiles(30, SMALL_TILE // (3 * 30))[0]) == 9
+    assert len(T.row_tiles(30, 3 * 30)[0]) == 9
 
 
 @pytest.mark.usefixtures("small_tiles")
@@ -660,6 +660,28 @@ class TestCausalAttentionTiles:
             return float(np.sum(causal_attention(qkv, lengths, 2).data * upstream))
 
         assert max_rel_err(qkv.grad, numeric_grad(f, qkv.data)) < 1e-6
+
+
+@pytest.mark.parametrize("tile", [1, 5, 12, 360, T.TILE_ELEMENTS])
+def test_row_tiles_are_balanced_and_within_the_tile(monkeypatch, tile):
+    """Tiles cover [0, rows) in order, their heights differ by at most one,
+    the reported height is the tallest, each tile holds at most
+    ``TILE_ELEMENTS`` elements or is a single row, and no fewer tiles would
+    do."""
+    monkeypatch.setattr(T, "TILE_ELEMENTS", tile)
+    rng = np.random.default_rng(149)
+    cases = [(0, 3), (1, 1), (7, 0), (360, 240), (30, 90)]
+    cases += [tuple(int(v) for v in rng.integers(1, 400, size=2)) for _ in range(40)]
+    for rows, row_elements in cases:
+        bounds, height = T.row_tiles(rows, row_elements)
+        heights = np.diff(bounds)
+        assert bounds[0] == 0 and bounds[-1] == rows
+        assert height == heights.max()
+        assert heights.max() - heights.min() <= 1
+        assert rows == 0 or heights.min() >= 1
+        assert height == 1 or height * row_elements <= tile, (rows, row_elements)
+        per_tile = max(1, tile // max(1, row_elements))
+        assert len(heights) == 1 or (len(heights) - 1) * per_tile < rows
 
 
 def test_untaped_attention_peaks_below_half_a_weights_array():

@@ -109,6 +109,11 @@ class TestLrSchedule:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             cfg(base_lr=0.0)
+        with pytest.raises(ConfigError, match="base_lr"):
+            cfg(base_lr=math.inf)
+        for seed in (-1, 1.0, True):
+            with pytest.raises(ConfigError, match="seed"):
+                cfg(seed=seed)
         with pytest.raises(ConfigError):
             cfg(warmup_fraction=0.0)
         with pytest.raises(ConfigError):
@@ -184,7 +189,7 @@ class TestAdam:
 
     def test_state_mirrors_parameter_shapes_and_step_counts(self):
         params = build_toy_params(build_toy_config(vocab_words=8))
-        opt = AdamOptimizer(params)
+        opt = AdamOptimizer(params.named_tensors())
         for name, tensor in params.named_tensors():
             assert opt.m[name].shape == tensor.shape
             assert opt.v[name].shape == tensor.shape
@@ -229,10 +234,10 @@ class TestAdam:
         for t, expected in zip((a, b), want):
             np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
 
-    @pytest.mark.parametrize("scratch", [5, AdamOptimizer.SCRATCH_ELEMENTS])
-    def test_fused_update_matches_reference(self, monkeypatch, scratch):
-        # a tiny scratch buffer splits every tensor into several row blocks
-        monkeypatch.setattr(AdamOptimizer, "SCRATCH_ELEMENTS", scratch)
+    @pytest.mark.parametrize("tile", [5, 1 << 16])
+    def test_fused_update_matches_reference(self, monkeypatch, tile):
+        # a tiny tile splits every tensor into several row tiles
+        monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", tile)
         rng = np.random.default_rng(67)
         shapes = [(3,), (4, 5), (2, 3, 4), (1,), ()]
         start = [rng.normal(size=s) for s in shapes]
@@ -475,14 +480,15 @@ class TestTrainerLoop:
                  for i in range(8)]
         batch = make_batch(pairs)
         params = build_toy_params(config, seed=5)
-        opt = AdamOptimizer(params)
+        named = list(params.named_tensors())
+        opt = AdamOptimizer(named)
         losses = []
         for _ in range(50):
             with GradTape() as tape:
                 probs = forward_batch(batch, params)
                 loss = nll_loss(probs, batch.labels)
                 tape.backward(loss)
-            clip_gradients(params, 1.0)
+            clip_gradients(named, 1.0)
             opt.step(1e-3)
             losses.append(loss.item())
         non_decreases = sum(b >= a for a, b in zip(losses, losses[1:]))
