@@ -87,8 +87,8 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}"
             )
-        if not (self.layer_norm_eps > 0):
-            raise ConfigError(f"layer_norm_eps must be > 0, got {self.layer_norm_eps}")
+        if not (0 < self.layer_norm_eps < math.inf):
+            raise ConfigError(f"layer_norm_eps must be finite and > 0, got {self.layer_norm_eps}")
         if not (0.0 <= self.dropout < 1.0):
             raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
 

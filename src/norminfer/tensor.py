@@ -1,11 +1,14 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The module provides exactly the operations the decoder classifier needs:
-dense and batched matrix products, broadcast addition for biases, embedding
-row gathers, causal masking, a numerically stabilized softmax, the tanh
-form of the gaussian error linear unit, fused causal attention and
-feed-forward primitives, layer normalization of a residual sum, and the
-scalar reductions used by the loss.
+The module provides the operations the decoder classifier runs: dense and
+batched matrix products, broadcast addition for biases, embedding row
+gathers, a numerically stabilized softmax, fused causal attention and
+feed-forward primitives, layer normalization of a residual sum, and
+dropout. The loss is one primitive of its own, ``training.nll_loss``.
+``gelu``, ``scale``, ``masked_fill``, ``take_rows``, ``narrow``,
+``reshape`` and ``transpose`` run on no production path. They remain as
+the separate steps the fused primitives are tested against, and as names
+``perfbench/tracing.py`` patches in ``norminfer.model``.
 
 Gradients are computed with a tape. While a :class:`GradTape` is open in
 the current thread (and not suspended by ``untaped``), every primitive that
@@ -38,9 +41,8 @@ reuses one buffer. With ``last_only`` each sequence runs just one tile,
 its last row against all its keys, on the same (N, 3d) input: that is all
 a reader of the end-of-sequence rows needs. A sequence of one tile gets
 the bits the separate ``matmul``, ``scale``, ``masked_fill`` and
-``softmax`` primitives give on it alone, which remain for the
-classification head and as the reference the fused primitive is tested
-against; longer ones differ by float32 rounding.
+``softmax`` primitives give on it alone; longer ones differ by float32
+rounding.
 
 The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
 primitive too, ``feed_forward``. Its hidden layer is wider than its input
@@ -121,9 +123,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single element, shape is {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -217,14 +216,6 @@ def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
     return grad
 
 
-def backward(loss: Tensor) -> None:
-    """Run the most recently opened tape backward from ``loss``."""
-    tapes = _ACTIVE_TAPES.get()
-    if not tapes:
-        raise ContractError("backward called with no active GradTape")
-    tapes[-1].backward(loss)
-
-
 def _recording(inputs: tuple[Tensor, ...]) -> GradTape | None:
     """The innermost open tape, if any of ``inputs`` requires a gradient."""
     tapes = _ACTIVE_TAPES.get()
@@ -264,21 +255,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def pull(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _result((a, b), data, pull)
-
-
-def neg(x: Tensor) -> Tensor:
-    return _result((x,), -x.data, lambda g: (-g,))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with broadcasting."""
-    _check_dtypes(a, b)
-    data = a.data * b.data
-
-    def pull(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
     return _result((a, b), data, pull)
 
@@ -428,9 +404,9 @@ def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
 
 
 @lru_cache(maxsize=64)
-def _causal_matrix(size: int, keep: bool) -> np.ndarray:
-    """Read-only mask, True where key j <= query i (``keep``), else where j > i."""
-    mask = np.tri(size, dtype=bool) if keep else ~np.tri(size, dtype=bool)
+def _causal_matrix(size: int) -> np.ndarray:
+    """Read-only (size, size) mask, True where key j is past query i."""
+    mask = ~np.tri(size, dtype=bool)
     mask.flags.writeable = False
     return mask
 
@@ -444,23 +420,9 @@ def row_tiles(rows: int, row_elements: int) -> tuple[list[int], int]:
     return [rows * i // tiles for i in range(tiles + 1)], -(-rows // tiles)
 
 
-class CausalMask:
-    """Keep-matrix for causal attention over a length ``size`` sequence.
-
-    Position i may attend to positions j <= i only.
-    """
-
-    __slots__ = ("size", "keep")
-
-    def __init__(self, size: int):
-        if size < 1:
-            raise ContractError(f"mask size must be >= 1, got {size}")
-        self.size = size
-        self.keep = _causal_matrix(size, True)
-
-
-def masked_fill(scores: Tensor, mask: CausalMask) -> Tensor:
-    """Replace disallowed attention scores with the most negative finite value.
+def masked_fill(scores: Tensor) -> Tensor:
+    """Causal mask over square trailing dims: replace the scores of keys past
+    their query with the most negative finite value.
 
     The fill value is finite rather than IEEE -inf so the stabilized softmax
     never forms inf - inf. After softmax the filled positions underflow to
@@ -468,15 +430,11 @@ def masked_fill(scores: Tensor, mask: CausalMask) -> Tensor:
     """
     if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
         raise ShapeError(f"masked_fill needs square trailing dims, got {scores.shape}")
-    if scores.shape[-1] != mask.size:
-        raise ShapeError(
-            f"mask size {mask.size} does not match score shape {scores.shape}"
-        )
-    fill = np.finfo(scores.dtype).min
-    data = np.where(mask.keep, scores.data, fill)
+    drop = _causal_matrix(scores.shape[-1])
+    data = np.where(drop, np.finfo(scores.dtype).min, scores.data)
 
     def pull(g):
-        return (np.where(mask.keep, g, 0.0),)
+        return (np.where(drop, 0.0, g),)
 
     return _result((scores,), data, pull)
 
@@ -542,7 +500,7 @@ def causal_attention(
     dtype = qkv.dtype
     c = dtype.type(1.0 / np.sqrt(d_head))
     fill = np.finfo(dtype).min
-    drop = _causal_matrix(max(lengths), False)
+    drop = _causal_matrix(max(lengths))
     starts = np.cumsum([0] + lengths[:-1]).tolist()
     # query rows per sequence, its last ones, and where its output rows start
     queries = [1 if last_only else n for n in lengths]
@@ -756,39 +714,6 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
         return gx, gx, g_gain, g_bias
 
     return _result((x, residual, gain, bias), data, pull)
-
-
-def log(x: Tensor) -> Tensor:
-    data = np.log(x.data)
-    return _result((x,), data, lambda g: (g / x.data,))
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    """Elementwise max(x, floor); gradient passes only where x > floor."""
-    f = x.dtype.type(floor)
-    data = np.maximum(x.data, f)
-    passed = x.data > f
-    return _result((x,), data, lambda g: (np.where(passed, g, 0.0),))
-
-
-def mean(x: Tensor) -> Tensor:
-    """Mean over all elements, returned as a scalar tensor."""
-    data = np.asarray(x.data.mean(), dtype=x.dtype)
-
-    def pull(g):
-        return (np.broadcast_to(g / x.data.size, x.shape).astype(x.dtype, copy=False),)
-
-    return _result((x,), data, pull)
-
-
-def total(x: Tensor) -> Tensor:
-    """Sum over all elements, returned as a scalar tensor."""
-    data = np.asarray(x.data.sum(), dtype=x.dtype)
-
-    def pull(g):
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=False),)
-
-    return _result((x,), data, pull)
 
 
 def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
-from .tensor import GradTape, Tensor, clamp_min, log, mean, neg, row_tiles, take_rows
+from .tensor import GradTape, Tensor, _result, row_tiles
 from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
@@ -53,8 +53,8 @@ class TrainConfig:
             raise ConfigError(
                 f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}"
             )
-        if not (self.clip_bound > 0):
-            raise ConfigError(f"clip_bound must be > 0, got {self.clip_bound}")
+        if not (0 < self.clip_bound < math.inf):
+            raise ConfigError(f"clip_bound must be finite and > 0, got {self.clip_bound}")
         if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size}")
         if not isinstance(self.patience_epochs, int) or self.patience_epochs < 1:
@@ -71,15 +71,41 @@ class TrainConfig:
 
 
 def nll_loss(probs: Tensor, gold: np.ndarray) -> Tensor:
-    """Mean negative log probability of the gold class.
+    """Mean negative log probability of the gold class, as one tape record.
 
     probs has one row of class probabilities per example; gold holds the
-    class indices. Probabilities are floored at 1e-12 inside the log so a
-    fully confident wrong prediction keeps the loss finite.
+    integer class indices. Probabilities are floored at 1e-12 inside the
+    log so a fully confident wrong prediction keeps the loss finite. The
+    value is -mean(log(max(p_gold, floor))), and the pull puts
+    -g / (B * max(p_gold, floor)) at each gold entry whose p_gold is above
+    the floor, and 0 everywhere else.
     """
+    gold, picked = _gold_probs(probs, gold)
+    floor = probs.dtype.type(LOSS_FLOOR)
+    clamped = np.maximum(picked, floor)
+    data = -np.asarray(np.log(clamped).mean(), dtype=probs.dtype)
+
+    def pull(g):
+        g_picked = np.asarray(-g / len(gold), dtype=probs.dtype) / clamped
+        g_probs = np.zeros_like(probs.data)
+        g_probs[np.arange(len(gold)), gold] = np.where(picked > floor, g_picked, 0.0)
+        return (g_probs,)
+
+    return _result((probs,), data, pull)
+
+
+def count_clamped(probs: Tensor, gold: np.ndarray) -> int:
+    """How many gold-class probabilities fell at or below the loss floor."""
+    return int(np.count_nonzero(_gold_probs(probs, gold)[1] <= LOSS_FLOOR))
+
+
+def _gold_probs(probs: Tensor, gold) -> tuple[np.ndarray, np.ndarray]:
+    """The checked gold indices and the probability each row gives its own."""
     gold = np.asarray(gold)
     if probs.ndim != 2:
         raise ContractError(f"probs must be (batch, classes), got {probs.shape}")
+    if not np.issubdtype(gold.dtype, np.integer):
+        raise ContractError(f"gold classes must be integers, got {gold.dtype}")
     if gold.shape != (probs.shape[0],):
         raise ContractError(
             f"gold shape {gold.shape} does not match batch size {probs.shape[0]}"
@@ -88,14 +114,7 @@ def nll_loss(probs: Tensor, gold: np.ndarray) -> Tensor:
         raise ContractError(
             f"gold class index out of range [0, {probs.shape[1]})"
         )
-    picked = take_rows(probs, gold)
-    return neg(mean(log(clamp_min(picked, LOSS_FLOOR))))
-
-
-def count_clamped(probs: Tensor, gold: np.ndarray) -> int:
-    """How many gold-class probabilities fell at or below the loss floor."""
-    picked = probs.data[np.arange(probs.shape[0]), np.asarray(gold)]
-    return int(np.count_nonzero(picked <= LOSS_FLOOR))
+    return gold, probs.data[np.arange(len(gold)), gold]
 
 
 def lr_at(step: float, total_steps: int, cfg: TrainConfig) -> float:

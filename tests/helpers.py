@@ -47,17 +47,26 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-5) 
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def reference_attention(q, k, v, mask):
+def dot_with(out, upstream):
+    """The scalar sum(out * upstream) as one matrix product of the flattened
+    arrays, whose pull hands ``out`` exactly ``upstream`` as its gradient."""
+    from norminfer.tensor import Tensor, matmul, reshape
+
+    upstream = np.asarray(upstream, dtype=out.dtype)
+    return matmul(reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1)))
+
+
+def reference_attention(q, k, v, causal=True):
     """Causal attention as the five separate tape primitives that
     ``tensor.causal_attention`` fuses: (output tensor, weights array).
-    With ``mask`` None the masking step is left out: a query at the last
+    Without ``causal`` the masking step is left out: a query at the last
     row sees every key, so no mask changes its scores."""
     from norminfer.tensor import masked_fill, matmul, scale, softmax, transpose
 
     axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
     scores = scale(matmul(q, transpose(k, axes)), 1.0 / np.sqrt(q.shape[-1]))
-    if mask is not None:
-        scores = masked_fill(scores, mask)
+    if causal:
+        scores = masked_fill(scores)
     weights = softmax(scores, axis=-1)
     return matmul(weights, v), weights.data
 
@@ -83,7 +92,7 @@ def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False, la
     mask: the output and ``upstream`` are (B, d), and the query columns of
     the gradient are zero outside the last rows.
     """
-    from norminfer.tensor import CausalMask, GradTape, Tensor, mul, parameter, total
+    from norminfer.tensor import GradTape, parameter
 
     d = qkv.shape[1] // 3
     outs, weights, grads = [], [], []
@@ -97,8 +106,8 @@ def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False, la
         q, k, v = (parameter(p.copy() if copies else p) for p in parts)
         g_out = upstream[i : i + 1] if last_only else upstream[rows]
         with GradTape() as tape:
-            out, w = reference_attention(q, k, v, None if last_only else CausalMask(n))
-            tape.backward(total(mul(out, Tensor(split_heads(g_out, n_heads)))))
+            out, w = reference_attention(q, k, v, causal=not last_only)
+            tape.backward(dot_with(out, split_heads(g_out, n_heads)))
         outs.append(merge_heads(out.data))
         weights.append(w)
         g_q = merge_heads(q.grad)
@@ -117,6 +126,25 @@ def reference_gelu(x, upstream):
     du = scale * (1.0 + 3.0 * cubic * x * x)
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
     return out, upstream * local.astype(x.dtype, copy=False)
+
+
+def reference_nll(probs, gold):
+    """The loss and its pull as the chain of steps ``training.nll_loss``
+    fuses, each as its own formula: pick the gold entries, floor them at
+    1e-12, log, mean, negate. (value, probability gradient) for a loss
+    gradient of one."""
+    dtype = probs.dtype
+    rows = np.arange(len(gold))
+    picked = probs[rows, gold]
+    floor = dtype.type(1e-12)
+    clamped = np.maximum(picked, floor)
+    value = -np.asarray(np.log(clamped).mean(), dtype=dtype)
+    g = -np.ones((), dtype=dtype)
+    g = np.broadcast_to(g / len(gold), picked.shape).astype(dtype, copy=False)
+    g = np.where(picked > floor, g / clamped, 0.0)
+    grad = np.zeros_like(probs)
+    np.add.at(grad, (rows, gold), g)
+    return np.asarray(value), grad
 
 
 def reference_layer_norm(x, gain, bias, eps, upstream):

@@ -171,7 +171,7 @@ class TestTrain:
             recorded = load_config(tmp_path / "out" / RUNCONFIG_FILE)
             assert built == recorded.model_config(vocab_words=built.vocab_words)
 
-    @pytest.mark.parametrize("line", ["seed = -1", "base_lr = inf"])
+    @pytest.mark.parametrize("line", ["seed = -1", "base_lr = inf", "clip_bound = inf"])
     def test_bad_train_values_exit_data_before_any_write(self, tmp_path, capsys, line):
         write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
         (tmp_path / "out").mkdir()

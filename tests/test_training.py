@@ -3,11 +3,19 @@ import math
 
 import numpy as np
 import pytest
-from helpers import build_random_pair, build_toy_config, build_toy_params
+from helpers import (
+    build_random_pair,
+    build_toy_config,
+    build_toy_params,
+    dot_with,
+    max_rel_err,
+    numeric_grad,
+    reference_nll,
+)
 
 from norminfer.base import ConfigError, ContractError, NumericError
 from norminfer.model import forward_batch, make_batch
-from norminfer.tensor import GradTape, Tensor, add, parameter, total
+from norminfer.tensor import GradTape, Tensor, add, parameter, softmax
 from norminfer.training import (
     AdamOptimizer,
     TrainConfig,
@@ -120,6 +128,8 @@ class TestLrSchedule:
             cfg(warmup_fraction=1.0)
         with pytest.raises(ConfigError):
             cfg(clip_bound=-1.0)
+        with pytest.raises(ConfigError, match="clip_bound"):
+            cfg(clip_bound=math.inf)
         with pytest.raises(ConfigError):
             cfg(max_epochs=-1)
 
@@ -259,9 +269,10 @@ class TestAdam:
         opt = AdamOptimizer(named)
         for _ in range(5):
             with GradTape() as tape:
-                tape.backward(total(add(a, b)))
-            # total(add(a, b)) hands both leaves a gradient of ones; the
-            # bound of 0.5 makes the clamp write into it
+                tape.backward(dot_with(add(a, b), np.ones(3)))
+            # the add hands both leaves one array of ones, which backward
+            # must not leave shared; the bound of 0.5 makes the clamp
+            # write into each
             clip_gradients(named, 0.5)
             opt.step(0.01)
         halves = [np.full(3, 0.5), np.full(3, 0.5)]
@@ -310,6 +321,56 @@ class TestNllLoss:
             nll_loss(probs, np.array([0]))
         with pytest.raises(ContractError):
             nll_loss(probs, np.array([0, 3]))
+
+    @pytest.mark.parametrize("gold", [np.array([0.0, 1.0]), np.array([True, False])],
+                             ids=["float", "bool"])
+    def test_gold_must_be_integers(self, gold):
+        probs = Tensor(np.full((2, 3), 1 / 3), dtype=np.float64)
+        with pytest.raises(ContractError, match="integers"):
+            nll_loss(probs, gold)
+        with pytest.raises(ContractError, match="integers"):
+            count_clamped(probs, gold)
+
+    def test_one_tape_record(self):
+        probs = parameter(np.full((4, 3), 1 / 3), dtype=np.float64)
+        with GradTape() as tape:
+            loss = nll_loss(probs, np.array([0, 2, 1, 2]))
+        assert len(tape) == 1 and loss.requires_grad
+
+    def test_gradient_matches_finite_differences(self):
+        """float64, repeated gold classes, and one gold entry the floor
+        binds across the whole difference step: its gradient is exactly 0."""
+        rng = np.random.default_rng(151)
+        gold = np.array([2, 0, 2, 2, 1])
+        probs = parameter(rng.uniform(0.05, 1.0, size=(5, 3)), dtype=np.float64)
+        probs.data[3, 2] = -0.5
+        with GradTape() as tape:
+            tape.backward(nll_loss(probs, gold))
+
+        def f():
+            picked = probs.data[np.arange(5), gold]
+            return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
+
+        assert probs.grad[3, 2] == 0.0
+        assert max_rel_err(probs.grad, numeric_grad(f, probs.data)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 3, 16, 17, 64])
+    def test_bytes_equal_the_chain_of_steps(self, batch, dtype):
+        """Value and gradient are the bits of pick, floor, log, mean and
+        negate applied in turn, with one entry below the floor."""
+        rng = np.random.default_rng(batch)
+        gold = rng.integers(0, 3, size=batch)
+        data = softmax(Tensor(rng.normal(scale=2.0, size=(batch, 3)).astype(dtype))).data
+        data[batch // 2, gold[batch // 2]] = 1e-13
+        probs = parameter(data, dtype=dtype)
+        with GradTape() as tape:
+            loss = nll_loss(probs, gold)
+            tape.backward(loss)
+        want_value, want_grad = reference_nll(data, gold)
+        for got, want in ((loss.data, want_value), (probs.grad, want_grad)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestMakeBatches:
