@@ -65,6 +65,14 @@ def _resolve_output_dir(cfg_value: str, flag_value: str | None) -> Path:
     return Path(cfg_value)
 
 
+def _make_output_dir(path: Path) -> Path:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+    return path
+
+
 def _require_file(path_value: str | None, key: str) -> Path:
     if not path_value:
         raise ConfigError(f"missing required key {key!r}")
@@ -109,13 +117,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
     val_path = None
     if cfg.validation_path:
         val_path = _require_file(cfg.validation_path, "validation_path")
+    _make_output_dir(out_dir)
 
     train_examples = load_snli(train_path)
     val_examples = load_snli(val_path) if val_path else None
 
     clf.fit(train_examples, val_examples)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     clf.vocabulary_.save(out_dir / VOCAB_FILE)
     # before any epoch the best accuracy is -inf, which JSON cannot hold
     best = float(clf.train_log_.best_val_accuracy)
@@ -169,6 +177,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_conflicts(args: argparse.Namespace) -> int:
+    out_dir = _make_output_dir(_resolve_output_dir("out", args.output_dir))
     clf = _load_classifier(args.checkpoint, args.vocab)
     if args.conflicts:
         conflicts_path = _require_file(args.conflicts, "conflicts")
@@ -177,8 +186,6 @@ def _cmd_analyze_conflicts(args: argparse.Namespace) -> int:
     records = load_norm_conflicts(conflicts_path)
     report = analyze_conflicts(clf, records)
 
-    out_dir = _resolve_output_dir("out", args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_report_csv(report, out_dir / REPORT_CSV_FILE)
     write_report_text(report, out_dir / REPORT_TEXT_FILE)
     print(format_report(report), end="")

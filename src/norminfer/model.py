@@ -294,15 +294,9 @@ def make_batch(pairs: Sequence[EncodedPair]) -> Batch:
     )
 
 
-def embed(batch: Batch, params: ModelParameters) -> Tensor:
-    """Sum of word row and position row from the joint table, per token.
-
-    The result is packed as ``batch.token_ids`` is, shape (N, d); each
-    pair's positions run from 1 to its length. Both id sets go through one
-    lookup, so the backward pass scatters into a single dense table
-    gradient.
-    """
-    config = params.config
+def embedding_ids(batch: Batch, config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The joint-table rows each packed token reads, as (word rows, position
+    rows); each pair's positions run from 1 to its length."""
     ids, lengths = batch.token_ids, batch.eos_index + 1
     if (ids.ndim != 1 or lengths.ndim != 1 or not lengths.size
             or lengths.min() < 1 or lengths.sum() != ids.size):
@@ -319,7 +313,18 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
         )
     # 0-based position of each token within its pair
     positions = np.arange(ids.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return embedding_lookup(params.embedding, ids, config.vocab_words + positions)
+    return ids, config.vocab_words + positions
+
+
+def embed(batch: Batch, params: ModelParameters) -> Tensor:
+    """Sum of word row and position row from the joint table, per token.
+
+    The result is packed as ``batch.token_ids`` is, shape (N, d); the rows
+    are those of ``embedding_ids``. Both id sets go through one lookup, so
+    the backward pass scatters into a single dense table gradient, zero
+    outside those rows.
+    """
+    return embedding_lookup(params.embedding, *embedding_ids(batch, params.config))
 
 
 def decoder_block(

@@ -48,9 +48,9 @@ The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
 primitive too, ``feed_forward``. Its hidden layer is wider than its input
 (four times, by default), so without a recording tape it runs over tiles
 of rows, each at most ``TILE_ELEMENTS`` hidden activations, and never
-holds a full-size hidden array. Under a tape it keeps the three full-size
-arrays its backward pass reads: the biased pre-activation, the tanh term
-and the gelu output.
+holds a full-size hidden array. Under a tape it keeps the two full-size
+arrays its backward pass reads: the gelu output and the local gelu slope,
+written over the biased pre-activation.
 
 Every loop over a large array in blocks of rows, these two and, outside
 this module, the Adam update and the initial-weight draws, takes its tiles
@@ -58,7 +58,7 @@ from one rule, ``row_tiles``, and so from the one ``TILE_ELEMENTS``.
 
 ``layer_norm`` is the whole add & norm step, LayerNorm(x + Sublayer(x)),
 and hands one gradient to both summands. It, the other elementwise passes
-and the gelu kernels shared by ``gelu`` and ``feed_forward`` work in place
+and the gelu kernel shared by ``gelu`` and ``feed_forward`` work in place
 in a few buffers, in the operation order of their textbook formulas, so
 they give the bits those formulas give.
 
@@ -204,12 +204,12 @@ def untaped() -> Iterator[None]:
 
 
 def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
-    """First gradient of a leaf, copied if read-only (a broadcast view) or
-    if its memory already backs another leaf's gradient, e.g. both inputs of
-    an ``add``. ``held`` collects the memory owners handed out so far.
+    """First gradient of a leaf, copied if its memory already backs another
+    leaf's gradient, e.g. both inputs of an ``add``. ``held`` collects the
+    memory owners handed out so far.
     """
     owner = id(grad if grad.base is None else grad.base)
-    if not grad.flags.writeable or owner in held:
+    if owner in held:
         grad = grad.copy()
         owner = id(grad)
     held.add(owner)
@@ -358,7 +358,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> T
         data += table.data[id_set]
 
     def pull(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(table.shape, dtype=table.dtype)
         flat = np.concatenate([id_set.reshape(-1) for id_set in id_sets])
         if not flat.size:
             return (gt,)
@@ -565,10 +565,11 @@ def causal_attention(
     return (result, weights) if return_weights else result
 
 
-def _gelu_rows(d: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
-    """Write the gelu tanh term of ``d`` into ``t`` and gelu(d) into
-    ``out``, in place, in the operation order of the formula. ``out`` may
-    be ``t``, when the tanh term is not needed afterwards."""
+def _gelu_rows(d: np.ndarray, t: np.ndarray, out: np.ndarray, scratch=None) -> None:
+    """Write gelu(d) into ``out``, with ``t`` for its tanh term; ``out`` may
+    be ``t``. Given ``scratch``, a pair of buffers shaped as ``d``, then
+    write the local slope over ``d``: 0.5 * (1 + t) + 0.5 * d * (1 - t^2)
+    * sqrt(2/pi) * (1 + 3 * 0.044715 * d^2). In place, in formula order."""
     np.multiply(_GELU_CUBIC, d, out=t)
     t *= d
     t *= d
@@ -578,25 +579,21 @@ def _gelu_rows(d: np.ndarray, t: np.ndarray, out: np.ndarray) -> None:
     np.add(t, 1.0, out=out)
     out *= 0.5
     out *= d
-
-
-def _gelu_slope(d: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The local gelu slope at ``d``, given its tanh term ``t``, as a new
-    array built in three buffers, in place:
-    0.5 * (1 + t) + 0.5 * d * (1 - t^2) * sqrt(2/pi) * (1 + 3 * 0.044715 * d^2)."""
-    du = np.multiply(d, 3.0 * _GELU_CUBIC, out=np.empty_like(d))
+    if scratch is None:
+        return
+    du, slope = scratch
+    np.multiply(d, 3.0 * _GELU_CUBIC, out=du)
     du *= d
     du += 1.0
     du *= _GELU_SCALE
-    slope = np.multiply(d, 0.5, out=np.empty_like(d))
-    local = np.multiply(t, t, out=np.empty_like(d))
-    np.subtract(1.0, local, out=local)
-    slope *= local
+    np.multiply(d, 0.5, out=slope)
+    np.multiply(t, t, out=d)
+    np.subtract(1.0, d, out=d)
+    slope *= d
     slope *= du
-    np.add(t, 1.0, out=local)
-    local *= 0.5
-    local += slope
-    return local
+    np.add(t, 1.0, out=d)
+    d *= 0.5
+    d += slope
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -604,17 +601,15 @@ def gelu(x: Tensor) -> Tensor:
 
     gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
 
-    The forward pass builds the tanh term and the output in one buffer each;
-    the backward pass builds the local slope in three, in place.
+    The forward pass builds the output and the local slope, which the pull
+    scales by the incoming gradient in place.
     """
     d = x.data
-    t, data = np.empty_like(d), np.empty_like(d)
-    _gelu_rows(d, t, data)
+    slope, t, data = np.array(d), np.empty_like(d), np.empty_like(d)
+    _gelu_rows(slope, t, data, (np.empty_like(d), np.empty_like(d)))
 
     def pull(g):
-        local = _gelu_slope(d, t)
-        local *= g
-        return (local,)
+        return (np.multiply(slope, g, out=slope),)
 
     return _result((x,), data, pull)
 
@@ -625,16 +620,17 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
     Without a recording tape the rows run in ``row_tiles`` tiles of hidden
     activations, and every tile reuses two (rows, f) buffers: no (N, f)
-    array is allocated. A recording tape gets one record whose
-    forward keeps three (N, f) arrays, the biased pre-activation, the tanh
-    term and the gelu output, and whose pull runs its four products over all
-    N rows. Both bias adds work in place on the product outputs. Taped, the
-    output and the gradients are the bits of ``matmul``, ``add``, ``gelu``,
-    ``matmul`` and ``add`` applied in turn. Untaped, each tile gives the bits
-    of those products over its rows alone. With OpenBLAS 0.3.31, at the
-    model's shapes, a tile of five rows or more gave the whole product's
-    bits; a tile of one to four rows takes other kernels and may not. At
-    the default tile size a tile is that short only when N is, and then the
+    array is allocated. A recording tape gets one record whose products
+    run over all N rows and which keeps two (N, f) arrays: the gelu output
+    and its slope, written over the pre-activation a ``row_tiles`` tile at
+    a time and multiplied into g W2^T in place by the pull. Both bias adds
+    work in place on the product outputs. Taped, the output and the
+    gradients are the bits of ``matmul``, ``add``, ``gelu``, ``matmul`` and
+    ``add`` applied in turn. Untaped, each tile gives the bits of those
+    products over its rows alone. With OpenBLAS 0.3.31, at the model's
+    shapes, a tile of five rows or more gave the whole product's bits; a
+    tile of one to four rows takes other kernels and may not. At the
+    default tile size a tile is that short only when N is, and then the
     one tile is the whole product.
     """
     _check_dtypes(x, w1, b1, w2, b2)
@@ -650,22 +646,25 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     recorded = _recording(inputs) is not None
     bounds, rows = ([0, n], n) if recorded else row_tiles(n, f)
     pre = np.empty((rows, f), dtype=x.dtype)
-    t = np.empty_like(pre)
+    t = np.empty((row_tiles(rows, f)[1], f), dtype=x.dtype)
     act = np.empty_like(pre) if recorded else t
+    scratch = np.empty((2,) + t.shape, dtype=x.dtype) if recorded else None
     out = np.empty((n, w2.shape[1]), dtype=x.dtype)
     for a, b in zip(bounds, bounds[1:]):
         m = b - a
         np.matmul(x.data[a:b], w1.data, out=pre[:m])
         pre[:m] += b1.data
-        _gelu_rows(pre[:m], t[:m], act[:m])
+        tiles = row_tiles(m, f)[0]
+        for r0, r1 in zip(tiles, tiles[1:]):
+            k = r1 - r0
+            _gelu_rows(pre[r0:r1], t[:k], act[r0:r1], scratch[:, :k] if recorded else None)
         np.matmul(act[:m], w2.data, out=out[a:b])
         out[a:b] += b2.data
 
     def pull(g):
-        g_act = g @ w2.data.T
+        g_pre = g @ w2.data.T
         g_w2 = act.T @ g
-        g_pre = _gelu_slope(pre, t)
-        g_pre *= g_act
+        g_pre *= pre
         return g_pre @ w1.data.T, x.data.T @ g_pre, g_pre.sum(axis=0), g_w2, g.sum(axis=0)
 
     return _result(inputs, out, pull)

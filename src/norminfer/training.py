@@ -15,20 +15,23 @@ from __future__ import annotations
 
 import logging
 import math
+import mmap
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
-from .model import Batch, ModelParameters, forward_batch, make_batch
+from .model import Batch, ModelParameters, embedding_ids, forward_batch, make_batch
 from .tensor import GradTape, Tensor, _result, row_tiles
 from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
 
 LOSS_FLOOR = 1e-12
+# past this share of a tensor's rows, Adam's dense sweep beats gathering them
+SPARSE_ROW_SHARE = 0.25
 
 # seed-path components for deriving child seeds from the master seed
 SEED_INIT = 0
@@ -165,12 +168,20 @@ def _finite_range(name: str, g: np.ndarray):
     return lo, hi
 
 
+def lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Zeros the OS maps in small pages as they are first written; numpy asks
+    for 2 MiB pages from 4 MiB up, where a few rows written pin most of it."""
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    if size < 1 << 22:
+        return np.zeros(shape, dtype)
+    return np.frombuffer(mmap.mmap(-1, size), dtype).reshape(shape)
+
+
 class AdamOptimizer:
     """Adam with bias correction.
 
     Moment accumulators mirror every parameter shape; the step counter
-    increases by one per update across all parameters. Every row of every
-    parameter is updated on every step (dense Adam).
+    increases by one per update across all parameters.
 
     The update is lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t)
     and v_hat = v / (1 - beta2^t). Both corrections are folded into scalars,
@@ -179,6 +190,11 @@ class AdamOptimizer:
     ``row_tiles`` tile of rows at a time through a tile-sized buffer per
     tensor that stays in cache. The update is elementwise, so the tiling
     leaves its bits as they are.
+
+    ``step`` may name, per tensor, the rows outside which its gradient is
+    zero (a tensor left out has all its rows named). While the rows named
+    so far are at most ``SPARSE_ROW_SHARE`` of them, only they are updated,
+    with dense Adam's bits: rows never named have zero moments and stay.
     """
 
     def __init__(
@@ -192,14 +208,16 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self.m = {name: np.zeros_like(t.data) for name, t in self.tensors}
-        self.v = {name: np.zeros_like(t.data) for name, t in self.tensors}
+        self.m = {name: lazy_zeros(t.shape, t.dtype) for name, t in self.tensors}
+        self.v = {name: lazy_zeros(t.shape, t.dtype) for name, t in self.tensors}
+        # rows named so far, per tensor that still has rows outside them
+        self.live = {name: np.zeros(len(np.atleast_1d(t.data)), bool) for name, t in self.tensors}
         self.step_count = 0
 
-    def step(self, lr: float) -> None:
-        """Apply one update using the gradients currently on the tensors,
-        then clear them. A non-finite gradient raises NumericError before
-        any tensor, moment or the step count changes.
+    def step(self, lr: float, rows: Mapping[str, np.ndarray] | None = None) -> None:
+        """Apply one update using the gradients currently on the tensors
+        (and ``rows``, see the class), then clear them. A non-finite gradient
+        raises NumericError before any tensor, moment or the step count changes.
         """
         updates = [(name, t) for name, t in self.tensors if t.grad is not None]
         for name, tensor in updates:
@@ -210,11 +228,20 @@ class AdamOptimizer:
         step_size = lr / (1.0 - self.beta1**t)
         v_scale = 1.0 / math.sqrt(1.0 - self.beta2**t)
         for name, tensor in updates:
-            self._update(
-                np.atleast_1d(tensor.data), np.atleast_1d(tensor.grad),
-                np.atleast_1d(self.m[name]), np.atleast_1d(self.v[name]),
-                step_size, v_scale,
-            )
+            arrays = (tensor.data, tensor.grad, self.m[name], self.v[name])
+            w, g, m, v = (np.atleast_1d(a) for a in arrays)
+            live = self.live.get(name)
+            if live is not None:
+                live[(rows or {}).get(name, slice(None))] = True
+                if np.count_nonzero(live) > SPARSE_ROW_SHARE * len(live):
+                    del self.live[name]
+            if name not in self.live:
+                self._update(w, g, m, v, step_size, v_scale)
+            else:
+                index = np.flatnonzero(live)
+                w_rows, m_rows, v_rows = w[index], m[index], v[index]
+                self._update(w_rows, g[index], m_rows, v_rows, step_size, v_scale)
+                w[index], m[index], v[index] = w_rows, m_rows, v_rows
             tensor.grad = None
 
     def _update(self, w, g, m, v, step_size, v_scale) -> None:
@@ -373,7 +400,8 @@ class Trainer:
                         tape.backward(loss)
                     clip_gradients(named, cfg.clip_bound)
                     step += 1
-                    optimizer.step(lr_at(step, total_steps, cfg))
+                    read = np.concatenate(embedding_ids(batch, params.config))
+                    optimizer.step(lr_at(step, total_steps, cfg), {"embedding": read})
                     epoch_loss += loss_value * batch.size
                     epoch_correct += int(
                         (probs.data.argmax(axis=1) == batch.labels).sum()
@@ -400,7 +428,8 @@ class Trainer:
             if val_accuracy > log.best_val_accuracy:
                 log.best_val_accuracy = val_accuracy
                 log.best_epoch = epoch
-                best_params = params.copy()
+                for (_, best), (_, tensor) in zip(best_params.named_tensors(), named):
+                    np.copyto(best.data, tensor.data)
             elif epoch - log.best_epoch >= cfg.patience_epochs:
                 log.stopped_early = True
                 logger.info(

@@ -232,6 +232,29 @@ class TestTrain:
         assert header["meta"]["val_accuracy"] is None
         assert load_checkpoint(tmp_path / "out" / CHECKPOINT_FILE).meta["val_accuracy"] is None
 
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_output_dir_on_a_file_exits_data_before_fitting(
+        self, tmp_path, capsys, monkeypatch, under
+    ):
+        from norminfer.estimator import NliClassifier
+
+        def no_fit(*args):
+            raise AssertionError("train fitted although it cannot write its output")
+
+        monkeypatch.setattr(NliClassifier, "fit", no_fit)
+        write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
+        (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+        write_config(
+            tmp_path / "c.cfg",
+            f"train_path = {tmp_path / 'train.jsonl'}",
+            f"output_dir = {tmp_path / 'taken' / under}",
+        )
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith("error: cannot create output directory")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "taken").read_text(encoding="utf-8") == "a file\n"
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_numeric(self, tmp_path, capsys):
         # the huge learning rate is meant to overflow; the warnings it
@@ -556,6 +579,23 @@ class TestAnalyzeConflicts:
         )
         assert code == EXIT_OK
         assert "pairs analyzed: 1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_output_dir_on_a_file_exits_data(self, workspace, tmp_path, capsys, under):
+        (tmp_path / "taken").write_text("a file\n", encoding="utf-8")
+        code = run_cli(
+            [
+                "analyze-conflicts",
+                "--checkpoint", artifact(workspace, CHECKPOINT_FILE),
+                "--vocab", artifact(workspace, VOCAB_FILE),
+                "--output-dir", str(tmp_path / "taken" / under),
+            ]
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot create output directory")
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_reports_byte_identical_across_runs(self, workspace, tmp_path, capsys):
         outputs = []

@@ -23,6 +23,7 @@ from norminfer.model import (
     count_parameters,
     decoder_block,
     embed,
+    embedding_ids,
     forward_batch,
     make_batch,
 )
@@ -406,6 +407,24 @@ class TestEmbedding:
                     for pair in pairs for pos in range(len(pair))]
         assert x.shape == (9, 4)
         np.testing.assert_array_equal(x, np.array(expected))
+
+    def test_gradient_is_zero_outside_the_rows_read(self):
+        """Adam updates only the rows ``embedding_ids`` names, so the table
+        gradient must be exactly zero everywhere else."""
+        config = build_toy_config(vocab_words=30, n_blocks=1, max_len=8)
+        params = build_toy_params(config, seed=4)
+        rng = np.random.default_rng(8)
+        batch = make_batch([build_random_pair(rng, config, t=n, label_id=0) for n in (3, 6)])
+        ids, positions = embedding_ids(batch, config)
+        np.testing.assert_array_equal(ids, batch.token_ids)
+        np.testing.assert_array_equal(positions, 30 + np.array([0, 1, 2, 0, 1, 2, 3, 4, 5]))
+        with GradTape() as tape:
+            tape.backward(nll_loss(forward_batch(batch, params), batch.labels))
+        read = np.zeros(config.embedding_rows, dtype=bool)
+        read[ids] = read[positions] = True
+        grad = params.embedding.grad
+        assert not grad[~read].any()
+        assert grad[read].any(axis=1).all()
 
     def test_out_of_range_token_rejected(self):
         config = build_toy_config(vocab_words=6, max_len=5)

@@ -211,6 +211,8 @@ class TestFeedForward:
         for a, b in zip([got, untaped] + grads, [want, want] + want_grads):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+        # no leaf gradient copy hides a read-only array from the pull
+        assert all(g.flags.writeable for g in grads)
 
     @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-6), (np.float64, 1e-12)])
     @pytest.mark.parametrize("n", [7, 8, 9, 29], ids=["tile-1", "tile", "tile+1", "3tile+5"])
@@ -241,7 +243,7 @@ class TestFeedForward:
         for t in inputs:
             assert max_rel_err(t.grad, numeric_grad(f, t.data)) < 1e-5
 
-    def test_memory_untaped_in_tiles_taped_three_activations(self, monkeypatch):
+    def test_memory_untaped_in_tiles_taped_two_activations(self, monkeypatch):
         tile, f = 64, 256
         n = 16 * tile
         monkeypatch.setattr(T, "TILE_ELEMENTS", tile * f)
@@ -266,8 +268,8 @@ class TestFeedForward:
         finally:
             tracemalloc.stop()
         assert untaped_peak < activation / 2
-        # the output adds a quarter activation to the three kept arrays
-        assert 3 * activation <= taped_kept < 4 * activation
+        # the output adds a quarter activation to the two kept arrays
+        assert 2 * activation <= taped_kept < 3 * activation
         assert reference_kept >= 4 * activation
 
     def test_shapes_checked(self):

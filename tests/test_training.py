@@ -14,7 +14,8 @@ from helpers import (
 )
 
 from norminfer.base import ConfigError, ContractError, NumericError
-from norminfer.model import forward_batch, make_batch
+from norminfer import training
+from norminfer.model import ModelParameters, forward_batch, make_batch
 from norminfer.tensor import GradTape, Tensor, add, parameter, softmax
 from norminfer.training import (
     AdamOptimizer,
@@ -261,6 +262,44 @@ class TestAdam:
         for t, expected in zip(tensors, reference_adam(start, grads, 0.01, 5)):
             np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("tile", [7, 1 << 16], ids=["row-tiles", "one-tile"])
+    @pytest.mark.parametrize(
+        "hints",
+        [
+            # row 1 is read only in step 1 and must keep decaying; step 6
+            # takes the union past a quarter of the 40 rows, and from then
+            # on the dense loop runs
+            [[1, 3], [3, 4, 4], [], [0, 3, 9], [12, 20, 33], list(range(5, 15)), [4]],
+            [list(range(40)), [2], [5, 0]],
+        ],
+        ids=["growing", "all-live"],
+    )
+    def test_row_hints_give_the_bits_of_dense_adam(self, monkeypatch, dtype, tile, hints):
+        monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", tile)
+        rng = np.random.default_rng(73)
+        start = rng.normal(size=(40, 5)).astype(dtype)
+        dense, hinted = parameter(start.copy(), dtype=dtype), parameter(start.copy(), dtype=dtype)
+        dense_opt, hinted_opt = AdamOptimizer([("e", dense)]), AdamOptimizer([("e", hinted)])
+        seen = set()
+        for rows in hints:
+            g = np.zeros(start.shape, dtype=dtype)
+            g[rows] = rng.normal(size=(len(rows), 5))
+            dense.grad, hinted.grad = g, g.copy()
+            dense_opt.step(0.01)
+            hinted_opt.step(0.01, {"e": np.array(rows, dtype=np.int64)})
+            seen.update(rows)
+            if len(seen) <= 10:
+                assert set(np.flatnonzero(hinted_opt.live["e"])) == seen
+            else:
+                assert "e" not in hinted_opt.live
+            assert dense.data.tobytes() == hinted.data.tobytes()
+            for moments in ("m", "v"):
+                want, got = getattr(dense_opt, moments)["e"], getattr(hinted_opt, moments)["e"]
+                assert want.tobytes() == got.tobytes()
+        assert "e" not in hinted_opt.live
+        assert not np.array_equal(dense.data, start)
+
     def test_shared_read_only_leaf_gradient(self):
         a = parameter(np.array([0.5, -1.5, 2.0]), dtype=np.float64)
         b = parameter(np.array([1.0, 0.0, -3.0]), dtype=np.float64)
@@ -284,6 +323,15 @@ class TestAdam:
         opt = AdamOptimizer([("w", w)])
         opt.step(0.1)
         assert w.data[0] == 1.0
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1 << 20, 2)], ids=["allocated", "mapped"])
+def test_lazy_zeros_are_writeable_zeros(shape):
+    a = training.lazy_zeros(shape, np.float32)
+    assert a.shape == shape and a.dtype == np.float32 and a.flags.writeable
+    assert not a.any()
+    a[-1] = 1.0
+    assert a.sum() == shape[1]
 
 
 class TestNllLoss:
@@ -468,10 +516,12 @@ class FixedTraceTrainer(Trainer):
         super().__init__(config)
         self.trace = trace
         self.head_snapshots = {}
+        self.snapshots = {}
 
     def evaluate(self, params, batches):
         epoch = len(self.head_snapshots) + 1
         self.head_snapshots[epoch] = params.w_cls.data.copy()
+        self.snapshots[epoch] = [t.data.copy() for _, t in params.named_tensors()]
         return 1.0, self.trace[epoch - 1]
 
 
@@ -488,7 +538,7 @@ class TestTrainerLoop:
         ]
         return train_pairs, val_pairs
 
-    def test_scripted_peak_stops_after_patience_and_restores_best(self):
+    def test_scripted_peak_stops_after_patience_and_restores_best(self, monkeypatch):
         config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
         train_pairs, val_pairs = self.small_dataset(config)
         trace = [0.5 + 0.01 * e for e in range(1, 13)] + [0.5] * 30
@@ -497,7 +547,16 @@ class TestTrainerLoop:
             trace,
         )
         params = build_toy_params(config, seed=3)
+        copies = []
+        copy = ModelParameters.copy
+        monkeypatch.setattr(ModelParameters, "copy", lambda self: copies.append(1) or copy(self))
         result = trainer.fit(params, train_pairs, val_pairs)
+
+        # one snapshot per fit, refreshed in place at each better epoch
+        assert len(copies) == 1
+        best = [t.data for _, t in result.params.named_tensors()]
+        assert all(np.array_equal(a, b) for a, b in zip(best, trainer.snapshots[12]))
+        assert not all(np.array_equal(a, b) for a, b in zip(best, trainer.snapshots[11]))
 
         assert len(result.log.epochs) == 22
         assert result.log.best_epoch == 12
@@ -533,6 +592,30 @@ class TestTrainerLoop:
             for (_, ta), (_, tc) in zip(a.params.named_tensors(),
                                         c.params.named_tensors())
         )
+
+    def test_embedding_row_hint_keeps_the_bits(self, monkeypatch):
+        """Trainer tells Adam which embedding rows each batch read; with
+        every row named instead, Adam runs dense and gives the same bits."""
+        # 416 table rows, so the rows read stay under a quarter of them
+        config = build_toy_config(vocab_words=400, n_blocks=1, d_model=8)
+        train_pairs, val_pairs = self.small_dataset(config, n_train=12)
+
+        def run():
+            params = build_toy_params(config, seed=9)
+            result = Trainer(cfg(max_epochs=3, batch_size=4, base_lr=1e-2)).fit(
+                params, train_pairs, val_pairs
+            )
+            return [t.data.tobytes() for p in (params, result.params)
+                    for _, t in p.named_tensors()], params.embedding.data
+
+        hinted, table = run()
+        untouched = (table == build_toy_params(config, seed=9).embedding.data).all(axis=1)
+        assert untouched.mean() > 1 - training.SPARSE_ROW_SHARE
+        monkeypatch.setattr(
+            training, "embedding_ids", lambda batch, config: (np.arange(config.embedding_rows),)
+        )
+        dense, _ = run()
+        assert hinted == dense
 
     def test_loss_decreases_on_a_fixed_batch(self):
         config = build_toy_config(vocab_words=12, n_blocks=1, n_heads=2, d_model=8)
