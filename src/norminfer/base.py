@@ -140,23 +140,3 @@ def check_text(value: Any, name: str) -> str:
     if not value.strip():
         raise ContractError(f"{name} must be a non-empty string")
     return value
-
-
-def check_pair_list(pairs: Any) -> list[tuple[str, str]]:
-    """Normalize predict-style input to a list of (premise, hypothesis)."""
-    out = []
-    for i, item in enumerate(pairs):
-        if hasattr(item, "premise") and hasattr(item, "hypothesis"):
-            premise, hypothesis = item.premise, item.hypothesis
-        else:
-            try:
-                premise, hypothesis = item
-            except (TypeError, ValueError):
-                raise ContractError(
-                    f"pair {i} must be (premise, hypothesis) or have "
-                    f".premise/.hypothesis attributes, got {item!r}"
-                ) from None
-        check_text(premise, f"pair {i} premise")
-        check_text(hypothesis, f"pair {i} hypothesis")
-        out.append((premise, hypothesis))
-    return out

@@ -82,6 +82,15 @@ def _require_file(path_value: str | None, key: str) -> Path:
     return path
 
 
+def _load_examples(path: Path, key: str) -> list:
+    """The labeled examples of the file ``key`` names; IngestError if none
+    is usable."""
+    examples = load_snli(path)
+    if not examples:
+        raise IngestError(f"{key} {path} holds no usable examples")
+    return examples
+
+
 def _load_classifier(checkpoint: str, vocab: str) -> NliClassifier:
     ckpt = load_checkpoint(_require_file(checkpoint, "checkpoint"))
     vocabulary = Vocabulary.load(_require_file(vocab, "vocab"))
@@ -112,6 +121,10 @@ def _classifier_for(cfg: RunConfig) -> NliClassifier:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     clf = _classifier_for(cfg)
+    # every model and optimizer key is checked before any file is read or
+    # made; the built vocabulary replaces vocab_words, so any valid one does
+    cfg.train_config()
+    cfg.model_config(vocab_words=3)
     out_dir = _resolve_output_dir(cfg.output_dir, args.output_dir)
     train_path = _require_file(cfg.train_path, "train_path")
     val_path = None
@@ -119,8 +132,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         val_path = _require_file(cfg.validation_path, "validation_path")
     _make_output_dir(out_dir)
 
-    train_examples = load_snli(train_path)
-    val_examples = load_snli(val_path) if val_path else None
+    train_examples = _load_examples(train_path, "train_path")
+    val_examples = _load_examples(val_path, "validation_path") if val_path else None
 
     clf.fit(train_examples, val_examples)
 
@@ -154,9 +167,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     clf = _load_classifier(args.checkpoint, args.vocab)
-    examples = load_snli(_require_file(args.data, "data"))
-    if not examples:
-        raise IngestError(f"data {args.data} holds no usable examples")
+    examples = _load_examples(_require_file(args.data, "data"), "data")
     accuracy = clf.score(examples)
     print(f"accuracy {accuracy:.4f} on {len(examples)} pairs")
     return EXIT_OK

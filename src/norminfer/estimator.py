@@ -13,20 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import (
-    ConfigError,
-    ContractError,
-    ParamsMixin,
-    check_fitted,
-    check_pair_list,
-    split_seed,
-)
-from .model import (
-    ModelConfig,
-    ModelParameters,
-    forward_batch,
-    make_batch,
-)
+from .base import ConfigError, ContractError, ParamsMixin, check_fitted, split_seed
+from .model import ModelConfig, ModelParameters, forward_batch, make_batch
 from .tensor import untaped
 from .text import (
     CLASSES,
@@ -37,7 +25,7 @@ from .text import (
     build_vocab,
     encode_pair,
 )
-from .training import SEED_INIT, TrainConfig, Trainer
+from .training import SEED_INIT, TrainConfig, Trainer, length_sorted_chunks
 
 SEED_HOLDOUT = 3
 
@@ -55,24 +43,30 @@ class PairEncoder(ParamsMixin):
         return self
 
     def transform(self, pairs: Iterable) -> list[EncodedPair]:
-        """Encode (premise, hypothesis) tuples or labeled examples."""
+        """Encode (premise, hypothesis) tuples, or objects with .premise and
+        .hypothesis whose .label, if any, is kept. A pair of neither form,
+        or one ``encode_pair`` rejects, raises ContractError naming its
+        index."""
         check_fitted(self, ["vocabulary_"])
         encoded = []
-        for item in pairs:
-            label = getattr(item, "label", None)
-            if hasattr(item, "premise"):
+        for i, item in enumerate(pairs):
+            if hasattr(item, "premise") and hasattr(item, "hypothesis"):
                 premise, hypothesis = item.premise, item.hypothesis
             else:
-                premise, hypothesis = item
-            encoded.append(
-                encode_pair(
-                    premise,
-                    hypothesis,
-                    self.vocabulary_,
-                    max_len=self.max_len,
-                    label=label,
-                )
-            )
+                try:
+                    premise, hypothesis = item
+                except (TypeError, ValueError):
+                    raise ContractError(
+                        f"pair {i} must be (premise, hypothesis) or have "
+                        f".premise/.hypothesis attributes, got {item!r}"
+                    ) from None
+            try:
+                encoded.append(encode_pair(
+                    premise, hypothesis, self.vocabulary_, max_len=self.max_len,
+                    label=getattr(item, "label", None),
+                ))
+            except ContractError as exc:
+                raise ContractError(f"pair {i}: {exc}") from None
         return encoded
 
     def fit_transform(self, examples: Sequence[NliExample], y=None) -> list[EncodedPair]:
@@ -216,7 +210,7 @@ class NliClassifier(ParamsMixin):
     def predict_proba(self, pairs) -> np.ndarray:
         """Class probability rows aligned with the input order."""
         check_fitted(self, ["params_", "encoder_"])
-        return self._probabilities(self.encoder_.transform(check_pair_list(pairs)))
+        return self._probabilities(self.encoder_.transform(pairs))
 
     def _probabilities(self, encoded: Sequence[EncodedPair]) -> np.ndarray:
         """Class probability rows for encoded pairs, in input order.
@@ -227,11 +221,8 @@ class NliClassifier(ParamsMixin):
         stays untouched and every primitive takes its untaped path.
         """
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
-        order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]))
-        step = max(1, self.batch_size)
         with untaped():
-            for start in range(0, len(order), step):
-                idx = order[start : start + step]
+            for idx in length_sorted_chunks(encoded, max(1, self.batch_size)):
                 probs = forward_batch(make_batch([encoded[i] for i in idx]), self.params_)
                 out[idx] = probs.data
         return out

@@ -351,13 +351,11 @@ def decoder_block(
         causal_attention(matmul(x, block.w_qkv), lengths, n_heads, last_only=eos_only),
         block.w_o,
     )
-    if rng is not None:
-        attn = dropout_op(attn, dropout, rng)
+    attn = dropout_op(attn, dropout, rng)
     residual = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else x
     y = layer_norm(attn, residual, block.ln1_gain, block.ln1_bias, eps)
     ffn = feed_forward(y, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
-    if rng is not None:
-        ffn = dropout_op(ffn, dropout, rng)
+    ffn = dropout_op(ffn, dropout, rng)
     return layer_norm(ffn, y, block.ln2_gain, block.ln2_bias, eps)
 
 
@@ -393,5 +391,5 @@ def forward_batch(
             hidden.append(x.data)
     if return_hidden:
         x = embedding_lookup(x, np.cumsum(lengths) - 1)
-    probs = softmax(add(matmul(x, params.w_cls), params.b_cls), axis=-1)
+    probs = softmax(add(matmul(x, params.w_cls), params.b_cls))
     return (probs, hidden) if return_hidden else probs

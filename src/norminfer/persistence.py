@@ -256,10 +256,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(params=params, meta=header["meta"])
 
 
-def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """One run's full recipe: architecture, optimization, data, output.

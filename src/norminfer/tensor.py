@@ -1,8 +1,8 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-The module provides the operations the decoder classifier runs: dense and
-batched matrix products, broadcast addition for biases, embedding row
-gathers, a numerically stabilized softmax, fused causal attention and
+The module provides the operations the decoder classifier runs: dense
+matrix products with a 2-d weight, broadcast addition for biases, embedding
+row gathers, a numerically stabilized softmax, fused causal attention and
 feed-forward primitives, layer normalization of a residual sum, and
 dropout. The loss is one primitive of its own, ``training.nll_loss``.
 ``gelu``, ``scale``, ``masked_fill``, ``take_rows``, ``narrow``,
@@ -20,10 +20,10 @@ each record once pulled, so activations are freed during the pass. With no
 active tape the primitives run plain numpy with no bookkeeping, which is
 the inference path.
 
-Dense products of a batched input with a 2-d weight fold every leading
-dimension into rows, so the forward pass and both gradients are one matrix
-product each. An embedding lookup may gather several id sets at once and
-scatters its gradient into a single dense table with a sorted segment sum.
+A matrix product folds every leading dimension of its input into rows, so
+the forward pass and both gradients are one matrix product each. An
+embedding lookup may gather several id sets at once and scatters its
+gradient into a single dense table with a sorted segment sum.
 Leaf gradients left by ``backward`` are writeable and never shared between
 two leaves, so an optimizer may clip them in place.
 
@@ -40,8 +40,8 @@ does a sequence keep its own (H, L, L) weights array; otherwise every tile
 reuses one buffer. With ``last_only`` each sequence runs just one tile,
 its last row against all its keys, on the same (N, 3d) input: that is all
 a reader of the end-of-sequence rows needs. A sequence of one tile gets
-the bits the separate ``matmul``, ``scale``, ``masked_fill`` and
-``softmax`` primitives give on it alone; longer ones differ by float32
+the bits of the separate numpy steps (score product, scaling, masking,
+softmax, value product) on it alone; longer ones differ by float32
 rounding.
 
 The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
@@ -266,37 +266,22 @@ def scale(x: Tensor, factor: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading dimensions broadcast as in numpy.
+    """Dense product of ``a`` (..., k) with a 2-d ``b`` (k, n), applied at
+    every leading index of ``a``; any other ``b`` is a ShapeError.
 
-    Covers the dense case, a 2-d ``b`` applied at every leading index of
-    ``a``, and the batched case with head and batch dimensions in front of
-    both operands. The contraction dimensions must agree.
-
-    A dense product folds the leading dimensions of ``a`` into rows: the
-    forward pass is one (rows, k) x (k, n) product, and the weight gradient
-    is one ``a^T g`` product rather than a product per leading index summed
-    afterwards.
+    The leading dimensions of ``a`` fold into rows: the forward pass is one
+    (rows, k) x (k, n) product, and the weight gradient is one ``a^T g``
+    product rather than a product per leading index summed afterwards.
     """
     _check_dtypes(a, b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul needs rank >= 2 operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul contraction mismatch: {a.shape} @ {b.shape}")
-    if b.ndim == 2:
-        a2 = a.data.reshape(-1, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-        def dense_pull(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
-
-        return _result((a, b), data, dense_pull)
-    data = a.data @ b.data
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs a (..., k) @ b (k, n), got {a.shape} @ {b.shape}")
+    a2 = a.data.reshape(-1, a.shape[-1])
+    data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def pull(g):
-        ga = _unbroadcast(g @ b.data.swapaxes(-2, -1), a.shape)
-        gb = _unbroadcast(a.data.swapaxes(-2, -1) @ g, b.shape)
-        return ga, gb
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
     return _result((a, b), data, pull)
 
@@ -439,14 +424,14 @@ def masked_fill(scores: Tensor) -> Tensor:
     return _result((scores,), data, pull)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stabilized softmax: shifts by the slice max before exponentiating."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Stabilized softmax over the last axis: shifts each row by its max first."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def pull(g):
-        inner = (g * data).sum(axis=axis, keepdims=True)
+        inner = (g * data).sum(axis=-1, keepdims=True)
         return (data * (g - inner),)
 
     return _result((x,), data, pull)
@@ -480,11 +465,12 @@ def causal_attention(
     reuses one buffer, with the same bits. Tiles depend only on a
     sequence's own length. A one-tile sequence
     (n_heads * L**2 <= ``TILE_ELEMENTS``, or any with ``last_only``) gets
-    the bits of ``matmul``, ``scale``, ``masked_fill``, ``softmax`` and
-    ``matmul`` on its (n_heads, L, d_head) head views; in a longer one,
-    smaller products may take other BLAS kernels and move it by float32
-    rounding. The pull walks each sequence's full weights array and gives
-    rows that did not query exact zeros in their query columns.
+    the bits of the score product, scaling, masking, softmax and value
+    product, each one numpy expression, on its (n_heads, L, d_head) head
+    views; in a longer one, smaller products may take other BLAS kernels
+    and move it by float32 rounding. The pull walks each sequence's full
+    weights array and gives rows that did not query exact zeros in their
+    query columns.
     """
     lengths = [int(n) for n in lengths]
     if qkv.ndim != 2 or qkv.shape[1] % (3 * n_heads):
@@ -715,11 +701,12 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
     return _result((x, residual, gain, bias), data, pull)
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability p, rescale survivors by 1/(1-p)."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None = None) -> Tensor:
+    """Inverted dropout: zero with probability p, rescale survivors by 1/(1-p).
+    Without a generator, or at p = 0, ``x`` passes through and nothing is drawn."""
     if not 0.0 <= p < 1.0:
         raise ContractError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
+    if p == 0.0 or rng is None:
         return x
     keep = (rng.random(x.shape) >= p).astype(x.dtype)
     inv = x.dtype.type(1.0 / (1.0 - p))

@@ -179,6 +179,8 @@ def encode_pair(
     """
     check_text(premise, "premise")
     check_text(hypothesis, "hypothesis")
+    if label is not None and label not in LABEL_TO_INDEX:
+        raise ContractError(f"label must be one of {CLASSES}, got {label!r}")
     p_tokens = tokenize(premise)
     h_tokens = tokenize(hypothesis)
     if not p_tokens or not h_tokens:

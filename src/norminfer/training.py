@@ -30,6 +30,10 @@ from .text import EncodedPair
 logger = logging.getLogger(__name__)
 
 LOSS_FLOOR = 1e-12
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # past this share of a tensor's rows, Adam's dense sweep beats gathering them
 SPARSE_ROW_SHARE = 0.25
 
@@ -178,7 +182,8 @@ def lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 class AdamOptimizer:
-    """Adam with bias correction.
+    """Adam with bias correction, at the fixed ``ADAM_BETA1``,
+    ``ADAM_BETA2`` and ``ADAM_EPS``.
 
     Moment accumulators mirror every parameter shape; the step counter
     increases by one per update across all parameters.
@@ -197,17 +202,8 @@ class AdamOptimizer:
     with dense Adam's bits: rows never named have zero moments and stay.
     """
 
-    def __init__(
-        self,
-        params: Iterable[tuple[str, Tensor]],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, params: Iterable[tuple[str, Tensor]]):
         self.tensors: list[tuple[str, Tensor]] = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {name: lazy_zeros(t.shape, t.dtype) for name, t in self.tensors}
         self.v = {name: lazy_zeros(t.shape, t.dtype) for name, t in self.tensors}
         # rows named so far, per tensor that still has rows outside them
@@ -225,8 +221,8 @@ class AdamOptimizer:
                 _finite_range(name, tensor.grad)
         self.step_count += 1
         t = self.step_count
-        step_size = lr / (1.0 - self.beta1**t)
-        v_scale = 1.0 / math.sqrt(1.0 - self.beta2**t)
+        step_size = lr / (1.0 - ADAM_BETA1**t)
+        v_scale = 1.0 / math.sqrt(1.0 - ADAM_BETA2**t)
         for name, tensor in updates:
             arrays = (tensor.data, tensor.grad, self.m[name], self.v[name])
             w, g, m, v = (np.atleast_1d(a) for a in arrays)
@@ -250,39 +246,39 @@ class AdamOptimizer:
         for start, end in zip(bounds, bounds[1:]):
             gs, ms, vs = g[start:end], m[start:end], v[start:end]
             buf = scratch[: end - start]
-            ms *= self.beta1
-            np.multiply(gs, 1.0 - self.beta1, out=buf)
+            ms *= ADAM_BETA1
+            np.multiply(gs, 1.0 - ADAM_BETA1, out=buf)
             ms += buf
-            vs *= self.beta2
+            vs *= ADAM_BETA2
             np.multiply(gs, gs, out=buf)
-            buf *= 1.0 - self.beta2
+            buf *= 1.0 - ADAM_BETA2
             vs += buf
             np.sqrt(vs, out=buf)
             buf *= v_scale
-            buf += self.eps
+            buf += ADAM_EPS
             np.divide(ms, buf, out=buf)
             buf *= step_size
             w[start:end] -= buf
 
 
+def length_sorted_chunks(pairs: Sequence[EncodedPair], size: int) -> list[list[int]]:
+    """Indices of ``pairs``, stably sorted by pair length and cut into runs
+    of ``size``: the batches of pairs of similar length that training and
+    inference both run."""
+    order = sorted(range(len(pairs)), key=lambda i: len(pairs[i]))
+    return [order[i : i + size] for i in range(0, len(order), size)]
+
+
 def make_batches(
     pairs: Sequence[EncodedPair], cfg: TrainConfig, epoch_seed: int
 ) -> list[Batch]:
-    """Length-sorted batches in a shuffled order.
-
-    Pairs are stably sorted by combined sentence length, chunked into
-    batch_size groups of similar length, and the order of the batches
-    (not their contents) is shuffled by the epoch seed.
-    """
+    """``length_sorted_chunks`` of batch_size pairs as batches, in an order
+    (not their contents) shuffled by the epoch seed."""
     if not pairs:
         raise ContractError("cannot batch an empty dataset")
-    by_length = sorted(pairs, key=lambda p: p.premise_len + p.hypothesis_len)
-    chunks = [
-        by_length[i : i + cfg.batch_size]
-        for i in range(0, len(by_length), cfg.batch_size)
-    ]
+    chunks = length_sorted_chunks(pairs, cfg.batch_size)
     order = np.random.default_rng(epoch_seed).permutation(len(chunks))
-    return [make_batch(chunks[i]) for i in order]
+    return [make_batch([pairs[j] for j in chunks[i]]) for i in order]
 
 
 @dataclass(frozen=True)
@@ -372,11 +368,7 @@ class Trainer:
         named = list(params.named_tensors())
         optimizer = AdamOptimizer(named)
         val_batches = make_batches(val_pairs, cfg, epoch_seed=0)
-        dropout_rng = (
-            np.random.default_rng(split_seed(cfg.seed, SEED_DROPOUT))
-            if params.config.dropout > 0
-            else None
-        )
+        dropout_rng = np.random.default_rng(split_seed(cfg.seed, SEED_DROPOUT))
 
         best_params = params.copy()
         step = 0

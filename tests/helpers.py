@@ -56,19 +56,32 @@ def dot_with(out, upstream):
     return matmul(reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1)))
 
 
-def reference_attention(q, k, v, causal=True):
-    """Causal attention as the five separate tape primitives that
-    ``tensor.causal_attention`` fuses: (output tensor, weights array).
-    Without ``causal`` the masking step is left out: a query at the last
-    row sees every key, so no mask changes its scores."""
-    from norminfer.tensor import masked_fill, matmul, scale, softmax, transpose
-
-    axes = tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2)
-    scores = scale(matmul(q, transpose(k, axes)), 1.0 / np.sqrt(q.shape[-1]))
+def reference_attention(q, k, v, upstream=None, causal=True):
+    """Causal attention in plain numpy on (..., L, d_head) arrays, as the
+    separate steps ``tensor.causal_attention`` fuses: score product,
+    scaling, masking, stabilized softmax, value product, each one numpy
+    expression in that order. Returns the output and the weights; given
+    the output gradient ``upstream``, also the gradients of q, k and v,
+    pulled back through the same steps in reverse. Without ``causal`` the
+    masking step is left out: a query at the last row sees every key, so
+    no mask changes its scores."""
+    c = q.dtype.type(1.0 / np.sqrt(q.shape[-1]))
+    drop = ~np.tri(k.shape[-2], dtype=bool)
+    scores = (q @ k.swapaxes(-2, -1)) * c
     if causal:
-        scores = masked_fill(scores)
-    weights = softmax(scores, axis=-1)
-    return matmul(weights, v), weights.data
+        scores = np.where(drop, np.finfo(scores.dtype).min, scores)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = weights @ v
+    if upstream is None:
+        return out, weights
+    g_weights = upstream @ v.swapaxes(-2, -1)
+    g_scores = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+    if causal:
+        g_scores = np.where(drop, 0.0, g_scores)
+    g_scores = g_scores * c
+    g_k = (q.swapaxes(-2, -1) @ g_scores).swapaxes(-2, -1)
+    return out, weights, (g_scores @ k, g_k, weights.swapaxes(-2, -1) @ upstream)
 
 
 def split_heads(rows, n_heads):
@@ -92,28 +105,26 @@ def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False, la
     mask: the output and ``upstream`` are (B, d), and the query columns of
     the gradient are zero outside the last rows.
     """
-    from norminfer.tensor import GradTape, parameter
-
     d = qkv.shape[1] // 3
     outs, weights, grads = [], [], []
     start = 0
     for i, n in enumerate(lengths):
-        rows = slice(start, start + n)
+        rows = qkv[start : start + n]
+        g_out = upstream[i : i + 1] if last_only else upstream[start : start + n]
         start += n
-        parts = [split_heads(qkv[rows, j * d : (j + 1) * d], n_heads) for j in range(3)]
+        q, k, v = (split_heads(rows[:, j * d : (j + 1) * d], n_heads) for j in range(3))
         if last_only:
-            parts[0] = parts[0][:, -1:]
-        q, k, v = (parameter(p.copy() if copies else p) for p in parts)
-        g_out = upstream[i : i + 1] if last_only else upstream[rows]
-        with GradTape() as tape:
-            out, w = reference_attention(q, k, v, causal=not last_only)
-            tape.backward(dot_with(out, split_heads(g_out, n_heads)))
-        outs.append(merge_heads(out.data))
+            q = q[:, -1:]
+        if copies:
+            q, k, v = q.copy(), k.copy(), v.copy()
+        g_heads = np.ascontiguousarray(split_heads(g_out, n_heads))
+        out, w, (g_q, g_k, g_v) = reference_attention(q, k, v, g_heads, causal=not last_only)
+        outs.append(merge_heads(out))
         weights.append(w)
-        g_q = merge_heads(q.grad)
+        g_q = merge_heads(g_q)
         if last_only:
             g_q = np.concatenate([np.zeros((n - 1, d), dtype=qkv.dtype), g_q])
-        grads.append(np.concatenate([g_q] + [merge_heads(x.grad) for x in (k, v)], axis=1))
+        grads.append(np.concatenate([g_q, merge_heads(g_k), merge_heads(g_v)], axis=1))
     return np.concatenate(outs), weights, np.concatenate(grads)
 
 

@@ -171,8 +171,14 @@ class TestTrain:
             recorded = load_config(tmp_path / "out" / RUNCONFIG_FILE)
             assert built == recorded.model_config(vocab_words=built.vocab_words)
 
-    @pytest.mark.parametrize("line", ["seed = -1", "base_lr = inf", "clip_bound = inf"])
-    def test_bad_train_values_exit_data_before_any_write(self, tmp_path, capsys, line):
+    @pytest.mark.parametrize(
+        "line", ["seed = -1", "base_lr = inf", "clip_bound = inf", "d_model = 9", "dropout = 1.0"]
+    )
+    def test_bad_train_values_exit_data_before_any_write(self, tmp_path, capsys, monkeypatch, line):
+        def no_load(*args):
+            raise AssertionError("train read its corpus before checking its config")
+
+        monkeypatch.setattr("norminfer.cli.load_snli", no_load)
         write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
         (tmp_path / "out").mkdir()
         write_config(
@@ -185,6 +191,32 @@ class TestTrain:
         assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
         assert line.split()[0] in capsys.readouterr().err
         assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("key", ["train_path", "validation_path"])
+    def test_file_without_usable_examples_exits_data_before_the_model(
+        self, tmp_path, capsys, monkeypatch, key
+    ):
+        from norminfer.model import ModelParameters
+
+        def no_init(*args, **kwargs):
+            raise AssertionError("train built a model for data it cannot use")
+
+        monkeypatch.setattr(ModelParameters, "initialize", no_init)
+        paths = {"train_path": tmp_path / "train.jsonl", "validation_path": tmp_path / "val.jsonl"}
+        write_jsonl(paths["train_path"], make_corpus(16))
+        write_jsonl(paths["validation_path"], make_corpus(8, seed=1))
+        # a record without annotator consensus is dropped on load
+        paths[key].write_text(
+            json.dumps({"sentence1": "a", "sentence2": "b", "gold_label": "-"}) + "\n",
+            encoding="utf-8",
+        )
+        write_config(
+            tmp_path / "c.cfg",
+            *(f"{name} = {path}" for name, path in paths.items()),
+            f"output_dir = {tmp_path / 'out'}",
+        )
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
+        assert f"error: {key} {paths[key]} holds no usable examples" in capsys.readouterr().err
 
     def test_run_cfg_records_the_built_vocabulary(self, tmp_path, capsys):
         """run.cfg holds the size of the vocabulary train built, so

@@ -1,5 +1,7 @@
 """Estimator API: encoding step, classifier fit/predict, parameter plumbing."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from helpers import make_corpus
@@ -49,6 +51,24 @@ class TestPairEncoder:
         encoded = enc.transform([("a dog is walking", "a dog is walking")])
         assert encoded[0].label_id is None
         assert encoded[0].token_ids[-1] == EOS_ID
+
+    @pytest.mark.parametrize(
+        "bad",
+        [("a dog",), ("a dog", "a cat", "a bird"), 5, SimpleNamespace(premise="a dog")],
+        ids=["1-tuple", "3-tuple", "int", "premise-only"],
+    )
+    def test_transform_rejects_a_malformed_pair_by_index(self, bad):
+        enc = PairEncoder().fit(make_corpus(6))
+        with pytest.raises(ContractError, match="pair 1 must be"):
+            enc.transform([("a dog is walking", "a dog is walking"), bad])
+
+    def test_transform_names_the_pair_encode_rejects(self):
+        enc = PairEncoder().fit(make_corpus(6))
+        with pytest.raises(ContractError, match="pair 1: hypothesis"):
+            enc.transform([("a dog", "a cat"), ("a dog", "  ")])
+        bad_label = SimpleNamespace(premise="a dog", hypothesis="a cat", label="maybe")
+        with pytest.raises(ContractError, match="pair 0: label"):
+            enc.transform([bad_label])
 
     def test_fit_transform_matches_fit_then_transform(self):
         corpus = make_corpus(6)

@@ -28,7 +28,7 @@ from norminfer.model import (
     make_batch,
 )
 from norminfer import tensor
-from norminfer.tensor import GradTape, Tensor, causal_attention, matmul, narrow
+from norminfer.tensor import GradTape, Tensor, causal_attention, matmul
 from norminfer.text import EOS_ID
 from norminfer.training import nll_loss
 
@@ -193,11 +193,9 @@ class TestAttention:
         via_heads = matmul(causal_attention(matmul(x, block.w_qkv), [5, 5], 1), block.w_o).data
 
         for rows in (slice(0, 5), slice(5, 10)):
-            qkv = matmul(Tensor(x.data[rows]), block.w_qkv)
-            q = narrow(qkv, 0, 8)
-            k = narrow(qkv, 8, 8)
-            v = narrow(qkv, 16, 8)
-            direct = matmul(reference_attention(q, k, v)[0], block.w_o).data
+            qkv = matmul(Tensor(x.data[rows]), block.w_qkv).data
+            q, k, v = (qkv[:, i : i + 8] for i in (0, 8, 16))
+            direct = matmul(Tensor(reference_attention(q, k, v)[0]), block.w_o).data
             assert np.array_equal(via_heads[rows], direct)
 
     def test_last_rows_attend_as_the_full_block_does(self):
