@@ -37,7 +37,9 @@ from .persistence import (
     save_config,
     serialize_config,
 )
-from .text import CLASSES, Vocabulary, bundled_conflicts_path, load_norm_conflicts, load_snli
+from .text import (
+    CLASSES, Vocabulary, bundled_conflicts_path, check_min_count, load_norm_conflicts, load_snli,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -121,19 +123,24 @@ def _classifier_for(cfg: RunConfig) -> NliClassifier:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     clf = _classifier_for(cfg)
-    # every model and optimizer key is checked before any file is read or
-    # made; the built vocabulary replaces vocab_words, so any valid one does
+    # every model, optimizer and vocabulary key is checked before any file is
+    # read or made; the built vocabulary replaces vocab_words, so any valid one does
     cfg.train_config()
     cfg.model_config(vocab_words=3)
+    check_min_count(cfg.min_count)
     out_dir = _resolve_output_dir(cfg.output_dir, args.output_dir)
     train_path = _require_file(cfg.train_path, "train_path")
-    val_path = None
-    if cfg.validation_path:
-        val_path = _require_file(cfg.validation_path, "validation_path")
+    val_path = cfg.validation_path and _require_file(cfg.validation_path, "validation_path")
+    made = not out_dir.exists()
     _make_output_dir(out_dir)
 
-    train_examples = _load_examples(train_path, "train_path")
-    val_examples = _load_examples(val_path, "validation_path") if val_path else None
+    try:
+        train_examples = _load_examples(train_path, "train_path")
+        val_examples = _load_examples(val_path, "validation_path") if val_path else None
+    except IngestError:
+        if made and not any(out_dir.iterdir()):
+            out_dir.rmdir()  # this run made it, and nothing is in it
+        raise
 
     clf.fit(train_examples, val_examples)
 

@@ -23,6 +23,7 @@ from .text import (
     NliExample,
     Vocabulary,
     build_vocab,
+    check_min_count,
     encode_pair,
 )
 from .training import SEED_INIT, TrainConfig, Trainer, length_sorted_chunks
@@ -140,11 +141,14 @@ class NliClassifier(ParamsMixin):
         validation: Sequence[NliExample] | None = None,
     ) -> "NliClassifier":
         train_config = self._train_config()
+        check_min_count(self.min_count)
         examples = list(examples)
         if not examples:
             raise ContractError("fit needs at least one training example")
         if validation is None:
             examples, validation = self._holdout_split(examples)
+        elif not (validation := list(validation)):
+            raise ContractError("fit needs at least one validation example")
 
         self.encoder_ = PairEncoder(min_count=self.min_count, max_len=self.max_len)
         self.encoder_.fit(examples)

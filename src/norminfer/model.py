@@ -321,8 +321,8 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
 
     The result is packed as ``batch.token_ids`` is, shape (N, d); the rows
     are those of ``embedding_ids``. Both id sets go through one lookup, so
-    the backward pass scatters into a single dense table gradient, zero
-    outside those rows.
+    the table's gradient is one ``RowGrad`` over the distinct rows they
+    read.
     """
     return embedding_lookup(params.embedding, *embedding_ids(batch, params.config))
 

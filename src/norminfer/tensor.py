@@ -22,8 +22,9 @@ the inference path.
 
 A matrix product folds every leading dimension of its input into rows, so
 the forward pass and both gradients are one matrix product each. An
-embedding lookup may gather several id sets at once and scatters its
-gradient into a single dense table with a sorted segment sum.
+embedding lookup may gather several id sets at once. Its gradient is a
+:class:`RowGrad` of sorted segment sums, one per distinct row read, which
+a leaf table keeps unless a second gradient makes it dense.
 Leaf gradients left by ``backward`` are writeable and never shared between
 two leaves, so an optimizer may clip them in place.
 
@@ -105,7 +106,7 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad)
-        self.grad: np.ndarray | None = None
+        self.grad: np.ndarray | RowGrad | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -127,6 +128,20 @@ class Tensor:
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
+
+
+class RowGrad:
+    """Gradient of a table that is zero outside some rows: the sorted
+    distinct ``rows`` and their ``values``, (len(rows),) + the row shape,
+    of a table of ``shape``."""
+
+    def __init__(self, rows: np.ndarray, values: np.ndarray, shape: tuple[int, ...]):
+        self.rows, self.values, self.shape = rows, values, tuple(shape)
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, dtype=self.values.dtype)
+        out[self.rows] = self.values
+        return out
 
 
 class GradTape:
@@ -158,7 +173,8 @@ class GradTape:
 
         ``loss`` must be a scalar (a single-element tensor). Each record is
         dropped once pulled, with the activations its pull holds, so a tape
-        runs backward once and non-leaf tensors end with ``grad`` None.
+        runs backward once and non-leaf tensors end with ``grad`` None. Only
+        a leaf with one gradient keeps a :class:`RowGrad` as it is.
         """
         if self._pulled:
             raise ContractError("backward already ran on this tape, which released its records")
@@ -180,11 +196,11 @@ class GradTape:
                 if grad is None or not tensor.requires_grad:
                     continue
                 if tensor.grad is not None:
-                    tensor.grad = tensor.grad + grad
+                    tensor.grad = _dense(tensor.grad) + _dense(grad)
                 elif id(tensor) in produced:
-                    tensor.grad = grad
+                    tensor.grad = _dense(grad)
                 else:
-                    tensor.grad = _leaf_grad(grad, held)
+                    tensor.grad = grad if isinstance(grad, RowGrad) else _leaf_grad(grad, held)
 
 
 # Open tapes, innermost last. A context variable keeps them per thread (and
@@ -201,6 +217,10 @@ def untaped() -> Iterator[None]:
         yield
     finally:
         _ACTIVE_TAPES.reset(token)
+
+
+def _dense(grad: np.ndarray | RowGrad) -> np.ndarray:
+    return grad.dense() if isinstance(grad, RowGrad) else grad
 
 
 def _leaf_grad(grad: np.ndarray, held: set[int]) -> np.ndarray:
@@ -319,11 +339,10 @@ def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> T
     """Gather rows of ``table`` at integer ids; output shape ids.shape + (d,).
 
     With several id arrays of one shape, the output is the sum of their
-    rows, added in argument order. The backward pass builds one dense
-    table gradient: the incoming row gradients of every id set are stably
-    sorted by id and summed per run of equal ids (``np.add.reduceat``),
-    then written once into each distinct row. Repeated ids therefore
-    accumulate in order of occurrence, and rows never looked up stay zero.
+    rows, added in argument order. The table gradient is a
+    :class:`RowGrad`: the incoming row gradients of every id set are stably
+    sorted by id and summed per run of equal ids (``np.add.reduceat``), one
+    value row per distinct id read. Rows never looked up are left out.
     """
     id_sets = tuple(np.asarray(i) for i in (ids,) + more_ids)
     for id_set in id_sets:
@@ -343,18 +362,15 @@ def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> T
         data += table.data[id_set]
 
     def pull(g):
-        gt = np.zeros(table.shape, dtype=table.dtype)
         flat = np.concatenate([id_set.reshape(-1) for id_set in id_sets])
+        g_rows = g.reshape((-1,) + table.shape[1:])
         if not flat.size:
-            return (gt,)
+            return (RowGrad(flat, g_rows, table.shape),)
         order = np.argsort(flat, kind="stable")
         sorted_ids = flat[order]
         starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-        g_rows = g.reshape((-1,) + table.shape[1:])
-        gt[sorted_ids[starts]] = np.add.reduceat(
-            g_rows[order % id_sets[0].size], starts, axis=0
-        )
-        return (gt,)
+        values = np.add.reduceat(g_rows[order % id_sets[0].size], starts, axis=0)
+        return (RowGrad(sorted_ids[starts], values, table.shape),)
 
     return _result((table,), data, pull)
 

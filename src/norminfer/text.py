@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ContractError, IngestError, atomic_write, check_text
+from .base import ConfigError, ContractError, IngestError, atomic_write, check_text
 
 logger = logging.getLogger(__name__)
 
@@ -109,12 +109,16 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
 
+def check_min_count(min_count) -> None:
+    if not isinstance(min_count, int) or isinstance(min_count, bool) or min_count < 1:
+        raise ConfigError(f"min_count must be an integer >= 1, got {min_count!r}")
+
+
 def build_vocab(examples: Iterable["NliExample"], min_count: int = 1) -> Vocabulary:
     """Count tokens over premises and hypotheses, then order by descending
     frequency with ties broken lexicographically.
     """
-    if min_count < 1:
-        raise ContractError(f"min_count must be >= 1, got {min_count}")
+    check_min_count(min_count)
     counts: Counter[str] = Counter()
     n_examples = 0
     for ex in examples:

@@ -18,13 +18,13 @@ import math
 import mmap
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
-from .model import Batch, ModelParameters, embedding_ids, forward_batch, make_batch
-from .tensor import GradTape, Tensor, _result, row_tiles
+from .model import Batch, ModelParameters, forward_batch, make_batch
+from .tensor import GradTape, RowGrad, Tensor, _result, row_tiles
 from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
@@ -154,22 +154,21 @@ def clip_gradients(params: Iterable[tuple[str, Tensor]], bound: float) -> None:
     if not (bound > 0):
         raise ContractError(f"clip bound must be > 0, got {bound}")
     for name, tensor in params:
-        g = tensor.grad
-        if g is None or not g.size:
-            continue
-        lo, hi = _finite_range(name, g)
-        if lo < -bound or hi > bound:
-            np.clip(g, -bound, bound, out=g)
+        if tensor.grad is not None:
+            g, lo, hi = _finite_range(name, tensor.grad)
+            if lo < -bound or hi > bound:
+                np.clip(g, -bound, bound, out=g)
 
 
-def _finite_range(name: str, g: np.ndarray):
-    """(min, max) of a non-empty gradient; NumericError naming the tensor
-    if it holds NaN or +-inf. Two reductions, no boolean mask the size of
-    the gradient."""
-    lo, hi = g.min(), g.max()
+def _finite_range(name: str, grad):
+    """The array a gradient holds, a :class:`RowGrad`'s ``values``, and its
+    min and max (0 when empty); NumericError naming the tensor if it holds
+    NaN or +-inf. Two reductions, no boolean mask the size of the gradient."""
+    g = grad.values if isinstance(grad, RowGrad) else grad
+    lo, hi = (g.min(), g.max()) if g.size else (0, 0)
     if not (np.isfinite(lo) and np.isfinite(hi)):
         raise NumericError(f"non-finite gradient in {name}")
-    return lo, hi
+    return g, lo, hi
 
 
 def lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -196,10 +195,10 @@ class AdamOptimizer:
     tensor that stays in cache. The update is elementwise, so the tiling
     leaves its bits as they are.
 
-    ``step`` may name, per tensor, the rows outside which its gradient is
-    zero (a tensor left out has all its rows named). While the rows named
-    so far are at most ``SPARSE_ROW_SHARE`` of them, only they are updated,
-    with dense Adam's bits: rows never named have zero moments and stay.
+    A :class:`RowGrad` names the rows outside which a gradient is zero. While
+    the rows named so far are at most ``SPARSE_ROW_SHARE`` of them, only they
+    are updated, with dense Adam's bits: rows never named have zero moments
+    and stay. Each tile builds its gradient from the rows that fall in it.
     """
 
     def __init__(self, params: Iterable[tuple[str, Tensor]]):
@@ -210,42 +209,48 @@ class AdamOptimizer:
         self.live = {name: np.zeros(len(np.atleast_1d(t.data)), bool) for name, t in self.tensors}
         self.step_count = 0
 
-    def step(self, lr: float, rows: Mapping[str, np.ndarray] | None = None) -> None:
-        """Apply one update using the gradients currently on the tensors
-        (and ``rows``, see the class), then clear them. A non-finite gradient
-        raises NumericError before any tensor, moment or the step count changes.
+    def step(self, lr: float) -> None:
+        """Apply one update using the gradients currently on the tensors,
+        then clear them. A non-finite gradient raises NumericError before
+        any tensor, moment or the step count changes.
         """
         updates = [(name, t) for name, t in self.tensors if t.grad is not None]
         for name, tensor in updates:
-            if tensor.grad.size:
-                _finite_range(name, tensor.grad)
+            _finite_range(name, tensor.grad)
         self.step_count += 1
         t = self.step_count
         step_size = lr / (1.0 - ADAM_BETA1**t)
         v_scale = 1.0 / math.sqrt(1.0 - ADAM_BETA2**t)
         for name, tensor in updates:
-            arrays = (tensor.data, tensor.grad, self.m[name], self.v[name])
-            w, g, m, v = (np.atleast_1d(a) for a in arrays)
+            g, sparse = tensor.grad, isinstance(tensor.grad, RowGrad)
+            w, m, v = (np.atleast_1d(a) for a in (tensor.data, self.m[name], self.v[name]))
             live = self.live.get(name)
             if live is not None:
-                live[(rows or {}).get(name, slice(None))] = True
-                if np.count_nonzero(live) > SPARSE_ROW_SHARE * len(live):
+                live[g.rows if sparse else slice(None)] = True
+                if not sparse or np.count_nonzero(live) > SPARSE_ROW_SHARE * len(live):
                     del self.live[name]
             if name not in self.live:
-                self._update(w, g, m, v, step_size, v_scale)
+                self._update(w, g if sparse else np.atleast_1d(g), m, v, step_size, v_scale)
             else:
                 index = np.flatnonzero(live)
                 w_rows, m_rows, v_rows = w[index], m[index], v[index]
-                self._update(w_rows, g[index], m_rows, v_rows, step_size, v_scale)
+                g = RowGrad(np.searchsorted(index, g.rows), g.values, w_rows.shape)
+                self._update(w_rows, g, m_rows, v_rows, step_size, v_scale)
                 w[index], m[index], v[index] = w_rows, m_rows, v_rows
             tensor.grad = None
 
     def _update(self, w, g, m, v, step_size, v_scale) -> None:
         bounds, height = row_tiles(len(w), math.prod(w.shape[1:]))
-        scratch = np.empty((height,) + w.shape[1:], dtype=w.dtype)
-        for start, end in zip(bounds, bounds[1:]):
-            gs, ms, vs = g[start:end], m[start:end], v[start:end]
-            buf = scratch[: end - start]
+        sparse = isinstance(g, RowGrad)
+        scratch = np.empty((1 + sparse, height) + w.shape[1:], dtype=w.dtype)
+        # a RowGrad's rows [a, b) fall in the tile [start, end)
+        cuts = np.searchsorted(g.rows, bounds).tolist() if sparse else bounds
+        for start, end, a, b in zip(bounds, bounds[1:], cuts, cuts[1:]):
+            ms, vs, buf = m[start:end], v[start:end], scratch[0, : end - start]
+            gs = scratch[1, : end - start] if sparse else g[start:end]
+            if sparse:
+                gs.fill(0)
+                gs[g.rows[a:b] - start] = g.values[a:b]
             ms *= ADAM_BETA1
             np.multiply(gs, 1.0 - ADAM_BETA1, out=buf)
             ms += buf
@@ -373,9 +378,7 @@ class Trainer:
         best_params = params.copy()
         step = 0
         for epoch in range(1, cfg.max_epochs + 1):
-            epoch_loss = 0.0
-            epoch_correct = 0
-            epoch_count = 0
+            epoch_loss, epoch_correct, epoch_count = 0.0, 0, 0
             try:
                 for batch in make_batches(
                     train_pairs, cfg, split_seed(cfg.seed, SEED_BATCH, epoch)
@@ -386,18 +389,13 @@ class Trainer:
                         loss = nll_loss(probs, batch.labels)
                         loss_value = loss.item()
                         if not math.isfinite(loss_value):
-                            raise NumericError(
-                                f"loss diverged at epoch {epoch}: {loss_value}"
-                            )
+                            raise NumericError(f"loss diverged at epoch {epoch}: {loss_value}")
                         tape.backward(loss)
                     clip_gradients(named, cfg.clip_bound)
                     step += 1
-                    read = np.concatenate(embedding_ids(batch, params.config))
-                    optimizer.step(lr_at(step, total_steps, cfg), {"embedding": read})
+                    optimizer.step(lr_at(step, total_steps, cfg))
                     epoch_loss += loss_value * batch.size
-                    epoch_correct += int(
-                        (probs.data.argmax(axis=1) == batch.labels).sum()
-                    )
+                    epoch_correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
                     epoch_count += batch.size
             except NumericError as exc:
                 logger.error("training aborted: %s", exc)

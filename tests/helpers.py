@@ -47,6 +47,15 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-5) 
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
+def dense_grad(tensor) -> np.ndarray:
+    """A tensor's gradient as one full array: a looked-up table's
+    ``RowGrad`` is scattered into zeros."""
+    from norminfer.tensor import RowGrad
+
+    grad = tensor.grad
+    return grad.dense() if isinstance(grad, RowGrad) else grad
+
+
 def dot_with(out, upstream):
     """The scalar sum(out * upstream) as one matrix product of the flattened
     arrays, whose pull hands ``out`` exactly ``upstream`` as its gradient."""

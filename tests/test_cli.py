@@ -172,7 +172,9 @@ class TestTrain:
             assert built == recorded.model_config(vocab_words=built.vocab_words)
 
     @pytest.mark.parametrize(
-        "line", ["seed = -1", "base_lr = inf", "clip_bound = inf", "d_model = 9", "dropout = 1.0"]
+        "line",
+        ["seed = -1", "base_lr = inf", "clip_bound = inf", "d_model = 9", "dropout = 1.0",
+         "min_count = 0", "min_count = 1.5"],
     )
     def test_bad_train_values_exit_data_before_any_write(self, tmp_path, capsys, monkeypatch, line):
         def no_load(*args):
@@ -217,6 +219,33 @@ class TestTrain:
         )
         assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
         assert f"error: {key} {paths[key]} holds no usable examples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("before", ["missing", "empty", "in-use"])
+    @pytest.mark.parametrize("key", ["train_path", "validation_path"])
+    def test_file_without_usable_examples_leaves_no_directory_it_made(
+        self, tmp_path, capsys, key, before
+    ):
+        """The output directory goes again only if this run made it and
+        nothing is in it; one that was there is left as it was."""
+        out = tmp_path / "deep" / "out"
+        if before != "missing":
+            out.mkdir(parents=True)
+        if before == "in-use":
+            (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        paths = {"train_path": tmp_path / "train.jsonl", "validation_path": tmp_path / "val.jsonl"}
+        write_jsonl(paths["train_path"], make_corpus(16))
+        write_jsonl(paths["validation_path"], make_corpus(8, seed=1))
+        paths[key].write_text("", encoding="utf-8")
+        write_config(
+            tmp_path / "c.cfg",
+            *(f"{name} = {path}" for name, path in paths.items()),
+            f"output_dir = {out}",
+        )
+        assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
+        assert "holds no usable examples" in capsys.readouterr().err
+        assert out.exists() == (before != "missing")
+        if before == "in-use":
+            assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
     def test_run_cfg_records_the_built_vocabulary(self, tmp_path, capsys):
         """run.cfg holds the size of the vocabulary train built, so

@@ -233,6 +233,27 @@ class TestFitVariants:
         with pytest.raises(ConfigError, match="seed"):
             tiny_classifier(seed=-1).fit(make_corpus(10), validation)
 
+    @pytest.mark.parametrize("validation", [None, make_corpus(4, seed=1)],
+                             ids=["holdout", "given"])
+    @pytest.mark.parametrize("min_count", [0, -2, 1.5, True])
+    def test_bad_min_count_rejected_before_any_draw(self, monkeypatch, validation, min_count):
+        def no_seed(*args):
+            raise AssertionError("fit drew a seed before checking min_count")
+
+        monkeypatch.setattr("norminfer.estimator.split_seed", no_seed)
+        with pytest.raises(ConfigError, match="min_count"):
+            tiny_classifier(min_count=min_count).fit(make_corpus(10), validation)
+
+    @pytest.mark.parametrize("validation", [[], ()], ids=["list", "tuple"])
+    def test_empty_validation_rejected_before_the_model(self, monkeypatch, validation):
+        from norminfer.model import ModelParameters
+
+        calls = []
+        monkeypatch.setattr(ModelParameters, "initialize", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ContractError, match="validation"):
+            tiny_classifier().fit(make_corpus(10), validation)
+        assert calls == []
+
     def test_float64_fit(self):
         clf = tiny_classifier(max_epochs=1, dtype="float64")
         clf.fit(make_corpus(10), make_corpus(4, seed=1))

@@ -8,6 +8,7 @@ from helpers import (
     build_random_pair,
     build_toy_config,
     build_toy_params,
+    dense_grad,
     dot_with,
     max_rel_err,
     numeric_grad,
@@ -379,7 +380,7 @@ class TestEosOnlyLastBlock:
             return float(np.sum(forward_batch(batch, params).data * weights))
 
         for name, tensor in params.named_tensors():
-            assert max_rel_err(tensor.grad, numeric_grad(f, tensor.data)) < 1e-6, name
+            assert max_rel_err(dense_grad(tensor), numeric_grad(f, tensor.data)) < 1e-6, name
 
 
 class TestEmbedding:
@@ -407,8 +408,9 @@ class TestEmbedding:
         np.testing.assert_array_equal(x, np.array(expected))
 
     def test_gradient_is_zero_outside_the_rows_read(self):
-        """Adam updates only the rows ``embedding_ids`` names, so the table
-        gradient must be exactly zero everywhere else."""
+        """Adam updates only the rows the table's ``RowGrad`` holds, so they
+        must be the rows ``embedding_ids`` names, and the gradient exactly
+        zero everywhere else."""
         config = build_toy_config(vocab_words=30, n_blocks=1, max_len=8)
         params = build_toy_params(config, seed=4)
         rng = np.random.default_rng(8)
@@ -420,7 +422,9 @@ class TestEmbedding:
             tape.backward(nll_loss(forward_batch(batch, params), batch.labels))
         read = np.zeros(config.embedding_rows, dtype=bool)
         read[ids] = read[positions] = True
-        grad = params.embedding.grad
+        assert isinstance(params.embedding.grad, tensor.RowGrad)
+        np.testing.assert_array_equal(params.embedding.grad.rows, np.flatnonzero(read))
+        grad = params.embedding.grad.dense()
         assert not grad[~read].any()
         assert grad[read].any(axis=1).all()
 
@@ -569,7 +573,7 @@ class TestEndToEndGradient:
         check_rng = np.random.default_rng(15)
         for name, tensor in params.named_tensors():
             flat = tensor.data.reshape(-1)
-            gflat = tensor.grad.reshape(-1)
+            gflat = dense_grad(tensor).reshape(-1)
             n_checks = min(4, flat.size)
             coords = check_rng.choice(flat.size, size=n_checks, replace=False)
             for c in coords:

@@ -17,6 +17,7 @@ from norminfer import tensor as T
 from norminfer.training import nll_loss
 from norminfer.tensor import (
     GradTape,
+    RowGrad,
     Tensor,
     add,
     causal_attention,
@@ -700,8 +701,10 @@ class TestEmbeddingAndRowSelection:
         table = parameter(np.zeros((4, 2)), dtype=np.float64)
         with GradTape() as tape:
             tape.backward(dot_with(embedding_lookup(table, np.array([1, 1, 3])), np.ones((3, 2))))
+        assert table.grad.rows.tolist() == [1, 3]
+        np.testing.assert_array_equal(table.grad.values, [[2, 2], [1, 1]])
         np.testing.assert_array_equal(
-            table.grad, [[0, 0], [2, 2], [0, 0], [1, 1]]
+            table.grad.dense(), [[0, 0], [2, 2], [0, 0], [1, 1]]
         )
 
         rng = np.random.default_rng(17)
@@ -712,7 +715,7 @@ class TestEmbeddingAndRowSelection:
             tape.backward(dot_with(embedding_lookup(table, ids), w))
         expected = np.zeros((6, 3))
         np.add.at(expected, ids, w)
-        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table.grad.dense(), expected, rtol=1e-12, atol=0)
 
     def test_several_id_sets_sum_rows_and_share_one_gradient(self):
         rng = np.random.default_rng(19)
@@ -728,7 +731,90 @@ class TestEmbeddingAndRowSelection:
         expected = np.zeros((7, 3))
         np.add.at(expected, words, w)
         np.add.at(expected, positions, w)
-        np.testing.assert_allclose(table.grad, expected, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(table.grad.dense(), expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "id_sets",
+        [
+            [[[7, 2, 7, 7], [0, 2, 2, 9]]],
+            [[[7, 2, 7, 0], [5, 2, 0, 0]], [[10, 11, 12, 13], [10, 11, 12, 13]]],
+            [np.zeros((0,), dtype=np.int64)],
+        ],
+        ids=["repeated", "words-and-positions", "empty"],
+    )
+    def test_row_gradient_has_the_bits_of_a_dense_scatter(self, id_sets):
+        """float32, where the order of the sums shows in the bits: each row
+        is one numpy segment sum of its gradients in order of occurrence, id
+        set by id set, scattered into a table of zeros."""
+        rng = np.random.default_rng(23)
+        table = parameter(rng.normal(size=(14, 3)), dtype=np.float32)
+        id_sets = [np.asarray(i, dtype=np.int64) for i in id_sets]
+        w = rng.normal(size=id_sets[0].shape + (3,)).astype(np.float32)
+        with GradTape() as tape:
+            out = embedding_lookup(table, *id_sets)
+            # sum(out * w), whose pull hands ``out`` exactly w, also when
+            # ``out`` is empty, where dot_with's matrix product cannot run
+            tape.backward(T._result((out,), np.sum(out.data * w), lambda g: (g * w,)))
+        flat_ids = np.concatenate([id_set.reshape(-1) for id_set in id_sets])
+        flat_w = np.concatenate([w.reshape(-1, 3)] * len(id_sets))
+        expected = np.zeros((14, 3), dtype=np.float32)
+        for row in np.unique(flat_ids):
+            expected[row] = np.add.reduceat(flat_w[flat_ids == row], [0], axis=0)[0]
+        summed_at = np.zeros((14, 3))
+        for id_set in id_sets:
+            np.add.at(summed_at, id_set, w.astype(np.float64))
+        np.testing.assert_allclose(expected, summed_at, rtol=1e-5, atol=1e-6)
+        grad = table.grad
+        assert isinstance(grad, RowGrad) and grad.shape == (14, 3)
+        assert grad.rows.tolist() == sorted({int(i) for s in id_sets for i in s.flat})
+        assert grad.values.shape == (len(grad.rows), 3) and grad.values.dtype == np.float32
+        assert grad.values.tobytes() == expected[grad.rows].tobytes()
+        assert grad.dense().tobytes() == expected.tobytes()
+
+    def test_gradient_matches_finite_differences(self):
+        """float64, two id sets with repeats, into a leaf table (a RowGrad)
+        and into a computed input (a dense gradient)."""
+        rng = np.random.default_rng(29)
+        table = parameter(rng.normal(size=(6, 3)), dtype=np.float64)
+        w = parameter(rng.normal(size=(3, 3)), dtype=np.float64)
+        words, positions = np.array([4, 1, 4, 0, 4, 1]), np.array([3, 5, 3, 3, 5, 3])
+        up = rng.normal(size=(3, 3))
+        rows = np.array([5, 5, 0])
+
+        def out(t, m):
+            looked = embedding_lookup(t, words, positions)
+            return embedding_lookup(matmul(looked, m), rows)
+
+        def f():
+            return float(np.sum(out(Tensor(table.data), Tensor(w.data)).data * up))
+
+        with GradTape() as tape:
+            tape.backward(dot_with(out(table, w), up))
+        assert isinstance(table.grad, RowGrad) and isinstance(w.grad, np.ndarray)
+        assert max_rel_err(table.grad.dense(), numeric_grad(f, table.data)) < 1e-6
+        assert max_rel_err(w.grad, numeric_grad(f, w.data)) < 1e-6
+
+    def test_a_leaf_read_twice_ends_with_the_dense_sum(self):
+        """A second gradient for the same leaf in one pass (a lookup, or a
+        product reading the table, as a tied output head would) is summed
+        densely, in pull order, into a writeable array."""
+        rng = np.random.default_rng(31)
+        table = parameter(rng.normal(size=(5, 4)).astype(np.float32))
+        first, second = np.array([3, 0, 3]), np.array([1, 3])
+        x = Tensor(rng.normal(size=(2, 5)).astype(np.float32))
+        w1, w2, w3 = (rng.normal(size=s).astype(np.float32) for s in ((3, 4), (2, 4), (2, 4)))
+        with GradTape() as tape:
+            a = embedding_lookup(table, first)
+            b = embedding_lookup(table, second)
+            c = matmul(x, table)
+            loss = add(add(dot_with(a, w1), dot_with(b, w2)), dot_with(c, w3))
+            tape.backward(loss)
+        by_product = x.data.T @ w3
+        by_first, by_second = np.zeros((5, 4), np.float32), np.zeros((5, 4), np.float32)
+        np.add.at(by_first, first, w1)
+        np.add.at(by_second, second, w2)
+        assert isinstance(table.grad, np.ndarray) and table.grad.flags.writeable
+        assert table.grad.tobytes() == (by_product + by_second + by_first).tobytes()
 
     def test_id_sets_must_share_a_shape(self):
         with pytest.raises(ShapeError):

@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from helpers import (
     build_random_pair,
     build_toy_config,
     build_toy_params,
+    dense_grad,
     dot_with,
     max_rel_err,
     numeric_grad,
@@ -16,7 +18,7 @@ from helpers import (
 from norminfer.base import ConfigError, ContractError, NumericError
 from norminfer import training
 from norminfer.model import ModelParameters, forward_batch, make_batch
-from norminfer.tensor import GradTape, Tensor, add, parameter, softmax
+from norminfer.tensor import GradTape, RowGrad, Tensor, add, parameter, softmax
 from norminfer.training import (
     AdamOptimizer,
     TrainConfig,
@@ -166,6 +168,20 @@ class TestClip:
         with pytest.raises(ContractError):
             clip_gradients([], 0.0)
 
+    def test_row_gradient_is_clamped_in_its_values(self):
+        w = parameter(np.zeros((6, 2)), dtype=np.float64)
+        values = np.array([[3.0, -0.5], [-2.0, 0.25]])
+        w.grad = RowGrad(np.array([1, 4]), values, w.shape)
+        clip_gradients([("w", w)], 1.0)
+        assert w.grad.values is values  # in place
+        np.testing.assert_array_equal(values, [[1.0, -0.5], [-1.0, 0.25]])
+        values[1, 0] = np.nan
+        with pytest.raises(NumericError, match="non-finite gradient in w"):
+            clip_gradients([("w", w)], 1.0)
+        with pytest.raises(NumericError, match="non-finite gradient in w"):
+            AdamOptimizer([("w", w)]).step(0.1)
+        assert not w.data.any()
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_before_the_clamp(self, bad):
         w = parameter(np.array([1.0, 2.0]), dtype=np.float64)
@@ -276,6 +292,9 @@ class TestAdam:
         ids=["growing", "all-live"],
     )
     def test_row_hints_give_the_bits_of_dense_adam(self, monkeypatch, dtype, tile, hints):
+        """A RowGrad of the rows each step reads, on the live-row path and
+        then on the dense tiles, against the same update from the dense
+        gradient."""
         monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", tile)
         rng = np.random.default_rng(73)
         start = rng.normal(size=(40, 5)).astype(dtype)
@@ -285,9 +304,10 @@ class TestAdam:
         for rows in hints:
             g = np.zeros(start.shape, dtype=dtype)
             g[rows] = rng.normal(size=(len(rows), 5))
-            dense.grad, hinted.grad = g, g.copy()
+            read = np.unique(np.array(rows, dtype=np.int64))
+            dense.grad, hinted.grad = g, RowGrad(read, g[read], g.shape)
             dense_opt.step(0.01)
-            hinted_opt.step(0.01, {"e": np.array(rows, dtype=np.int64)})
+            hinted_opt.step(0.01)
             seen.update(rows)
             if len(seen) <= 10:
                 assert set(np.flatnonzero(hinted_opt.live["e"])) == seen
@@ -594,8 +614,9 @@ class TestTrainerLoop:
         )
 
     def test_embedding_row_hint_keeps_the_bits(self, monkeypatch):
-        """Trainer tells Adam which embedding rows each batch read; with
-        every row named instead, Adam runs dense and gives the same bits."""
+        """The table's RowGrad tells Adam which embedding rows each batch
+        read. Its live-row path, its dense tiles (from the first step, with
+        no sparse share) and a dense table gradient give the same bits."""
         # 416 table rows, so the rows read stay under a quarter of them
         config = build_toy_config(vocab_words=400, n_blocks=1, d_model=8)
         train_pairs, val_pairs = self.small_dataset(config, n_train=12)
@@ -611,11 +632,47 @@ class TestTrainerLoop:
         hinted, table = run()
         untouched = (table == build_toy_params(config, seed=9).embedding.data).all(axis=1)
         assert untouched.mean() > 1 - training.SPARSE_ROW_SHARE
-        monkeypatch.setattr(
-            training, "embedding_ids", lambda batch, config: (np.arange(config.embedding_rows),)
-        )
-        dense, _ = run()
-        assert hinted == dense
+        monkeypatch.setattr(training, "SPARSE_ROW_SHARE", 0.0)
+        assert run()[0] == hinted
+        clip = training.clip_gradients
+
+        def densify_then_clip(named, bound):
+            for _, tensor in named:
+                tensor.grad = dense_grad(tensor)
+            clip(named, bound)
+
+        monkeypatch.setattr(training, "clip_gradients", densify_then_clip)
+        assert run()[0] == hinted
+
+    @pytest.mark.parametrize("share", [training.SPARSE_ROW_SHARE, 0.0], ids=["live", "tiles"])
+    def test_a_step_allocates_nothing_table_sized(self, monkeypatch, share):
+        """Backward, clip and Adam, live-row path or dense tiles, each
+        allocate well under a quarter of the embedding table."""
+        monkeypatch.setattr(training, "SPARSE_ROW_SHARE", share)
+        monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", 1 << 12)
+        config = build_toy_config(vocab_words=60_000, n_blocks=1, d_model=8)
+        params = build_toy_params(config, seed=3)
+        named = list(params.named_tensors())
+        optimizer = AdamOptimizer(named)
+        rng = np.random.default_rng(5)
+        batch = make_batch([build_random_pair(rng, config, t=n, label_id=0) for n in (7, 12)])
+        table_bytes = params.embedding.data.nbytes
+        for _ in range(2):
+            with GradTape() as tape:
+                loss = nll_loss(forward_batch(batch, params), batch.labels)
+                peaks = []
+                tracemalloc.start()
+                try:
+                    for run in (lambda: tape.backward(loss),
+                                lambda: clip_gradients(named, 1.0),
+                                lambda: optimizer.step(1e-3)):
+                        tracemalloc.reset_peak()
+                        run()
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) < table_bytes / 4, [p / table_bytes for p in peaks]
+        assert ("embedding" in optimizer.live) == bool(share)
 
     def test_loss_decreases_on_a_fixed_batch(self):
         config = build_toy_config(vocab_words=12, n_blocks=1, n_heads=2, d_model=8)
