@@ -29,6 +29,8 @@ from .text import (
 from .training import SEED_INIT, TrainConfig, Trainer, length_sorted_chunks
 
 SEED_HOLDOUT = 3
+# tokens one inference forward pass may hold (fairseq's --max-tokens)
+BATCH_TOKENS = 1024
 
 
 class PairEncoder(ParamsMixin):
@@ -80,7 +82,8 @@ class NliClassifier(ParamsMixin):
     fit builds the vocabulary, initializes the decoder stack, and trains
     with Adam under the warmup/decay schedule, keeping the weights of the
     best validation epoch. predict and predict_proba run the deterministic
-    inference path.
+    inference path. batch_size is the training batch; inference packs
+    pairs into forward passes of at most ``BATCH_TOKENS`` tokens.
     """
 
     def __init__(
@@ -219,14 +222,15 @@ class NliClassifier(ParamsMixin):
     def _probabilities(self, encoded: Sequence[EncodedPair]) -> np.ndarray:
         """Class probability rows for encoded pairs, in input order.
 
-        This is the one inference loop: pairs run shortest first,
-        batch_size to a forward pass, on the deterministic path. Recording
-        is suspended for the loop, so a tape open in the caller's context
-        stays untouched and every primitive takes its untaped path.
+        This is the one inference loop: pairs run shortest first, on the
+        deterministic path, in forward passes of at most ``BATCH_TOKENS``
+        tokens (a longer pair runs alone); batch_size does not shape them.
+        Recording is suspended for the loop, so a tape open in the caller's
+        context stays untouched and every primitive takes its untaped path.
         """
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
         with untaped():
-            for idx in length_sorted_chunks(encoded, max(1, self.batch_size)):
+            for idx in length_sorted_chunks(encoded, BATCH_TOKENS, tokens=True):
                 probs = forward_batch(make_batch([encoded[i] for i in idx]), self.params_)
                 out[idx] = probs.data
         return out

@@ -296,11 +296,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_dtypes(a, b)
     if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
         raise ShapeError(f"matmul needs a (..., k) @ b (k, n), got {a.shape} @ {b.shape}")
-    a2 = a.data.reshape(-1, a.shape[-1])
+    rows = math.prod(a.shape[:-1])
+    a2 = a.data.reshape(rows, a.shape[-1])
     data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
 
     def pull(g):
-        g2 = g.reshape(-1, g.shape[-1])
+        g2 = g.reshape(rows, g.shape[-1])
         return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
     return _result((a, b), data, pull)
@@ -532,7 +533,7 @@ def causal_attention(
             np.matmul(q[:, r0:r1], k[:, :keys].swapaxes(-2, -1), out=tile)
             tile *= c
             np.copyto(tile[..., first + r0 :], fill, where=drop[: r1 - r0, : r1 - r0])
-            tile -= tile.max(axis=-1, keepdims=True)
+            tile -= np.fmax.reduce(tile, axis=-1, keepdims=True)
             np.exp(tile, out=tile)
             tile /= tile.sum(axis=-1, keepdims=True)
             np.matmul(tile, v[:, :keys], out=o[:, r0:r1])

@@ -266,12 +266,23 @@ class AdamOptimizer:
             w[start:end] -= buf
 
 
-def length_sorted_chunks(pairs: Sequence[EncodedPair], size: int) -> list[list[int]]:
-    """Indices of ``pairs``, stably sorted by pair length and cut into runs
-    of ``size``: the batches of pairs of similar length that training and
-    inference both run."""
-    order = sorted(range(len(pairs)), key=lambda i: len(pairs[i]))
-    return [order[i : i + size] for i in range(0, len(order), size)]
+def length_sorted_chunks(
+    pairs: Sequence[EncodedPair], size: int, tokens: bool = False
+) -> list[list[int]]:
+    """Indices of ``pairs``, stably sorted by pair length and cut into
+    consecutive runs of at most ``size`` pairs or, with ``tokens``, of at
+    most ``size`` tokens, where a longer pair runs alone: the batches of
+    pairs of similar length that training (by pairs) and inference (by
+    tokens) run."""
+    chunks, used = [], size
+    for i in sorted(range(len(pairs)), key=lambda i: len(pairs[i])):
+        cost = len(pairs[i]) if tokens else 1
+        if used + cost > size:
+            chunks.append([])
+            used = 0
+        chunks[-1].append(i)
+        used += cost
+    return chunks
 
 
 def make_batches(

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from helpers import make_corpus
 
+from norminfer import estimator
 from norminfer.base import ConfigError, ContractError, NotFittedError
-from norminfer.estimator import NliClassifier, PairEncoder
-from norminfer.model import forward_batch, make_batch
+from norminfer.estimator import BATCH_TOKENS, NliClassifier, PairEncoder
+from norminfer.model import ModelConfig, ModelParameters, forward_batch, make_batch
 from norminfer.persistence import load_checkpoint, save_checkpoint
 from norminfer.tensor import GradTape, add
-from norminfer.text import CLASSES, EOS_ID, Vocabulary
+from norminfer.text import CLASSES, EOS_ID, RESERVED_TOKENS, EncodedPair, Vocabulary
 
 
 def tiny_classifier(**overrides):
@@ -305,3 +306,99 @@ class TestFromArtifacts:
         assert rebuilt.seed == 5
         assert rebuilt.n_blocks == clf.n_blocks
         assert rebuilt.model_config_ == clf.model_config_
+
+
+def random_classifier(n_pairs, max_len=360, n_heads=2, d_model=8, dtype=np.float32):
+    """A one-block classifier over freshly drawn weights, with a word for
+    the first token of each of ``n_pairs`` numbered pairs."""
+    vocab = Vocabulary(list(RESERVED_TOKENS) + [f"w{i}" for i in range(n_pairs + 20)])
+    config = ModelConfig(
+        vocab_words=len(vocab), n_blocks=1, n_heads=n_heads, d_model=d_model, max_len=max_len
+    )
+    params = ModelParameters.initialize(config, np.random.default_rng(0), dtype=dtype)
+    return NliClassifier.from_artifacts(params, vocab)
+
+
+def numbered_pairs(lengths, vocab_size):
+    """Encoded pairs of the given lengths whose first token id is 3 + their
+    index, so a packed batch names the pairs it holds."""
+    rng = np.random.default_rng(0)
+    pairs = []
+    for i, n in enumerate(lengths):
+        ids = rng.integers(3, vocab_size, size=n)
+        ids[0], ids[-1] = 3 + i, EOS_ID
+        pairs.append(EncodedPair(ids.astype(np.int64), n // 2, False))
+    return pairs
+
+
+class TestTokenBudget:
+    """Inference packs length-sorted pairs into forward passes of at most
+    BATCH_TOKENS tokens; batch_size is the training batch and plays no part."""
+
+    # ties, a run of exactly the budget (300 + 300 + 424), and 1,050
+    # tokens, past it
+    LENGTHS = [300, 2, 120, 1050, 300, 45, 700, 300, 9, 260, 512, 2, 424]
+
+    def spy(self, monkeypatch):
+        calls = []
+
+        def recording(batch, params, **kw):
+            starts = np.concatenate([[0], np.cumsum(batch.eos_index + 1)[:-1]])
+            probs = forward_batch(batch, params, **kw)
+            calls.append((batch.token_ids[starts] - 3, batch.token_ids.size, probs.data))
+            return probs
+
+        monkeypatch.setattr(estimator, "forward_batch", recording)
+        return calls
+
+    def test_batches_are_greedy_token_runs_of_the_length_order(self, monkeypatch):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        calls = self.spy(monkeypatch)
+        out = clf._probabilities(pairs)
+
+        order = sorted(range(len(pairs)), key=lambda i: self.LENGTHS[i])
+        assert [int(i) for ids, _, _ in calls for i in ids] == order
+        sizes = [tokens for _, tokens, _ in calls]
+        for (ids, tokens, _), after in zip(calls, calls[1:] + [None]):
+            assert tokens <= BATCH_TOKENS or len(ids) == 1
+            if after is not None:  # the next pair did not fit
+                assert tokens + self.LENGTHS[after[0][0]] > BATCH_TOKENS
+        assert [ids.tolist() for ids, _, _ in calls][-1] == [3]  # 1,050 tokens, alone
+        assert sizes == [738, 1024, 512, 700, 1050]
+        for ids, _, probs in calls:  # rows land at their input index
+            assert out[ids].tobytes() == probs.astype(np.float64).tobytes()
+
+    def test_batch_size_does_not_shape_inference(self, monkeypatch):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        calls = self.spy(monkeypatch)
+        runs = []
+        for batch_size in (1, 16, 10_000):
+            calls.clear()
+            out = clf.set_params(batch_size=batch_size)._probabilities(pairs)
+            runs.append(([ids.tolist() for ids, _, _ in calls], out.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_no_pairs_no_forward_pass(self, monkeypatch):
+        calls = self.spy(monkeypatch)
+        probs = random_classifier(1).predict_proba([])
+        assert probs.shape == (0, len(CLASSES)) and probs.dtype == np.float64
+        assert calls == []
+
+    # BLAS picks its kernel by row count, so a pair's products round
+    # differently alone and in a batch. Measured once on this case, 5 of 10
+    # float32 rows differ, by at most 3.0e-8 (one float32 step at 1/3; 8.9e-8
+    # on 32 paper-scale clause pairs), and float64 rows by at most 5.6e-17.
+    # The float32 bound is float32's epsilon, 1.19e-7; never widen either.
+    @pytest.mark.parametrize(
+        "dtype,atol", [(np.float32, float(np.finfo(np.float32).eps)), (np.float64, 1e-12)]
+    )
+    def test_a_pair_alone_scores_as_in_a_batch(self, dtype, atol):
+        lengths = np.random.default_rng(0).integers(61, 302, size=10).tolist()
+        clf = random_classifier(len(lengths), n_heads=4, d_model=32, dtype=dtype)
+        pairs = numbered_pairs(lengths, len(clf.vocabulary_))
+        batched = clf._probabilities(pairs)
+        alone = np.concatenate([clf._probabilities([p]) for p in pairs])
+        np.testing.assert_allclose(batched, alone, rtol=0, atol=atol)
+        assert np.array_equal(batched.argmax(axis=1), alone.argmax(axis=1))

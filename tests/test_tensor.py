@@ -89,6 +89,18 @@ class TestMatmul:
             assert max_rel_err(a.grad, numeric_grad(f, a.data)) < 1e-6
             assert max_rel_err(b.grad, numeric_grad(f, b.data)) < 1e-6
 
+    @pytest.mark.parametrize("sa,sb", [((1, 0), (0, 1)), ((2, 3, 0), (0, 4))], ids=str)
+    def test_inner_dimension_zero_gives_zeros(self, sa, sb):
+        a = parameter(np.zeros(sa), dtype=np.float64)
+        b = parameter(np.zeros(sb), dtype=np.float64)
+        with GradTape() as tape:
+            out = matmul(a, b)
+            assert out.data.tobytes() == (a.data @ b.data).tobytes()
+            assert out.shape == sa[:-1] + sb[1:] and not out.data.any()
+            tape.backward(dot_with(out, np.ones(out.shape)))
+        assert a.grad.shape == sa and b.grad.shape == sb
+        assert a.grad.dtype == b.grad.dtype == np.float64
+
 
 class TestSoftmax:
     def test_frozen_values(self):
@@ -547,6 +559,27 @@ class TestCausalAttention:
             future = np.triu(np.ones((n, n), dtype=bool), 1)
             assert np.all(w[..., future] == 0.0)
             np.testing.assert_allclose(w.sum(axis=-1), 1.0, atol=atol)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_nan_and_inf_inputs_match_the_composition(self, dtype):
+        """The row max ignores NaN, where the composition's max takes it;
+        either way a score row that holds a NaN ends all-NaN, and the
+        output keeps the bits and NaN pattern of the composition."""
+        rng = np.random.default_rng(101)
+        lengths, d = [6, 5], 6
+        qkv, _ = attention_qkv(rng, lengths, 2, 3, dtype)
+        data = qkv.data.copy()
+        data[2, 0] = np.nan        # a query: its row's visible scores
+        data[3, d + 4] = np.nan    # a key: its column from row 3 on
+        data[7, 1] = np.inf
+        data[9, d + 3] = -np.inf
+        data[8, 5] = -np.inf
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = causal_attention(Tensor(data), lengths, 2)
+            want, _, _ = reference_packed_attention(data, lengths, 2, np.zeros((11, d), dtype))
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        assert out.data.dtype == want.dtype
+        np.testing.assert_array_equal(out.data, want)
 
     def test_lengths_must_cover_the_rows(self):
         qkv = t64(np.zeros((4, 6)))
