@@ -29,20 +29,17 @@ from .tensor import (
     dropout as dropout_op,
     embedding_lookup,
     feed_forward,
-    gelu,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     layer_norm,
-    masked_fill,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     matmul,
-    narrow,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     parameter,
-    reshape,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     row_tiles,
-    scale,  # noqa: F401  perfbench/tracing.py patches it by name in this module
     softmax,
-    take_rows,  # noqa: F401  perfbench/tracing.py patches it by name in this module
-    transpose,  # noqa: F401  perfbench/tracing.py patches it by name in this module
 )
 from .text import EOS_ID, MAX_SEQUENCE_LENGTH, EncodedPair
+
+# perfbench/tracing.py wraps these names in this module, so each must exist;
+# nothing calls them. ROADMAP item 1 drops this line with those tracer entries.
+gelu = masked_fill = narrow = reshape = scale = take_rows = transpose = None
 
 logger = logging.getLogger(__name__)
 
@@ -330,10 +327,8 @@ def embed(batch: Batch, params: ModelParameters) -> Tensor:
 def decoder_block(
     x: Tensor,
     block: BlockParameters,
-    n_heads: int,
+    config: ModelConfig,
     lengths: Sequence[int],
-    eps: float = 1e-5,
-    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
     eos_only: bool = False,
 ) -> Tensor:
@@ -345,18 +340,19 @@ def decoder_block(
     frees its (N, 3d) query/key/value projection and (N, d) context before
     the feed-forward step. With the fused primitives it also allocates no
     (N, d_ffn) array, at most one attention tile buffer and no separate
-    residual sum. Dropout applies when ``rng`` is given.
+    residual sum. The heads, norm epsilon and dropout rate come from
+    ``config``; dropout applies when ``rng`` is given.
     """
     attn = matmul(
-        causal_attention(matmul(x, block.w_qkv), lengths, n_heads, last_only=eos_only),
+        causal_attention(matmul(x, block.w_qkv), lengths, config.n_heads, last_only=eos_only),
         block.w_o,
     )
-    attn = dropout_op(attn, dropout, rng)
+    attn = dropout_op(attn, config.dropout, rng)
     residual = embedding_lookup(x, np.cumsum(lengths) - 1) if eos_only else x
-    y = layer_norm(attn, residual, block.ln1_gain, block.ln1_bias, eps)
+    y = layer_norm(attn, residual, block.ln1_gain, block.ln1_bias, config.layer_norm_eps)
     ffn = feed_forward(y, block.w_ffn1, block.b_ffn1, block.w_ffn2, block.b_ffn2)
-    ffn = dropout_op(ffn, dropout, rng)
-    return layer_norm(ffn, y, block.ln2_gain, block.ln2_bias, eps)
+    ffn = dropout_op(ffn, config.dropout, rng)
+    return layer_norm(ffn, y, block.ln2_gain, block.ln2_bias, config.layer_norm_eps)
 
 
 def forward_batch(
@@ -377,14 +373,12 @@ def forward_batch(
     instead, and the embedding output and each block output also come back
     as plain packed (N, d) arrays, row for row with ``batch.token_ids``.
     """
-    config = params.config
     x = embed(batch, params)
     lengths = (batch.eos_index + 1).tolist()
     hidden = [x.data] if return_hidden else None
     for i, block in enumerate(params.blocks):
         x = decoder_block(
-            x, block, config.n_heads, lengths,
-            eps=config.layer_norm_eps, dropout=config.dropout, rng=rng,
+            x, block, params.config, lengths, rng=rng,
             eos_only=not return_hidden and i == len(params.blocks) - 1,
         )
         if return_hidden:

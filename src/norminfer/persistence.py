@@ -284,8 +284,6 @@ class RunConfig:
     seed: int = TrainConfig.seed
     train_path: str | None = None
     validation_path: str | None = None
-    test_path: str | None = None
-    conflicts_path: str | None = None
     output_dir: str = "out"
 
     def _values_for(self, config_cls) -> dict:
@@ -310,7 +308,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
-    """Parse ``key = value`` lines; blank lines and ``#`` comments allowed."""
+    """Parse ``key = value`` lines. Blank lines are skipped, and so is a
+    line whose first non-blank character is ``#``; a ``#`` inside a value
+    is part of it."""
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()

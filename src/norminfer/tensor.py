@@ -5,10 +5,6 @@ matrix products with a 2-d weight, broadcast addition for biases, embedding
 row gathers, a numerically stabilized softmax, fused causal attention and
 feed-forward primitives, layer normalization of a residual sum, and
 dropout. The loss is one primitive of its own, ``training.nll_loss``.
-``gelu``, ``scale``, ``masked_fill``, ``take_rows``, ``narrow``,
-``reshape`` and ``transpose`` run on no production path. They remain as
-the separate steps the fused primitives are tested against, and as names
-``perfbench/tracing.py`` patches in ``norminfer.model``.
 
 Gradients are computed with a tape. While a :class:`GradTape` is open in
 the current thread (and not suspended by ``untaped``), every primitive that
@@ -59,9 +55,9 @@ from one rule, ``row_tiles``, and so from the one ``TILE_ELEMENTS``.
 
 ``layer_norm`` is the whole add & norm step, LayerNorm(x + Sublayer(x)),
 and hands one gradient to both summands. It, the other elementwise passes
-and the gelu kernel shared by ``gelu`` and ``feed_forward`` work in place
-in a few buffers, in the operation order of their textbook formulas, so
-they give the bits those formulas give.
+and ``feed_forward``'s gelu kernel, ``_gelu_rows``, work in place in a few
+buffers, in the operation order of their textbook formulas, so they give
+the bits those formulas give.
 
 Forward compute defaults to float32. Gradient checking runs the same code in
 float64 by constructing the inputs with ``dtype=np.float64``; every primitive
@@ -279,12 +275,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result((a, b), data, pull)
 
 
-def scale(x: Tensor, factor: float) -> Tensor:
-    """Multiply by a python scalar, kept in the tensor's dtype."""
-    c = x.dtype.type(factor)
-    return _result((x,), x.data * c, lambda g: (g * c,))
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Dense product of ``a`` (..., k) with a 2-d ``b`` (k, n), applied at
     every leading index of ``a``; any other ``b`` is a ShapeError.
@@ -305,35 +295,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
     return _result((a, b), data, pull)
-
-
-def narrow(x: Tensor, start: int, length: int) -> Tensor:
-    """Contiguous slice [start, start + length) of the last dimension."""
-    n = x.shape[-1]
-    if not (0 <= start and start + length <= n):
-        raise ShapeError(
-            f"narrow range [{start}, {start + length}) exceeds last dim of {x.shape}"
-        )
-    data = x.data[..., start : start + length]
-
-    def pull(g):
-        gx = np.zeros_like(x.data)
-        gx[..., start : start + length] = g
-        return (gx,)
-
-    return _result((x,), data, pull)
-
-
-def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    data = x.data.reshape(shape)
-    return _result((x,), data, lambda g: (g.reshape(x.shape),))
-
-
-def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    return _result((x,), x.data.transpose(axes), lambda g: (g.transpose(inverse),))
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> Tensor:
@@ -376,35 +337,6 @@ def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> T
     return _result((table,), data, pull)
 
 
-def take_rows(x: Tensor, indices: np.ndarray) -> Tensor:
-    """Select ``x[i, indices[i]]`` for each leading index i.
-
-    For a (B, T, d) tensor this picks one row per batch element, giving
-    (B, d); for a (B, C) tensor it picks one scalar per row, giving (B,).
-    """
-    indices = np.asarray(indices)
-    if x.ndim < 2:
-        raise ShapeError(f"take_rows needs rank >= 2, got {x.shape}")
-    if indices.shape != (x.shape[0],):
-        raise ShapeError(
-            f"take_rows indices shape {indices.shape} does not match leading dim of {x.shape}"
-        )
-    if indices.size and (indices.min() < 0 or indices.max() >= x.shape[1]):
-        raise ContractError(
-            f"take_rows index out of range [0, {x.shape[1]}): "
-            f"min {indices.min()}, max {indices.max()}"
-        )
-    rows = np.arange(x.shape[0])
-    data = x.data[rows, indices]
-
-    def pull(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, indices), g)
-        return (gx,)
-
-    return _result((x,), data, pull)
-
-
 @lru_cache(maxsize=64)
 def _causal_matrix(size: int) -> np.ndarray:
     """Read-only (size, size) mask, True where key j is past query i."""
@@ -420,25 +352,6 @@ def row_tiles(rows: int, row_elements: int) -> tuple[list[int], int]:
     per_tile = max(1, TILE_ELEMENTS // max(1, row_elements))
     tiles = max(1, -(-rows // per_tile))
     return [rows * i // tiles for i in range(tiles + 1)], -(-rows // tiles)
-
-
-def masked_fill(scores: Tensor) -> Tensor:
-    """Causal mask over square trailing dims: replace the scores of keys past
-    their query with the most negative finite value.
-
-    The fill value is finite rather than IEEE -inf so the stabilized softmax
-    never forms inf - inf. After softmax the filled positions underflow to
-    exactly zero weight.
-    """
-    if scores.ndim < 2 or scores.shape[-1] != scores.shape[-2]:
-        raise ShapeError(f"masked_fill needs square trailing dims, got {scores.shape}")
-    drop = _causal_matrix(scores.shape[-1])
-    data = np.where(drop, np.finfo(scores.dtype).min, scores.data)
-
-    def pull(g):
-        return (np.where(drop, 0.0, g),)
-
-    return _result((scores,), data, pull)
 
 
 def softmax(x: Tensor) -> Tensor:
@@ -599,24 +512,6 @@ def _gelu_rows(d: np.ndarray, t: np.ndarray, out: np.ndarray, scratch=None) -> N
     d += slope
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian error linear unit in its tanh form.
-
-    gelu(x) = 0.5 * x * (1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3)))
-
-    The forward pass builds the output and the local slope, which the pull
-    scales by the incoming gradient in place.
-    """
-    d = x.data
-    slope, t, data = np.array(d), np.empty_like(d), np.empty_like(d)
-    _gelu_rows(slope, t, data, (np.empty_like(d), np.empty_like(d)))
-
-    def pull(g):
-        return (np.multiply(slope, g, out=slope),)
-
-    return _result((x,), data, pull)
-
-
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """Position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, for
     (N, d) rows ``x``, W1 (d, f) and W2 (f, d_out).
@@ -628,9 +523,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     and its slope, written over the pre-activation a ``row_tiles`` tile at
     a time and multiplied into g W2^T in place by the pull. Both bias adds
     work in place on the product outputs. Taped, the output and the
-    gradients are the bits of ``matmul``, ``add``, ``gelu``, ``matmul`` and
-    ``add`` applied in turn. Untaped, each tile gives the bits of those
-    products over its rows alone. With OpenBLAS 0.3.31, at the model's
+    gradients are the bits of the separate numpy steps, product, bias add,
+    gelu formula, product and bias add, and of their pulls in reverse
+    (``tests/helpers.reference_ffn``). Untaped, each tile gives the bits of
+    those products over its rows alone. With OpenBLAS 0.3.31, at the model's
     shapes, a tile of five rows or more gave the whole product's bits; a
     tile of one to four rows takes other kernels and may not. At the
     default tile size a tile is that short only when N is, and then the

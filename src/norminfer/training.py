@@ -375,8 +375,9 @@ class Trainer:
         log = TrainLog()
         if cfg.max_epochs == 0:
             return TrainResult(params, log)
-        if any(p.label_id is None for p in train_pairs):
-            raise ContractError("all training pairs need labels")
+        for name, pairs in (("training", train_pairs), ("validation", val_pairs)):
+            if any(p.label_id is None for p in pairs):
+                raise ContractError(f"all {name} pairs need labels")
 
         batches_per_epoch = math.ceil(len(train_pairs) / cfg.batch_size)
         total_steps = cfg.max_epochs * batches_per_epoch

@@ -57,12 +57,12 @@ def dense_grad(tensor) -> np.ndarray:
 
 
 def dot_with(out, upstream):
-    """The scalar sum(out * upstream) as one matrix product of the flattened
-    arrays, whose pull hands ``out`` exactly ``upstream`` as its gradient."""
-    from norminfer.tensor import Tensor, matmul, reshape
+    """The scalar sum(out * upstream) as one tape record whose pull hands
+    ``out`` exactly ``upstream`` as its gradient."""
+    from norminfer.tensor import _result
 
-    upstream = np.asarray(upstream, dtype=out.dtype)
-    return matmul(reshape(out, (1, -1)), Tensor(upstream.reshape(-1, 1)))
+    upstream = np.asarray(upstream, dtype=out.dtype).reshape(out.shape)
+    return _result((out,), np.sum(out.data * upstream), lambda g: (g * upstream,))
 
 
 def reference_attention(q, k, v, upstream=None, causal=True):
@@ -138,14 +138,28 @@ def reference_packed_attention(qkv, lengths, n_heads, upstream, copies=False, la
 
 
 def reference_gelu(x, upstream):
-    """The gelu forward and pull as formulas, which ``tensor.gelu`` builds
-    in place: (output, input gradient) for the output gradient ``upstream``."""
+    """The gelu forward and pull as formulas, which ``tensor._gelu_rows``
+    builds in place: (output, input gradient) for the output gradient
+    ``upstream``. An ``upstream`` of ones gives the local slope itself."""
     scale, cubic = math.sqrt(2.0 / math.pi), 0.044715
     t = np.tanh(scale * (cubic * x * x * x + x))
     out = (t + 1.0) * 0.5 * x
     du = scale * (1.0 + 3.0 * cubic * x * x)
     local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
     return out, upstream * local.astype(x.dtype, copy=False)
+
+
+def reference_ffn(x, w1, b1, w2, b2, upstream):
+    """The feed-forward network as the separate numpy steps
+    ``tensor.feed_forward`` fuses: product, bias add, ``reference_gelu``,
+    product, bias add. Returns the output and the gradients of x, w1, b1,
+    w2 and b2 for the output gradient ``upstream``, pulled back through the
+    same steps in reverse."""
+    pre = x @ w1 + b1
+    act, g_pre = reference_gelu(pre, upstream @ w2.T)
+    out = act @ w2 + b2
+    grads = [g_pre @ w1.T, x.T @ g_pre, g_pre.sum(axis=0), act.T @ upstream, upstream.sum(axis=0)]
+    return out, grads
 
 
 def reference_nll(probs, gold):

@@ -294,15 +294,15 @@ class TestBlocksAndShapes:
                              max_len=360)
         params = build_toy_params(config, seed=2)
         x = Tensor(np.random.default_rng(0).normal(size=(t, 240)).astype(np.float32))
-        out = decoder_block(x, params.blocks[0], 12, [t])
+        out = decoder_block(x, params.blocks[0], config, [t])
         assert out.shape == (t, 240)
 
     def test_batched_and_single_block_agree(self):
         config = build_toy_config()
         params = build_toy_params(config, seed=8)
         x = np.random.default_rng(1).normal(size=(7, 8)).astype(np.float32)
-        single = decoder_block(Tensor(x[:4]), params.blocks[0], config.n_heads, [4]).data
-        batched = decoder_block(Tensor(x), params.blocks[0], config.n_heads, [4, 3]).data
+        single = decoder_block(Tensor(x[:4]), params.blocks[0], config, [4]).data
+        batched = decoder_block(Tensor(x), params.blocks[0], config, [4, 3]).data
         assert np.array_equal(single, batched[:4])
 
     def test_untaped_block_frees_the_projection_before_its_feed_forward(self, monkeypatch):
@@ -321,11 +321,11 @@ class TestBlocksAndShapes:
             return tensor.feed_forward(*args)
 
         monkeypatch.setattr("norminfer.model.feed_forward", measured)
-        decoder_block(x, block, 2, [256, 256])  # fills the causal-mask cache
+        decoder_block(x, block, config, [256, 256])  # fills the causal-mask cache
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            decoder_block(x, block, 2, [256, 256])
+            decoder_block(x, block, config, [256, 256])
         finally:
             tracemalloc.stop()
         rows_bytes = n * d * np.dtype(np.float32).itemsize
@@ -355,8 +355,8 @@ class TestEosOnlyLastBlock:
         block = build_toy_params(config, seed=73, dtype=np.float64).blocks[0]
         lengths = [5, 1, 3]
         x = Tensor(np.random.default_rng(73).normal(size=(9, 8)))
-        full = decoder_block(x, block, 2, lengths).data
-        last = decoder_block(x, block, 2, lengths, eos_only=True).data
+        full = decoder_block(x, block, config, lengths).data
+        last = decoder_block(x, block, config, lengths, eos_only=True).data
         assert last.shape == (3, 8)
         np.testing.assert_allclose(last, full[np.cumsum(lengths) - 1], rtol=0, atol=1e-12)
 

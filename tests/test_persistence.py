@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from norminfer.persistence import (
 )
 
 PREFIX = struct.Struct("<8sIQ")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def split_file(raw):
@@ -417,6 +419,18 @@ class TestRunConfigParsing:
         cfg = parse_config_text("# architecture\n\nn_blocks = 2\n  # done\n")
         assert cfg.n_blocks == 2
 
+    def test_readme_sample_parses_to_the_defaults(self):
+        text = README.read_text(encoding="utf-8")
+        cfg = parse_config_text(text.split("```ini\n", 1)[1].split("```", 1)[0], "README")
+        assert cfg.model_config() == RunConfig().model_config()
+        unset = dataclasses.replace(cfg, d_ffn=None, train_path=None, validation_path=None)
+        assert unset == RunConfig()
+
+    @pytest.mark.parametrize("key", ["test_path", "conflicts_path"])
+    def test_keys_no_command_reads_are_unknown(self, key):
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            parse_config_text(f"{key} = x.jsonl\n")
+
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigError, match="n_blockz"):
             parse_config_text("n_blockz = 12\n")
@@ -462,7 +476,7 @@ class TestRunConfigRoundTrip:
             d_ffn=128,
             base_lr=3e-4,
             train_path="a.jsonl",
-            conflicts_path="b.csv",
+            validation_path="b#1.jsonl",
             output_dir="runs/x",
             seed=11,
         )

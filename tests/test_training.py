@@ -16,7 +16,7 @@ from helpers import (
 )
 
 from norminfer.base import ConfigError, ContractError, NumericError
-from norminfer import training
+from norminfer import tensor as tensor_module, training
 from norminfer.model import ModelParameters, forward_batch, make_batch
 from norminfer.tensor import GradTape, RowGrad, Tensor, add, parameter, softmax
 from norminfer.training import (
@@ -320,18 +320,27 @@ class TestAdam:
         assert "e" not in hinted_opt.live
         assert not np.array_equal(dense.data, start)
 
-    def test_shared_read_only_leaf_gradient(self):
+    def test_shared_read_only_leaf_gradient(self, monkeypatch):
         a = parameter(np.array([0.5, -1.5, 2.0]), dtype=np.float64)
         b = parameter(np.array([1.0, 0.0, -3.0]), dtype=np.float64)
         start = [a.data.copy(), b.data.copy()]
         named = [("a", a), ("b", b)]
         opt = AdamOptimizer(named)
+        leaf_grad, handed = tensor_module._leaf_grad, []
+
+        def spy(grad, held):
+            handed.append(grad)
+            return leaf_grad(grad, held)
+
+        monkeypatch.setattr(tensor_module, "_leaf_grad", spy)
         for _ in range(5):
+            handed.clear()
             with GradTape() as tape:
                 tape.backward(dot_with(add(a, b), np.ones(3)))
             # the add hands both leaves one array of ones, which backward
             # must not leave shared; the bound of 0.5 makes the clamp
             # write into each
+            assert len(handed) == 2 and handed[0] is handed[1]
             clip_gradients(named, 0.5)
             opt.step(0.01)
         halves = [np.full(3, 0.5), np.full(3, 0.5)]
@@ -713,6 +722,19 @@ class TestTrainerLoop:
         params = build_toy_params(config)
         with pytest.raises(ContractError):
             Trainer(cfg(max_epochs=1)).fit(params, unlabeled, labeled)
+
+    def test_unlabeled_validation_pairs_rejected_before_any_step(self, monkeypatch):
+        config = build_toy_config(vocab_words=10)
+        train_pairs, val_pairs = self.small_dataset(config)
+        val_pairs[-1].label_id = None
+        params = build_toy_params(config)
+        before = [t.data.tobytes() for _, t in params.named_tensors()]
+        calls = []
+        monkeypatch.setattr(training, "forward_batch", lambda *a, **k: calls.append(a))
+        with pytest.raises(ContractError, match="validation"):
+            Trainer(cfg(max_epochs=1, batch_size=4)).fit(params, train_pairs, val_pairs)
+        assert calls == []
+        assert [t.data.tobytes() for _, t in params.named_tensors()] == before
 
     def test_divergence_aborts_with_flag(self):
         config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
