@@ -32,10 +32,11 @@ computed. Heads are split and merged through strided views. As in
 FlashAttention (Dao et al., 2022), each sequence runs in query-row tiles of
 at most ``TILE_ELEMENTS`` weights, filled in place from the score product
 to the value product; rows [r0, r1) score only the keys [0, r1) they can
-see. Only when a tape records the call or the caller asks for the weights
-does a sequence keep its own (H, L, L) weights array; otherwise every tile
-reuses one buffer. With ``last_only`` each sequence runs just one tile,
-its last row against all its keys, on the same (N, 3d) input: that is all
+see. Only when the caller asks for the weights does a sequence keep its
+own (H, L, L) weights array; otherwise every tile reuses one buffer, and a
+tape's backward pass reruns the tiles, as gradient checkpointing does (Chen
+et al., 2016). With ``last_only`` each sequence runs just one tile, its
+last row against all its keys, on the same (N, 3d) input: that is all
 a reader of the end-of-sequence rows needs. A sequence of one tile gets
 the bits of the separate numpy steps (score product, scaling, masking,
 softmax, value product) on it alone; longer ones differ by float32
@@ -45,9 +46,9 @@ The position-wise feed-forward network, gelu(x W1 + b1) W2 + b2, is one
 primitive too, ``feed_forward``. Its hidden layer is wider than its input
 (four times, by default), so without a recording tape it runs over tiles
 of rows, each at most ``TILE_ELEMENTS`` hidden activations, and never
-holds a full-size hidden array. Under a tape it keeps the two full-size
-arrays its backward pass reads: the gelu output and the local gelu slope,
-written over the biased pre-activation.
+holds a full-size hidden array. Under a tape it keeps one, the biased
+pre-activation, from which its backward pass recomputes the gelu output
+and slope.
 
 Every loop over a large array in blocks of rows, these two and, outside
 this module, the Adam update and the initial-weight draws, takes its tiles
@@ -390,9 +391,10 @@ def causal_attention(
     ``row_tiles`` of its (n_heads, rows, L) weights; rows [r0, r1) score
     keys [0, r1) only, mask just their diagonal block (for a last row
     alone, a 1 x 1 block that masks nothing) and weigh just those keys'
-    values. Only a recorded call or ``return_weights`` gives each sequence
-    its own weights array, zero past each tile's keys; otherwise every tile
-    reuses one buffer, with the same bits. Tiles depend only on a
+    values. Only ``return_weights`` gives each sequence its own weights
+    array, zero past each tile's keys; otherwise every tile reuses one
+    buffer, with the same bits. A record keeps no weights: its pull reruns
+    each sequence's tiles into one buffer. Tiles depend only on a
     sequence's own length. A one-tile sequence
     (n_heads * L**2 <= ``TILE_ELEMENTS``, or any with ``last_only``) gets
     the bits of the score product, scaling, masking, softmax and value
@@ -421,60 +423,65 @@ def causal_attention(
     # query rows per sequence, its last ones, and where its output rows start
     queries = [1 if last_only else n for n in lengths]
     outs = np.cumsum([0] + queries[:-1]).tolist()
-    keep = return_weights or _recording((qkv,)) is not None
 
     def heads(rows: np.ndarray, col: int) -> np.ndarray:
         """(n_heads, L, d_head) view of columns [col, col + d)."""
         cols = rows[:, col : col + d]
         return cols.reshape(-1, n_heads, d_head).swapaxes(0, 1)
 
+    def weigh(tile: np.ndarray, q, k, first: int, r0: int, r1: int) -> None:
+        """Softmax weights of query rows [r0, r1) over keys [0, first + r1)
+        into ``tile``: score product, scaling, diagonal mask, row max shift,
+        exp and row sum divide, in place."""
+        np.matmul(q[:, r0:r1], k[:, : first + r1].swapaxes(-2, -1), out=tile)
+        tile *= c
+        np.copyto(tile[..., first + r0 :], fill, where=drop[: r1 - r0, : r1 - r0])
+        tile -= np.fmax.reduce(tile, axis=-1, keepdims=True)
+        np.exp(tile, out=tile)
+        tile /= tile.sum(axis=-1, keepdims=True)
+
     data = qkv.data
     out = np.empty((sum(queries), d), dtype=dtype)
     tiles = [row_tiles(m, n_heads * n) for n, m in zip(lengths, queries)]
     size = max(n_heads * height * n for n, (_, height) in zip(lengths, tiles))
-    shared = None if keep else np.empty(size, dtype=dtype)
+    shared = None if return_weights else np.empty(size, dtype=dtype)
     weights = []
     for s, n, m, a, (bounds, _) in zip(starts, lengths, queries, outs, tiles):
         seg, first = data[s : s + n], n - m
         q, k, v = heads(seg[first:], 0), heads(seg, d), heads(seg, 2 * d)
         o = heads(out[a : a + m], 0)
-        w = np.zeros((n_heads, m, n), dtype=dtype) if keep else None
+        w = np.zeros((n_heads, m, n), dtype=dtype) if return_weights else None
         for r0, r1 in zip(bounds, bounds[1:]):
             keys = first + r1
             shape = (n_heads, r1 - r0, keys)
-            tile = w[:, r0:r1, :keys] if keep else shared[: math.prod(shape)].reshape(shape)
-            np.matmul(q[:, r0:r1], k[:, :keys].swapaxes(-2, -1), out=tile)
-            tile *= c
-            np.copyto(tile[..., first + r0 :], fill, where=drop[: r1 - r0, : r1 - r0])
-            tile -= np.fmax.reduce(tile, axis=-1, keepdims=True)
-            np.exp(tile, out=tile)
-            tile /= tile.sum(axis=-1, keepdims=True)
+            tile = w[:, r0:r1, :keys] if return_weights else shared[: math.prod(shape)].reshape(shape)
+            weigh(tile, q, k, first, r0, r1)
             np.matmul(tile, v[:, :keys], out=o[:, r0:r1])
-        if keep:
+        if return_weights:
             weights.append(w)
 
     def pull(g):
         g_qkv = np.empty_like(data)
-        gs_buf = np.empty(max(w.size for w in weights), dtype=dtype)
-        prod_buf = np.empty_like(gs_buf)
-        for s, n, m, a, w in zip(starts, lengths, queries, outs, weights):
+        size = max(n_heads * m * n for n, m in zip(lengths, queries))
+        # the weights, rebuilt tile by tile, their gradient and a product
+        bufs = [np.empty(size, dtype=dtype) for _ in range(3)]
+        for s, n, m, a, (bounds, _) in zip(starts, lengths, queries, outs, tiles):
             seg, g_rows, first = data[s : s + n], g_qkv[s : s + n], n - m
+            q, k, v = heads(seg[first:], 0), heads(seg, d), heads(seg, 2 * d)
             g_seg = heads(g[a : a + m], 0)
-            gs = gs_buf[: w.size].reshape(w.shape)
-            prod = prod_buf[: w.size].reshape(w.shape)
-            np.matmul(g_seg, heads(seg, 2 * d).swapaxes(-2, -1), out=gs)
+            w, gs, prod = (b[: n_heads * m * n].reshape(n_heads, m, n) for b in bufs)
+            for r0, r1 in zip(bounds, bounds[1:]):
+                w[:, r0:r1, first + r1 :] = 0.0
+                weigh(w[:, r0:r1, : first + r1], q, k, first, r0, r1)
+            np.matmul(g_seg, v.swapaxes(-2, -1), out=gs)
             np.matmul(w.swapaxes(-2, -1), g_seg, out=heads(g_rows, 2 * d))
             np.multiply(gs, w, out=prod)
             gs -= prod.sum(axis=-1, keepdims=True)
             gs *= w
-            np.copyto(gs, 0.0, where=drop[first:n, :n])
             gs *= c
             g_rows[:first, :d] = 0.0
-            np.matmul(gs, heads(seg, d), out=heads(g_rows[first:], 0))
-            np.matmul(
-                heads(seg[first:], 0).swapaxes(-2, -1), gs,
-                out=heads(g_rows, d).swapaxes(-2, -1),
-            )
+            np.matmul(gs, k, out=heads(g_rows[first:], 0))
+            np.matmul(q.swapaxes(-2, -1), gs, out=heads(g_rows, d).swapaxes(-2, -1))
         return (g_qkv,)
 
     result = _result((qkv,), out, pull)
@@ -519,9 +526,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     Without a recording tape the rows run in ``row_tiles`` tiles of hidden
     activations, and every tile reuses two (rows, f) buffers: no (N, f)
     array is allocated. A recording tape gets one record whose products
-    run over all N rows and which keeps two (N, f) arrays: the gelu output
-    and its slope, written over the pre-activation a ``row_tiles`` tile at
-    a time and multiplied into g W2^T in place by the pull. Both bias adds
+    run over all N rows and which keeps one (N, f) array, the
+    pre-activation. The pull recomputes the gelu output a ``row_tiles`` tile
+    at a time, writes its slope over the pre-activation, and then writes g
+    W2^T over the gelu output and multiplies the slope in. Both bias adds
     work in place on the product outputs. Taped, the output and the
     gradients are the bits of the separate numpy steps, product, bias add,
     gelu formula, product and bias add, and of their pulls in reverse
@@ -545,24 +553,31 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     recorded = _recording(inputs) is not None
     bounds, rows = ([0, n], n) if recorded else row_tiles(n, f)
     pre = np.empty((rows, f), dtype=x.dtype)
-    t = np.empty((row_tiles(rows, f)[1], f), dtype=x.dtype)
+
+    def gelu(m: int, t: np.ndarray, act: np.ndarray, scratch=None) -> None:
+        """gelu(pre[:m]) into ``act`` (and its slope over ``pre``) by tiles."""
+        tiles = row_tiles(m, f)[0]
+        for r0, r1 in zip(tiles, tiles[1:]):
+            k = r1 - r0
+            _gelu_rows(pre[r0:r1], t[:k], act[r0:r1], None if scratch is None else scratch[:, :k])
+
+    height = row_tiles(rows, f)[1]
+    t = np.empty((height, f), dtype=x.dtype)
     act = np.empty_like(pre) if recorded else t
-    scratch = np.empty((2,) + t.shape, dtype=x.dtype) if recorded else None
     out = np.empty((n, w2.shape[1]), dtype=x.dtype)
     for a, b in zip(bounds, bounds[1:]):
         m = b - a
         np.matmul(x.data[a:b], w1.data, out=pre[:m])
         pre[:m] += b1.data
-        tiles = row_tiles(m, f)[0]
-        for r0, r1 in zip(tiles, tiles[1:]):
-            k = r1 - r0
-            _gelu_rows(pre[r0:r1], t[:k], act[r0:r1], scratch[:, :k] if recorded else None)
+        gelu(m, t, act)
         np.matmul(act[:m], w2.data, out=out[a:b])
         out[a:b] += b2.data
 
     def pull(g):
-        g_pre = g @ w2.data.T
+        act, scratch = np.empty_like(pre), np.empty((3, height, f), dtype=pre.dtype)
+        gelu(n, scratch[0], act, scratch[1:])
         g_w2 = act.T @ g
+        g_pre = np.matmul(g, w2.data.T, out=act)
         g_pre *= pre
         return g_pre @ w1.data.T, x.data.T @ g_pre, g_pre.sum(axis=0), g_w2, g.sum(axis=0)
 

@@ -13,9 +13,9 @@ from helpers import (
     reference_packed_attention,
 )
 
-from norminfer.base import ContractError, ShapeError
+from norminfer.base import ContractError, NumericError, ShapeError
 from norminfer import tensor as T
-from norminfer.training import nll_loss
+from norminfer.training import AdamOptimizer, clip_gradients, nll_loss
 from norminfer.tensor import (
     GradTape,
     RowGrad,
@@ -235,7 +235,7 @@ class TestFeedForward:
         for t in inputs:
             assert max_rel_err(t.grad, numeric_grad(f, t.data)) < 1e-5
 
-    def test_memory_untaped_in_tiles_taped_two_activations(self, monkeypatch):
+    def test_memory_untaped_in_tiles_taped_one_activation(self, monkeypatch):
         tile, f = 64, 256
         n = 16 * tile
         monkeypatch.setattr(T, "TILE_ELEMENTS", tile * f)
@@ -259,8 +259,9 @@ class TestFeedForward:
         finally:
             tracemalloc.stop()
         assert untaped_peak < activation / 2
-        # the output adds a quarter activation to the two kept arrays
-        assert 2 * activation <= taped_kept < 3 * activation
+        # the record keeps the pre-activation alone; the output adds a
+        # quarter activation
+        assert activation <= taped_kept < 2 * activation
 
     def test_shapes_checked(self):
         arrays = ffn_arrays(np.random.default_rng(59), 4, np.float64)
@@ -366,6 +367,28 @@ class TestCausalMask:
                     _, _, grad = attention_grads(qkv, [n], n_heads, upstream)
                     assert np.any(grad[: i + 1, d:] != 0.0)
                     assert np.all(grad[i + 1 :, d:] == 0.0), (tile, dtype, i)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_upstream_stops_the_step_before_any_weight_moves(self, bad):
+        """The pull leaves masked score gradients as the product with the
+        zero weights makes them, so a NaN or inf output gradient on the
+        first query row makes the projection's gradient non-finite, and
+        clipping and Adam each raise before the weight moves."""
+        rng = np.random.default_rng(151)
+        lengths, d = [5, 3], 6
+        x = Tensor(rng.normal(size=(8, d)))
+        w = parameter(rng.normal(size=(d, 3 * d)), dtype=np.float64)
+        before = w.data.copy()
+        upstream = rng.normal(size=(8, d))
+        upstream[0, 1] = bad
+        with GradTape() as tape, np.errstate(invalid="ignore"):
+            tape.backward(dot_with(causal_attention(matmul(x, w), lengths, 2), upstream))
+        named = [("w_qkv", w)]
+        with pytest.raises(NumericError, match="non-finite gradient in w_qkv"):
+            clip_gradients(named, 1.0)
+        with pytest.raises(NumericError, match="non-finite gradient in w_qkv"):
+            AdamOptimizer(named).step(0.1)
+        assert w.data.tobytes() == before.tobytes()
 
     def test_cached_masks_are_read_only(self):
         """The drop-matrices are cached for the whole process, so a write
@@ -604,6 +627,22 @@ class TestCausalAttentionTiles:
         for a, b in zip(weights, taped_weights):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pull_does_not_depend_on_returned_weights(self, dtype):
+        """The pull rebuilds each sequence's weights, so the gradient has
+        the same bits whether or not the taped call returned them, and the
+        returned weights have the untaped call's bits."""
+        rng = np.random.default_rng(157)
+        qkv, upstream = attention_qkv(rng, TILED_LENGTHS, 3, 4, dtype)
+        _, weights, kept_grad = attention_grads(qkv, TILED_LENGTHS, 3, upstream)
+        qkv.grad = None
+        with GradTape() as tape:
+            tape.backward(dot_with(causal_attention(qkv, TILED_LENGTHS, 3), upstream))
+        assert qkv.grad.tobytes() == kept_grad.tobytes()
+        _, plain = causal_attention(Tensor(qkv.data), TILED_LENGTHS, 3, return_weights=True)
+        for a, b in zip(weights, plain):
+            assert a.tobytes() == b.tobytes()
+
     def test_packed_rows_equal_each_sequence_alone(self):
         rng = np.random.default_rng(109)
         qkv, upstream = attention_qkv(rng, TILED_LENGTHS, 3, 4, np.float32)
@@ -694,6 +733,26 @@ def test_untaped_attention_peaks_below_half_a_weights_array():
     finally:
         tracemalloc.stop()
     assert peak < one_weights_bytes / 2, f"peak {peak / one_weights_bytes:.2f} weights arrays"
+
+
+def test_taped_attention_keeps_below_half_a_weights_array():
+    """Under a tape, four 300-token sequences with 12 heads keep less than
+    half of one (12, 300, 300) weights array once the forward returns: the
+    record keeps no weights, its pull rebuilds them."""
+    h, t, d_head = 12, 300, 4
+    rng = np.random.default_rng(137)
+    qkv = parameter(rng.normal(size=(4 * t, 3 * h * d_head)).astype(np.float32))
+    one_weights_bytes = h * t * t * np.dtype(np.float32).itemsize
+    tracemalloc.start()
+    try:
+        with GradTape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            out = causal_attention(qkv, [t] * 4, h)  # noqa: F841  keeps the output alive
+            kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape) == 1
+    assert kept < one_weights_bytes / 2, f"kept {kept / one_weights_bytes:.2f} weights arrays"
 
 
 class TestEmbeddingAndRowSelection:
