@@ -134,6 +134,12 @@ def check_fitted(estimator: Any, attributes: Iterable[str]) -> None:
         )
 
 
+def check_int(value: Any, name: str, minimum: int) -> None:
+    """Raise ConfigError unless ``value`` is an int, not a bool, >= ``minimum``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 def check_text(value: Any, name: str) -> str:
     if not isinstance(value, str):
         raise ContractError(f"{name} must be a string, got {type(value).__name__}")

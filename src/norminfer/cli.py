@@ -26,7 +26,8 @@ from .base import (
     NotFittedError,
     NumericError,
 )
-from .conflicts import analyze_conflicts, format_report, write_report_csv, write_report_text
+from .conflicts import (analyze_conflicts, format_report, score_direction, write_report_csv,
+                        write_report_text)
 from .estimator import NliClassifier
 from .model import ModelConfig, count_parameters, parameter_shapes
 from .persistence import (
@@ -181,8 +182,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
-    from .conflicts import score_direction
-
     clf = _load_classifier(args.checkpoint, args.vocab)
     score = score_direction(clf, args.premise, args.hypothesis)
     for name, value in zip(CLASSES, score.as_array()):

@@ -123,8 +123,11 @@ class NliClassifier(ParamsMixin):
         self.encoder_: PairEncoder | None = None
 
     def _np_dtype(self):
-        dt = np.dtype(self.dtype)
-        if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
+        try:
+            dt = None if self.dtype is None else np.dtype(self.dtype)
+        except (TypeError, ValueError):
+            dt = None
+        if dt not in (np.float32, np.float64):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         return dt
 

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError
+from .base import ConfigError, ContractError, check_int
 from .tensor import (
     Tensor,
     add,
@@ -71,9 +71,7 @@ class ModelConfig:
             self.d_ffn = 4 * self.d_model
         for name in ("vocab_words", "n_blocks", "n_heads", "d_model", "d_ffn",
                      "max_len", "n_classes"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+            check_int(getattr(self, name), name, 1)
         if self.vocab_words < 3:
             raise ConfigError(
                 f"vocab_words must cover the 3 reserved tokens, got {self.vocab_words}"

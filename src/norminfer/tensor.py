@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The module provides the operations the decoder classifier runs: dense
-matrix products with a 2-d weight, broadcast addition for biases, embedding
-row gathers, a numerically stabilized softmax, fused causal attention and
-feed-forward primitives, layer normalization of a residual sum, and
-dropout. The loss is one primitive of its own, ``training.nll_loss``.
+matrix products with a weight, bias addition, embedding row gathers, a
+numerically stabilized softmax, fused causal attention and feed-forward
+primitives, layer normalization of a residual sum, and dropout. The loss
+is one primitive of its own, ``training.nll_loss``.
 
 Gradients are computed with a tape. While a :class:`GradTape` is open in
 the current thread (and not suspended by ``untaped``), every primitive that
@@ -16,11 +16,14 @@ each record once pulled, so activations are freed during the pass. With no
 active tape the primitives run plain numpy with no bookkeeping, which is
 the inference path.
 
-A matrix product folds every leading dimension of its input into rows, so
-the forward pass and both gradients are one matrix product each. An
-embedding lookup may gather several id sets at once. Its gradient is a
-:class:`RowGrad` of sorted segment sums, one per distinct row read, which
-a leaf table keeps unless a second gradient makes it dense.
+The primitives take the shapes the model passes them, packed (N, d) rows
+and 1-d ids, and any other shape is a ShapeError. ``matmul`` multiplies
+(N, k) rows by a (k, n) weight. ``add`` sums two operands of one shape, or
+(N, n) rows and a bias row (n,). ``layer_norm`` normalizes (N, d) rows.
+``embedding_lookup`` gathers rows at 1-d ids, also at several id arrays
+of one length at once. Its gradient is a :class:`RowGrad` of sorted
+segment sums, one per distinct row read, which a leaf table keeps unless a
+second gradient makes it dense.
 Leaf gradients left by ``backward`` are writeable and never shared between
 two leaves, so an optimizer may clip them in place.
 
@@ -32,12 +35,12 @@ computed. Heads are split and merged through strided views. As in
 FlashAttention (Dao et al., 2022), each sequence runs in query-row tiles of
 at most ``TILE_ELEMENTS`` weights, filled in place from the score product
 to the value product; rows [r0, r1) score only the keys [0, r1) they can
-see. Only when the caller asks for the weights does a sequence keep its
-own (H, L, L) weights array; otherwise every tile reuses one buffer, and a
-tape's backward pass reruns the tiles, as gradient checkpointing does (Chen
-et al., 2016). With ``last_only`` each sequence runs just one tile, its
-last row against all its keys, on the same (N, 3d) input: that is all
-a reader of the end-of-sequence rows needs. A sequence of one tile gets
+see. Every tile is weighed in one reused buffer, copied into a sequence's
+own (H, L, L) weights array only when the caller asks for the weights,
+and a tape's backward pass reruns the tiles, as gradient checkpointing
+does (Chen et al., 2016). With ``last_only`` each sequence runs just one
+tile, its last row against all its keys, on the same (N, 3d) input: that
+is all a reader of the end-of-sequence rows needs. A sequence of one tile gets
 the bits of the separate numpy steps (score product, scaling, masking,
 softmax, value product) on it alone; longer ones differ by float32
 rounding.
@@ -254,54 +257,30 @@ def _check_dtypes(*tensors: Tensor) -> None:
         raise ContractError(f"mixed tensor dtypes {sorted(map(str, dtypes))}")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to the original operand shape."""
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum with numpy broadcasting (used for bias rows)."""
+    """Elementwise sum of ``a`` and ``b`` of its shape, or of (N, n) rows
+    ``a`` and a bias row ``b`` (n,); any other pair is a ShapeError."""
     _check_dtypes(a, b)
-    data = a.data + b.data
-
-    def pull(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _result((a, b), data, pull)
+    bias = a.ndim == 2 and b.shape == a.shape[1:]
+    if b.shape != a.shape and not bias:
+        raise ShapeError(f"add needs b of a's shape or a bias row, got {a.shape} + {b.shape}")
+    return _result((a, b), a.data + b.data, lambda g: (g, g.sum(axis=0) if bias else g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Dense product of ``a`` (..., k) with a 2-d ``b`` (k, n), applied at
-    every leading index of ``a``; any other ``b`` is a ShapeError.
-
-    The leading dimensions of ``a`` fold into rows: the forward pass is one
-    (rows, k) x (k, n) product, and the weight gradient is one ``a^T g``
-    product rather than a product per leading index summed afterwards.
-    """
+    """Product of rows ``a`` (N, k) and a weight ``b`` (k, n); any other
+    pair of shapes is a ShapeError. The weight gradient is one ``a^T g``
+    product."""
     _check_dtypes(a, b)
-    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"matmul needs a (..., k) @ b (k, n), got {a.shape} @ {b.shape}")
-    rows = math.prod(a.shape[:-1])
-    a2 = a.data.reshape(rows, a.shape[-1])
-    data = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:])
-
-    def pull(g):
-        g2 = g.reshape(rows, g.shape[-1])
-        return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
-
-    return _result((a, b), data, pull)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs a (N, k) @ b (k, n), got {a.shape} @ {b.shape}")
+    return _result((a, b), a.data @ b.data, lambda g: (g @ b.data.T, a.data.T @ g))
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> Tensor:
-    """Gather rows of ``table`` at integer ids; output shape ids.shape + (d,).
+    """Gather rows of ``table`` at 1-d integer ids; output shape (len(ids), d).
 
-    With several id arrays of one shape, the output is the sum of their
+    With several id arrays of one length, the output is the sum of their
     rows, added in argument order. The table gradient is a
     :class:`RowGrad`: the incoming row gradients of every id set are stably
     sorted by id and summed per run of equal ids (``np.add.reduceat``), one
@@ -311,9 +290,9 @@ def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> T
     for id_set in id_sets:
         if not np.issubdtype(id_set.dtype, np.integer):
             raise ContractError(f"embedding ids must be integers, got {id_set.dtype}")
-        if id_set.shape != id_sets[0].shape:
+        if id_set.ndim != 1 or id_set.shape != id_sets[0].shape:
             raise ShapeError(
-                f"embedding id arrays differ in shape: {id_set.shape} vs {id_sets[0].shape}"
+                f"embedding ids must be 1-d, of one length: {id_set.shape}, {id_sets[0].shape}"
             )
         if id_set.size and (id_set.min() < 0 or id_set.max() >= table.shape[0]):
             raise ContractError(
@@ -325,14 +304,13 @@ def embedding_lookup(table: Tensor, ids: np.ndarray, *more_ids: np.ndarray) -> T
         data += table.data[id_set]
 
     def pull(g):
-        flat = np.concatenate([id_set.reshape(-1) for id_set in id_sets])
-        g_rows = g.reshape((-1,) + table.shape[1:])
+        flat = np.concatenate(id_sets)
         if not flat.size:
-            return (RowGrad(flat, g_rows, table.shape),)
+            return (RowGrad(flat, g, table.shape),)
         order = np.argsort(flat, kind="stable")
         sorted_ids = flat[order]
         starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-        values = np.add.reduceat(g_rows[order % id_sets[0].size], starts, axis=0)
+        values = np.add.reduceat(g[order % id_sets[0].size], starts, axis=0)
         return (RowGrad(sorted_ids[starts], values, table.shape),)
 
     return _result((table,), data, pull)
@@ -391,9 +369,9 @@ def causal_attention(
     ``row_tiles`` of its (n_heads, rows, L) weights; rows [r0, r1) score
     keys [0, r1) only, mask just their diagonal block (for a last row
     alone, a 1 x 1 block that masks nothing) and weigh just those keys'
-    values. Only ``return_weights`` gives each sequence its own weights
-    array, zero past each tile's keys; otherwise every tile reuses one
-    buffer, with the same bits. A record keeps no weights: its pull reruns
+    values. Every tile is weighed in one shared buffer; ``return_weights``
+    copies each into its sequence's weights array, zero past the tile's
+    keys. A record keeps no weights: its pull reruns
     each sequence's tiles into one buffer. Tiles depend only on a
     sequence's own length. A one-tile sequence
     (n_heads * L**2 <= ``TILE_ELEMENTS``, or any with ``last_only``) gets
@@ -444,21 +422,22 @@ def causal_attention(
     out = np.empty((sum(queries), d), dtype=dtype)
     tiles = [row_tiles(m, n_heads * n) for n, m in zip(lengths, queries)]
     size = max(n_heads * height * n for n, (_, height) in zip(lengths, tiles))
-    shared = None if return_weights else np.empty(size, dtype=dtype)
+    shared = np.empty(size, dtype=dtype)
     weights = []
     for s, n, m, a, (bounds, _) in zip(starts, lengths, queries, outs, tiles):
         seg, first = data[s : s + n], n - m
         q, k, v = heads(seg[first:], 0), heads(seg, d), heads(seg, 2 * d)
         o = heads(out[a : a + m], 0)
-        w = np.zeros((n_heads, m, n), dtype=dtype) if return_weights else None
+        if return_weights:
+            weights.append(np.zeros((n_heads, m, n), dtype=dtype))
         for r0, r1 in zip(bounds, bounds[1:]):
             keys = first + r1
             shape = (n_heads, r1 - r0, keys)
-            tile = w[:, r0:r1, :keys] if return_weights else shared[: math.prod(shape)].reshape(shape)
+            tile = shared[: math.prod(shape)].reshape(shape)
             weigh(tile, q, k, first, r0, r1)
             np.matmul(tile, v[:, :keys], out=o[:, r0:r1])
-        if return_weights:
-            weights.append(w)
+            if return_weights:
+                weights[-1][:, r0:r1, :keys] = tile
 
     def pull(g):
         g_qkv = np.empty_like(data)
@@ -585,8 +564,8 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
 
 def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    """Add & norm: normalize the last dimension of ``x + residual`` to zero
-    mean and unit variance, then apply a learned elementwise gain and bias.
+    """Add & norm: normalize each row of ``x + residual``, both (N, d), to
+    zero mean and unit variance, then apply a learned gain and bias (d,).
 
     Variance is the population variance over the last dimension; ``eps``
     sits inside the square root. The sum is centred in place in the buffer
@@ -595,12 +574,13 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
     and ``x`` and ``residual`` get one gradient, as from ``add``.
     """
     _check_dtypes(x, residual, gain, bias)
-    n = x.shape[-1]
-    if residual.shape != x.shape or gain.shape != (n,) or bias.shape != (n,):
+    row = x.shape[1:]
+    if x.ndim != 2 or residual.shape != x.shape or gain.shape != row or bias.shape != row:
         raise ShapeError(
-            f"layer_norm needs residual {x.shape}, gain and bias ({n},); got "
-            f"{residual.shape}, {gain.shape} and {bias.shape}"
+            f"layer_norm needs x and residual (N, d), gain and bias (d,); got "
+            f"{x.shape}, {residual.shape}, {gain.shape} and {bias.shape}"
         )
+    n = x.shape[1]
     xhat = np.add(x.data, residual.data)
     xhat -= xhat.mean(axis=-1, keepdims=True)
     data = np.multiply(xhat, xhat)
@@ -611,10 +591,9 @@ def layer_norm(x: Tensor, residual: Tensor, gain: Tensor, bias: Tensor, eps: flo
     data += bias.data
 
     def pull(g):
-        lead = tuple(range(g.ndim - 1))
         scratch = np.multiply(g, xhat)
-        g_gain = scratch.sum(axis=lead)
-        g_bias = g.sum(axis=lead)
+        g_gain = scratch.sum(axis=0)
+        g_bias = g.sum(axis=0)
         gx = np.multiply(g, gain.data)
         g_hat_sum = gx.sum(axis=-1, keepdims=True)
         np.multiply(gx, xhat, out=scratch)

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, IngestError, atomic_write, check_text
+from .base import ContractError, IngestError, atomic_write, check_int, check_text
 
 logger = logging.getLogger(__name__)
 
@@ -110,8 +110,7 @@ class Vocabulary:
 
 
 def check_min_count(min_count) -> None:
-    if not isinstance(min_count, int) or isinstance(min_count, bool) or min_count < 1:
-        raise ConfigError(f"min_count must be an integer >= 1, got {min_count!r}")
+    check_int(min_count, "min_count", 1)
 
 
 def build_vocab(examples: Iterable["NliExample"], min_count: int = 1) -> Vocabulary:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, NumericError, atomic_write, split_seed
+from .base import ConfigError, ContractError, NumericError, atomic_write, check_int, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
 from .tensor import GradTape, RowGrad, Tensor, _result, row_tiles
 from .text import EncodedPair
@@ -62,16 +62,10 @@ class TrainConfig:
             )
         if not (0 < self.clip_bound < math.inf):
             raise ConfigError(f"clip_bound must be finite and > 0, got {self.clip_bound}")
-        if not isinstance(self.batch_size, int) or self.batch_size < 1:
-            raise ConfigError(f"batch_size must be a positive integer, got {self.batch_size}")
-        if not isinstance(self.patience_epochs, int) or self.patience_epochs < 1:
-            raise ConfigError(
-                f"patience_epochs must be a positive integer, got {self.patience_epochs}"
-            )
-        if not isinstance(self.max_epochs, int) or self.max_epochs < 0:
-            raise ConfigError(f"max_epochs must be >= 0, got {self.max_epochs}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
+        check_int(self.batch_size, "batch_size", 1)
+        check_int(self.patience_epochs, "patience_epochs", 1)
+        check_int(self.max_epochs, "max_epochs", 0)
+        check_int(self.seed, "seed", 0)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -117,6 +117,13 @@ class TestClassifierParams:
         with pytest.raises(ConfigError, match="dtype"):
             clf.fit(make_corpus(8), make_corpus(4, seed=1))
 
+    @pytest.mark.parametrize("dtype", ["foo", None])
+    def test_dtype_that_names_no_float_type_rejected(self, dtype):
+        """Not numpy's TypeError for a name it does not know, and not its
+        float64 default for None."""
+        with pytest.raises(ConfigError, match="dtype"):
+            tiny_classifier(dtype=dtype).fit(make_corpus(8), make_corpus(4, seed=1))
+
 
 @pytest.fixture(scope="module")
 def fitted():

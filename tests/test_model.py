@@ -58,6 +58,13 @@ class TestConfig:
         with pytest.raises(ConfigError, match="layer_norm_eps"):
             ModelConfig(vocab_words=10, layer_norm_eps=math.inf)
 
+    @pytest.mark.parametrize(
+        "name", ["vocab_words", "n_blocks", "n_heads", "d_model", "d_ffn", "max_len", "n_classes"]
+    )
+    def test_integer_fields_reject_bools(self, name):
+        with pytest.raises(ConfigError, match=name):
+            ModelConfig(**{"vocab_words": 10, "d_model": 12, "n_heads": 2, name: True})
+
     def test_full_scale_parameter_count(self):
         config = ModelConfig(vocab_words=56220)
         count = count_parameters(config)

@@ -63,14 +63,19 @@ class TestMatmul:
     @pytest.mark.parametrize("sb", [(2, 4, 5), (4,)], ids=str)
     def test_b_must_be_two_dimensional(self, sb):
         with pytest.raises(ShapeError, match="matmul needs"):
-            matmul(t64(np.ones((2, 3, 4))), t64(np.ones(sb)))
+            matmul(t64(np.ones((3, 4))), t64(np.ones(sb)))
+
+    @pytest.mark.parametrize("sa", [(2, 3, 4), (4,)], ids=str)
+    def test_a_must_be_rows(self, sa):
+        with pytest.raises(ShapeError, match="matmul needs"):
+            matmul(t64(np.ones(sa)), t64(np.ones((4, 5))))
 
     def test_gradients_dense_and_batched(self):
         rng = np.random.default_rng(11)
         for sa, sb in [
             ((3, 4), (4, 2)),
-            ((2, 3, 4), (4, 5)),
-            ((2, 3, 4, 5), (5, 6)),
+            ((6, 4), (4, 5)),
+            ((24, 5), (5, 6)),
         ]:
             a = parameter(rng.normal(size=sa), dtype=np.float64)
             b = parameter(rng.normal(size=sb), dtype=np.float64)
@@ -84,7 +89,7 @@ class TestMatmul:
             assert max_rel_err(a.grad, numeric_grad(f, a.data)) < 1e-6
             assert max_rel_err(b.grad, numeric_grad(f, b.data)) < 1e-6
 
-    @pytest.mark.parametrize("sa,sb", [((1, 0), (0, 1)), ((2, 3, 0), (0, 4))], ids=str)
+    @pytest.mark.parametrize("sa,sb", [((1, 0), (0, 1)), ((3, 0), (0, 4))], ids=str)
     def test_inner_dimension_zero_gives_zeros(self, sa, sb):
         a = parameter(np.zeros(sa), dtype=np.float64)
         b = parameter(np.zeros(sb), dtype=np.float64)
@@ -302,6 +307,11 @@ class TestLayerNorm:
         with pytest.raises(ShapeError):
             layer_norm(t64(np.ones((2, 4))), zeros64((4,)), t64(np.ones(4)), t64(np.zeros(4)), 1e-5)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 3, 4)], ids=str)
+    def test_x_must_be_rows(self, shape):
+        with pytest.raises(ShapeError, match="layer_norm needs"):
+            layer_norm(t64(np.ones(shape)), zeros64(shape), t64(np.ones(4)), t64(np.zeros(4)), 1e-5)
+
     def test_gradients(self):
         rng = np.random.default_rng(23)
         x = parameter(rng.normal(size=(3, 8)), dtype=np.float64)
@@ -327,7 +337,7 @@ class TestLayerNorm:
         assert max_rel_err(bias.grad, numeric_grad(f, bias.data)) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("shape", [(8,), (6, 16), (2, 5, 240)], ids=str)
+    @pytest.mark.parametrize("shape", [(1, 8), (6, 16), (10, 240)], ids=str)
     def test_bytes_equal_formulas(self, shape, dtype):
         """The in-place forward and pull give the bits of the formulas
         applied to ``x + residual``, and both summands get the same
@@ -758,9 +768,9 @@ def test_taped_attention_keeps_below_half_a_weights_array():
 class TestEmbeddingAndRowSelection:
     def test_lookup_rows(self):
         table = t64([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-        out = embedding_lookup(table, np.array([[2, 0], [1, 1]]))
-        assert out.shape == (2, 2, 2)
-        assert out.data[0, 0].tolist() == [4.0, 5.0]
+        out = embedding_lookup(table, np.array([2, 0, 1, 1]))
+        assert out.shape == (4, 2)
+        assert out.data.tolist() == [[4.0, 5.0], [0.0, 1.0], [2.0, 3.0], [2.0, 3.0]]
 
     def test_repeated_ids_accumulate_gradient(self):
         table = parameter(np.zeros((4, 2)), dtype=np.float64)
@@ -774,7 +784,7 @@ class TestEmbeddingAndRowSelection:
 
         rng = np.random.default_rng(17)
         table = parameter(rng.normal(size=(6, 3)), dtype=np.float64)
-        ids = np.array([[4, 1, 4, 0], [1, 1, 5, 4]])
+        ids = np.array([4, 1, 4, 0, 1, 1, 5, 4])
         w = rng.normal(size=ids.shape + (3,))
         with GradTape() as tape:
             tape.backward(dot_with(embedding_lookup(table, ids), w))
@@ -785,8 +795,8 @@ class TestEmbeddingAndRowSelection:
     def test_several_id_sets_sum_rows_and_share_one_gradient(self):
         rng = np.random.default_rng(19)
         table = parameter(rng.normal(size=(7, 3)), dtype=np.float64)
-        words = np.array([[2, 0, 2], [5, 2, 0]])
-        positions = np.array([[4, 5, 6], [4, 5, 6]])
+        words = np.array([2, 0, 2, 5, 2, 0])
+        positions = np.array([4, 5, 6, 4, 5, 6])
         w = rng.normal(size=words.shape + (3,))
         with GradTape() as tape:
             out = embedding_lookup(table, words, positions)
@@ -801,8 +811,8 @@ class TestEmbeddingAndRowSelection:
     @pytest.mark.parametrize(
         "id_sets",
         [
-            [[[7, 2, 7, 7], [0, 2, 2, 9]]],
-            [[[7, 2, 7, 0], [5, 2, 0, 0]], [[10, 11, 12, 13], [10, 11, 12, 13]]],
+            [[7, 2, 7, 7, 0, 2, 2, 9]],
+            [[7, 2, 7, 0, 5, 2, 0, 0], [10, 11, 12, 13, 10, 11, 12, 13]],
             [np.zeros((0,), dtype=np.int64)],
         ],
         ids=["repeated", "words-and-positions", "empty"],
@@ -818,8 +828,8 @@ class TestEmbeddingAndRowSelection:
         with GradTape() as tape:
             out = embedding_lookup(table, *id_sets)
             tape.backward(dot_with(out, w))
-        flat_ids = np.concatenate([id_set.reshape(-1) for id_set in id_sets])
-        flat_w = np.concatenate([w.reshape(-1, 3)] * len(id_sets))
+        flat_ids = np.concatenate(id_sets)
+        flat_w = np.concatenate([w] * len(id_sets))
         expected = np.zeros((14, 3), dtype=np.float32)
         for row in np.unique(flat_ids):
             expected[row] = np.add.reduceat(flat_w[flat_ids == row], [0], axis=0)[0]
@@ -883,18 +893,41 @@ class TestEmbeddingAndRowSelection:
         with pytest.raises(ShapeError):
             embedding_lookup(t64(np.zeros((3, 2))), np.array([0, 1]), np.array([0]))
 
+    def test_ids_must_be_one_dimensional(self):
+        with pytest.raises(ShapeError, match="1-d"):
+            embedding_lookup(t64(np.zeros((3, 2))), np.array([[0], [1]]))
+
     def test_out_of_range_id_rejected(self):
         with pytest.raises(ContractError):
             embedding_lookup(t64(np.zeros((3, 2))), np.array([3]))
 
 class TestElementwiseAndReductions:
     def test_bias_broadcast_gradient_sums_leading_axes(self):
-        x = parameter(np.ones((2, 3, 4)), dtype=np.float64)
+        x = parameter(np.ones((6, 4)), dtype=np.float64)
         b = parameter(np.zeros(4), dtype=np.float64)
         with GradTape() as tape:
-            tape.backward(dot_with(add(x, b), np.ones((2, 3, 4))))
+            tape.backward(dot_with(add(x, b), np.ones((6, 4))))
         np.testing.assert_array_equal(b.grad, np.full(4, 6.0))
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3, 4)))
+        np.testing.assert_array_equal(x.grad, np.ones((6, 4)))
+
+    @pytest.mark.parametrize("sa,sb", [((2, 3), (4,)), ((2, 3), (1, 3)), ((3,), (2, 3))], ids=str)
+    def test_add_takes_one_shape_or_a_bias_row(self, sa, sb):
+        with pytest.raises(ShapeError, match="add needs"):
+            add(t64(np.ones(sa)), t64(np.ones(sb)))
+
+    def test_add_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(37)
+        x, y = (parameter(rng.normal(size=(5, 3)), dtype=np.float64) for _ in range(2))
+        b = parameter(rng.normal(size=3), dtype=np.float64)
+        up = rng.normal(size=(5, 3))
+        with GradTape() as tape:
+            tape.backward(dot_with(add(add(x, y), b), up))
+
+        def f():
+            return float(np.sum((x.data + y.data + b.data) * up))
+
+        for t in (x, y, b):
+            assert max_rel_err(t.grad, numeric_grad(f, t.data)) < 1e-6
 
     def test_mixed_dtypes_rejected(self):
         a = Tensor(np.ones(3, dtype=np.float32))

@@ -136,6 +136,11 @@ class TestLrSchedule:
         with pytest.raises(ConfigError):
             cfg(max_epochs=-1)
 
+    @pytest.mark.parametrize("name", ["batch_size", "patience_epochs", "max_epochs", "seed"])
+    def test_integer_fields_reject_bools(self, name):
+        with pytest.raises(ConfigError, match=name):
+            cfg(**{name: True})
+
 
 def clip_one(gradient, bound):
     """Clamp one gradient through clip_gradients; returns the array it left."""
