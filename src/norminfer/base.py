@@ -140,6 +140,15 @@ def check_int(value: Any, name: str, minimum: int) -> None:
         raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
+def check_float(value: Any, name: str, lo: float, hi: float, lo_closed: bool = False) -> None:
+    """Raise ConfigError unless ``value`` is an int or float, not a bool, in
+    (lo, hi), or in [lo, hi) with ``lo_closed``. NaN lies in neither."""
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or not (lo <= value < hi if lo_closed else lo < value < hi)):
+        interval = f"{'[' if lo_closed else '('}{lo}, {hi})"
+        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
+
+
 def check_text(value: Any, name: str) -> str:
     if not isinstance(value, str):
         raise ContractError(f"{name} must be a string, got {type(value).__name__}")

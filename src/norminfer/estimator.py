@@ -8,7 +8,12 @@ architecture and optimization knobs.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,6 +36,15 @@ from .training import SEED_INIT, TrainConfig, Trainer, length_sorted_chunks
 SEED_HOLDOUT = 3
 # tokens one inference forward pass may hold (fairseq's --max-tokens)
 BATCH_TOKENS = 1024
+# threads that run inference batches: the caller and, at 2, one helper
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+@lru_cache(maxsize=1)
+def _helper_pool(pid: int) -> ThreadPoolExecutor:
+    """The helper thread's pool, made once per process: a forked child has none."""
+    return ThreadPoolExecutor(1, thread_name_prefix="norminfer-infer")
 
 
 class PairEncoder(ParamsMixin):
@@ -83,7 +97,8 @@ class NliClassifier(ParamsMixin):
     with Adam under the warmup/decay schedule, keeping the weights of the
     best validation epoch. predict and predict_proba run the deterministic
     inference path. batch_size is the training batch; inference packs
-    pairs into forward passes of at most ``BATCH_TOKENS`` tokens.
+    pairs into forward passes of at most ``BATCH_TOKENS`` tokens, shared by
+    two threads when two CPUs are usable, with the bytes of one thread.
     """
 
     def __init__(
@@ -225,17 +240,35 @@ class NliClassifier(ParamsMixin):
     def _probabilities(self, encoded: Sequence[EncodedPair]) -> np.ndarray:
         """Class probability rows for encoded pairs, in input order.
 
-        This is the one inference loop: pairs run shortest first, on the
-        deterministic path, in forward passes of at most ``BATCH_TOKENS``
-        tokens (a longer pair runs alone); batch_size does not shape them.
-        Recording is suspended for the loop, so a tape open in the caller's
-        context stays untouched and every primitive takes its untaped path.
+        This is the one inference loop: the deterministic path, in forward
+        passes of length-sorted pairs of at most ``BATCH_TOKENS`` tokens (a
+        longer pair runs alone), whatever batch_size is, run longest first by
+        the caller and, given several and ``_WORKERS`` = 2, a helper thread.
+        Each writes only its own rows, so the bytes do not depend on the
+        thread count. Nothing records onto a tape open in the caller's context.
         """
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
+        cut = length_sorted_chunks(encoded, BATCH_TOKENS, tokens=True)
+        chunks = iter(cut[::-1])  # shared by both threads; next() on it is atomic
+
+        def run_chunks() -> None:
+            try:
+                for idx in chunks:
+                    batch = make_batch([encoded[i] for i in idx])
+                    out[idx] = forward_batch(batch, self.params_).data
+            except BaseException:
+                deque(chunks, maxlen=0)  # so that the other thread starts no further pass
+                raise
+
         with untaped():
-            for idx in length_sorted_chunks(encoded, BATCH_TOKENS, tokens=True):
-                probs = forward_batch(make_batch([encoded[i] for i in idx]), self.params_)
-                out[idx] = probs.data
+            jobs = [_helper_pool(os.getpid()).submit(contextvars.copy_context().run, run_chunks)
+                    for _ in range(min(_WORKERS, len(cut)) - 1)]
+            try:
+                run_chunks()
+            finally:
+                wait(jobs)  # nothing is left running when this returns or raises
+        for job in jobs:
+            job.result()
         return out
 
     def predict(self, pairs) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, check_int
+from .base import ConfigError, ContractError, check_float, check_int
 from .tensor import (
     Tensor,
     add,
@@ -69,23 +69,16 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_ffn is None:
             self.d_ffn = 4 * self.d_model
-        for name in ("vocab_words", "n_blocks", "n_heads", "d_model", "d_ffn",
-                     "max_len", "n_classes"):
+        check_int(self.vocab_words, "vocab_words", 3)  # the 3 reserved tokens at least
+        for name in ("n_blocks", "n_heads", "d_model", "d_ffn", "max_len"):
             check_int(getattr(self, name), name, 1)
-        if self.vocab_words < 3:
-            raise ConfigError(
-                f"vocab_words must cover the 3 reserved tokens, got {self.vocab_words}"
-            )
-        if self.n_classes < 2:
-            raise ConfigError(f"n_classes must be >= 2, got {self.n_classes}")
+        check_int(self.n_classes, "n_classes", 2)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}"
             )
-        if not (0 < self.layer_norm_eps < math.inf):
-            raise ConfigError(f"layer_norm_eps must be finite and > 0, got {self.layer_norm_eps}")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        check_float(self.layer_norm_eps, "layer_norm_eps", 0, math.inf)
+        check_float(self.dropout, "dropout", 0, 1, lo_closed=True)
 
     @property
     def d_head(self) -> int:

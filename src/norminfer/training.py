@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, NumericError, atomic_write, check_int, split_seed
+from .base import ContractError, NumericError, atomic_write, check_float, check_int, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
 from .tensor import GradTape, RowGrad, Tensor, _result, row_tiles
 from .text import EncodedPair
@@ -54,14 +54,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.base_lr < math.inf):
-            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
-        if not (0.0 < self.warmup_fraction < 1.0):
-            raise ConfigError(
-                f"warmup_fraction must lie in (0, 1), got {self.warmup_fraction}"
-            )
-        if not (0 < self.clip_bound < math.inf):
-            raise ConfigError(f"clip_bound must be finite and > 0, got {self.clip_bound}")
+        check_float(self.base_lr, "base_lr", 0, math.inf)
+        check_float(self.warmup_fraction, "warmup_fraction", 0, 1)
+        check_float(self.clip_bound, "clip_bound", 0, math.inf)
         check_int(self.batch_size, "batch_size", 1)
         check_int(self.patience_epochs, "patience_epochs", 1)
         check_int(self.max_epochs, "max_epochs", 0)

@@ -1,5 +1,12 @@
 """Estimator API: encoding step, classifier fit/predict, parameter plumbing."""
 
+import os
+import signal
+import sys
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,11 +15,13 @@ from helpers import make_corpus
 
 from norminfer import estimator
 from norminfer.base import ConfigError, ContractError, NotFittedError
+from norminfer.conflicts import score_direction
 from norminfer.estimator import BATCH_TOKENS, NliClassifier, PairEncoder
 from norminfer.model import ModelConfig, ModelParameters, forward_batch, make_batch
 from norminfer.persistence import load_checkpoint, save_checkpoint
 from norminfer.tensor import GradTape, add
 from norminfer.text import CLASSES, EOS_ID, RESERVED_TOKENS, EncodedPair, Vocabulary
+from norminfer.training import length_sorted_chunks
 
 
 def tiny_classifier(**overrides):
@@ -359,24 +368,38 @@ class TestTokenBudget:
         return calls
 
     def test_batches_are_greedy_token_runs_of_the_length_order(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_WORKERS", 1)  # one thread: a fixed pass order
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         calls = self.spy(monkeypatch)
         out = clf._probabilities(pairs)
 
+        # the passes run longest first: the length order's runs, last run first
+        assert [ids.tolist() for ids, _, _ in calls] == [
+            [3], [6], [10], [4, 7, 12], [1, 11, 8, 5, 2, 9, 0]
+        ]
+        cut = calls[::-1]  # the runs in the length order they were cut in
         order = sorted(range(len(pairs)), key=lambda i: self.LENGTHS[i])
-        assert [int(i) for ids, _, _ in calls for i in ids] == order
+        assert [int(i) for ids, _, _ in cut for i in ids] == order
         sizes = [tokens for _, tokens, _ in calls]
-        for (ids, tokens, _), after in zip(calls, calls[1:] + [None]):
+        for (ids, tokens, _), after in zip(cut, cut[1:] + [None]):
             assert tokens <= BATCH_TOKENS or len(ids) == 1
             if after is not None:  # the next pair did not fit
                 assert tokens + self.LENGTHS[after[0][0]] > BATCH_TOKENS
-        assert [ids.tolist() for ids, _, _ in calls][-1] == [3]  # 1,050 tokens, alone
-        assert sizes == [738, 1024, 512, 700, 1050]
+        assert [ids.tolist() for ids, _, _ in calls][0] == [3]  # 1,050 tokens, alone
+        assert sizes == [1050, 700, 512, 1024, 738]
         for ids, _, probs in calls:  # rows land at their input index
             assert out[ids].tobytes() == probs.astype(np.float64).tobytes()
 
+        calls.clear()  # two threads run the same passes, in either order
+        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        assert clf._probabilities(pairs).tobytes() == out.tobytes()
+        assert sorted((ids.tolist(), tokens) for ids, tokens, _ in calls) == sorted(
+            (ids.tolist(), tokens) for ids, tokens, _ in cut
+        )
+
     def test_batch_size_does_not_shape_inference(self, monkeypatch):
+        monkeypatch.setattr(estimator, "_WORKERS", 1)  # one thread: a fixed pass order
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         calls = self.spy(monkeypatch)
@@ -386,6 +409,7 @@ class TestTokenBudget:
             out = clf.set_params(batch_size=batch_size)._probabilities(pairs)
             runs.append(([ids.tolist() for ids, _, _ in calls], out.tobytes()))
         assert runs[0] == runs[1] == runs[2]
+        assert runs[0][0] == [[3], [6], [10], [4, 7, 12], [1, 11, 8, 5, 2, 9, 0]]
 
     def test_no_pairs_no_forward_pass(self, monkeypatch):
         calls = self.spy(monkeypatch)
@@ -409,3 +433,142 @@ class TestTokenBudget:
         alone = np.concatenate([clf._probabilities([p]) for p in pairs])
         np.testing.assert_allclose(batched, alone, rtol=0, atol=atol)
         assert np.array_equal(batched.argmax(axis=1), alone.argmax(axis=1))
+
+
+class TestTwoThreads:
+    """The caller and one helper thread share the token-budget passes; the
+    output bytes do not depend on how many threads ran them."""
+
+    LENGTHS = TestTokenBudget.LENGTHS  # five passes
+
+    def spy(self, monkeypatch, workers=2, fail_in_helper=False):
+        """Run ``_probabilities`` on ``workers`` threads. With two, each
+        thread's first pass waits for the other's, so both surely take part.
+        Returns the thread of each pass and the count of passes running."""
+        monkeypatch.setattr(estimator, "_WORKERS", workers)
+        caller = threading.get_ident()
+        meet = threading.Barrier(workers, timeout=30)
+        seen, running, lock = [], [0], threading.Lock()
+
+        def meeting(batch, params, **kw):
+            with lock:
+                first = threading.get_ident() not in seen
+                seen.append(threading.get_ident())
+                running[0] += 1
+            try:
+                if first:
+                    meet.wait()
+                if fail_in_helper and threading.get_ident() != caller:
+                    raise ContractError("the helper's pass failed")
+                return forward_batch(batch, params, **kw)
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        monkeypatch.setattr(estimator, "forward_batch", meeting)
+        return seen, running
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_bytes_do_not_depend_on_the_thread_count(self, monkeypatch, dtype):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100, dtype=dtype)
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        one = clf._probabilities(pairs)
+        seen, _ = self.spy(monkeypatch)
+        two = clf._probabilities(pairs)
+        assert len(seen) == 5 and len(set(seen)) == 2
+        assert two.tobytes() == one.tobytes()
+
+    def test_an_open_tape_stays_empty(self, monkeypatch):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        for _, t in clf.params_.named_tensors():
+            t.requires_grad = True
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        untaped = clf._probabilities(pairs)
+        seen, _ = self.spy(monkeypatch)
+        with GradTape() as tape:
+            taped = clf._probabilities(pairs)
+        assert len(set(seen)) == 2
+        assert len(tape) == 0
+        assert taped.tobytes() == untaped.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_failing_pass_raises_and_leaves_nothing_running(self, monkeypatch, workers):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        pairs[10].token_ids[1] = len(clf.vocabulary_)  # an id past the vocabulary
+        seen, running = self.spy(monkeypatch, workers)
+        with pytest.raises(ContractError, match="id out of range"):
+            clf._probabilities(pairs)
+        assert len(set(seen)) == workers
+        assert running[0] == 0
+
+    def test_a_pass_failing_in_the_helper_raises_in_the_caller(self, monkeypatch):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        seen, running = self.spy(monkeypatch, fail_in_helper=True)
+        with pytest.raises(ContractError, match="the helper's pass failed"):
+            clf._probabilities(pairs)
+        assert len(set(seen)) == 2
+        assert running[0] == 0  # the caller waited for the helper
+
+    def test_a_single_pass_takes_no_thread(self, monkeypatch, fitted):
+        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        made = []
+        monkeypatch.setattr(estimator, "_helper_pool", lambda pid: made.append(pid))
+        score_direction(fitted, "the tenant shall pay rent", "the tenant may not pay rent")
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        clf._probabilities(numbered_pairs([300, 2, 120], len(clf.vocabulary_)))
+        assert made == []
+
+    def test_concurrent_callers_run_each_pass_once(self, monkeypatch):
+        """Four callers share the one helper while thread switches are
+        forced often: each call runs every pass once and fills every row."""
+        monkeypatch.setattr(estimator, "BATCH_TOKENS", 64)
+        lengths = np.random.default_rng(1).integers(2, 40, size=60).tolist()
+        clf = random_classifier(len(lengths))
+        pairs = numbered_pairs(lengths, len(clf.vocabulary_))
+        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        expected = clf._probabilities(pairs).tobytes()
+        passes = {tuple(chunk) for chunk in length_sorted_chunks(pairs, 64, tokens=True)}
+        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        counts, lock = Counter(), threading.Lock()
+
+        def counting(batch, params, **kw):
+            starts = np.concatenate([[0], np.cumsum(batch.eos_index + 1)[:-1]])
+            with lock:
+                counts[tuple((batch.token_ids[starts] - 3).tolist())] += 1
+            return forward_batch(batch, params, **kw)
+
+        monkeypatch.setattr(estimator, "forward_batch", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                runs = [callers.submit(clf._probabilities, pairs) for _ in range(32)]
+                outputs = [run.result(timeout=60).tobytes() for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(passes) > 10 and counts == Counter({p: 32 for p in passes})
+        assert all(out == expected for out in outputs)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_makes_its_own_helper(self, monkeypatch):
+        clf = random_classifier(len(self.LENGTHS), max_len=1100)
+        pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
+        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        expected = clf._probabilities(pairs)  # the parent's helper now exists
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if the same call returns the same bytes
+            try:
+                os._exit(0 if clf._probabilities(pairs).tobytes() == expected.tobytes() else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0

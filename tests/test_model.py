@@ -65,6 +65,23 @@ class TestConfig:
         with pytest.raises(ConfigError, match=name):
             ModelConfig(**{"vocab_words": 10, "d_model": 12, "n_heads": 2, name: True})
 
+    @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+    @pytest.mark.parametrize("name", ["layer_norm_eps", "dropout"])
+    def test_float_fields_reject_bools_and_strings(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            ModelConfig(vocab_words=10, **{name: value})
+
+    def test_dropout_takes_zero_and_an_int(self):
+        assert ModelConfig(vocab_words=10, dropout=0).dropout == 0
+        with pytest.raises(ConfigError, match=r"dropout must be a number in \[0, 1\)"):
+            ModelConfig(vocab_words=10, dropout=-0.1)
+
+    @pytest.mark.parametrize("name,minimum", [("vocab_words", 3), ("n_classes", 2)])
+    def test_integer_fields_below_their_minimum_rejected(self, name, minimum):
+        ModelConfig(**{"vocab_words": 10, name: minimum})
+        with pytest.raises(ConfigError, match=f"{name} must be an integer >= {minimum}"):
+            ModelConfig(**{"vocab_words": 10, name: minimum - 1})
+
     def test_full_scale_parameter_count(self):
         config = ModelConfig(vocab_words=56220)
         count = count_parameters(config)

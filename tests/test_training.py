@@ -141,6 +141,17 @@ class TestLrSchedule:
         with pytest.raises(ConfigError, match=name):
             cfg(**{name: True})
 
+    @pytest.mark.parametrize("value", [True, "1"], ids=["bool", "str"])
+    @pytest.mark.parametrize("name", ["base_lr", "warmup_fraction", "clip_bound"])
+    def test_float_fields_reject_bools_and_strings(self, name, value):
+        with pytest.raises(ConfigError, match=name):
+            cfg(**{name: value})
+
+    def test_float_fields_take_ints(self):
+        assert cfg(clip_bound=2, base_lr=1).clip_bound == 2
+        with pytest.raises(ConfigError, match=r"warmup_fraction must be a number in \(0, 1\)"):
+            cfg(warmup_fraction=math.nan)
+
 
 def clip_one(gradient, bound):
     """Clamp one gradient through clip_gradients; returns the array it left."""
