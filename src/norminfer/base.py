@@ -1,5 +1,6 @@
 """Shared plumbing: error types, estimator parameter handling, input checks,
-atomic file writes.
+atomic file writes, and the one helper thread that inference and training
+share with their caller.
 
 Estimators in this package follow the scikit-learn conventions: constructor
 arguments are stored verbatim, ``fit`` learns state into trailing-underscore
@@ -11,13 +12,51 @@ constructor arguments so instances compose with ecosystem tooling such as
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import inspect
 import os
 import secrets
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
+from functools import lru_cache
 from pathlib import Path
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+# threads that run batches: the caller and, at 2, one helper
+_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+
+
+@lru_cache(maxsize=1)
+def _helper_pool(pid: int) -> ThreadPoolExecutor:
+    """The helper thread's pool, made once per process: a forked child has none."""
+    return ThreadPoolExecutor(1, thread_name_prefix="norminfer-helper")
+
+
+def run_shared(run: Callable[[Any], None], items: Sequence) -> None:
+    """Call ``run`` on each item, taken in order by the caller and, given two
+    items or more and ``_WORKERS`` = 2, by the helper thread in a copy of the
+    caller's context. Returns once both are done; a failure is raised here."""
+    pending = iter(items)  # next() on it is atomic
+
+    def drain() -> None:
+        try:
+            for item in pending:
+                run(item)
+        except BaseException:
+            deque(pending, maxlen=0)  # so that no thread takes a further item
+            raise
+
+    jobs = [_helper_pool(os.getpid()).submit(contextvars.copy_context().run, drain)
+            for _ in range(min(_WORKERS, len(items)) - 1)]
+    try:
+        drain()
+    finally:
+        wait(jobs)  # nothing is left running when this returns or raises
+    for job in jobs:
+        job.result()
 
 
 class NorminferError(Exception):

@@ -8,16 +8,12 @@ architecture and optimization knobs.
 
 from __future__ import annotations
 
-import contextvars
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import fields
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import base
 from .base import ConfigError, ContractError, ParamsMixin, check_fitted, split_seed
 from .model import ModelConfig, ModelParameters, forward_batch, make_batch
 from .tensor import untaped
@@ -36,15 +32,6 @@ from .training import SEED_INIT, TrainConfig, Trainer, length_sorted_chunks
 SEED_HOLDOUT = 3
 # tokens one inference forward pass may hold (fairseq's --max-tokens)
 BATCH_TOKENS = 1024
-# threads that run inference batches: the caller and, at 2, one helper
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-
-
-@lru_cache(maxsize=1)
-def _helper_pool(pid: int) -> ThreadPoolExecutor:
-    """The helper thread's pool, made once per process: a forked child has none."""
-    return ThreadPoolExecutor(1, thread_name_prefix="norminfer-infer")
 
 
 class PairEncoder(ParamsMixin):
@@ -242,33 +229,19 @@ class NliClassifier(ParamsMixin):
 
         This is the one inference loop: the deterministic path, in forward
         passes of length-sorted pairs of at most ``BATCH_TOKENS`` tokens (a
-        longer pair runs alone), whatever batch_size is, run longest first by
-        the caller and, given several and ``_WORKERS`` = 2, a helper thread.
-        Each writes only its own rows, so the bytes do not depend on the
-        thread count. Nothing records onto a tape open in the caller's context.
+        longer pair runs alone), whatever batch_size is, longest first, shared
+        by the caller and the helper thread (``base.run_shared``). Each writes
+        only its own rows, so the bytes do not depend on the thread count.
+        Nothing records onto a tape open in the caller's context.
         """
         out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
-        cut = length_sorted_chunks(encoded, BATCH_TOKENS, tokens=True)
-        chunks = iter(cut[::-1])  # shared by both threads; next() on it is atomic
+        chunks = length_sorted_chunks(encoded, BATCH_TOKENS, tokens=True)
 
-        def run_chunks() -> None:
-            try:
-                for idx in chunks:
-                    batch = make_batch([encoded[i] for i in idx])
-                    out[idx] = forward_batch(batch, self.params_).data
-            except BaseException:
-                deque(chunks, maxlen=0)  # so that the other thread starts no further pass
-                raise
+        def run_chunk(idx: list[int]) -> None:
+            out[idx] = forward_batch(make_batch([encoded[i] for i in idx]), self.params_).data
 
         with untaped():
-            jobs = [_helper_pool(os.getpid()).submit(contextvars.copy_context().run, run_chunks)
-                    for _ in range(min(_WORKERS, len(cut)) - 1)]
-            try:
-                run_chunks()
-            finally:
-                wait(jobs)  # nothing is left running when this returns or raises
-        for job in jobs:
-            job.result()
+            base.run_shared(run_chunk, chunks[::-1])
         return out
 
     def predict(self, pairs) -> np.ndarray:

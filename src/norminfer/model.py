@@ -241,7 +241,7 @@ class ModelParameters:
         return self.embedding.dtype
 
     def copy(self) -> "ModelParameters":
-        """Deep copy of the weights; gradients are not carried over."""
+        """Deep copy of the weights."""
         return ModelParameters.from_arrays(
             self.config, {name: t.data.copy() for name, t in self.named_tensors()}
         )

@@ -24,8 +24,12 @@ and 1-d ids, and any other shape is a ShapeError. ``matmul`` multiplies
 of one length at once. Its gradient is a :class:`RowGrad` of sorted
 segment sums, one per distinct row read, which a leaf table keeps unless a
 second gradient makes it dense.
-Leaf gradients left by ``backward`` are writeable and never shared between
-two leaves, so an optimizer may clip them in place.
+``backward`` returns the gradients of the leaves, keyed by tensor; the
+adjoint of any other tensor lives in the same local dict only until its
+record is pulled. No gradient is stored on a tensor, so two tapes may
+share leaves, each in its own thread. The returned arrays are writeable
+and never shared between two leaves, so an optimizer may clip them in
+place.
 
 Causal attention is one primitive, ``causal_attention``, rather than a chain
 of head split, score product, scaling, masking, softmax, value product and
@@ -89,14 +93,14 @@ TILE_ELEMENTS = 1 << 17
 
 
 class Tensor:
-    """A numpy array plus gradient metadata.
+    """A numpy array and whether a tape records gradients for it.
 
-    ``grad`` stays ``None`` until a backward pass deposits into it. The
-    flat buffer invariant (element count equals the product of the shape)
-    is inherited from the backing ndarray.
+    A tensor holds no gradient; ``GradTape.backward`` returns them. Its
+    hash is its identity. The flat buffer invariant (element count equals
+    the product of the shape) is inherited from the backing ndarray.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -106,7 +110,6 @@ class Tensor:
             arr = arr.astype(DEFAULT_DTYPE)
         self.data: np.ndarray = arr
         self.requires_grad: bool = bool(requires_grad)
-        self.grad: np.ndarray | RowGrad | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -168,13 +171,14 @@ class GradTape:
     def __len__(self) -> int:
         return len(self._records)
 
-    def backward(self, loss: Tensor) -> None:
-        """Populate ``grad`` on every recorded leaf tensor that requires it.
+    def backward(self, loss: Tensor, seed: float = 1.0) -> dict[Tensor, np.ndarray | RowGrad]:
+        """The gradient of ``seed`` times ``loss`` for every recorded leaf
+        tensor that requires one, keyed by tensor.
 
         ``loss`` must be a scalar (a single-element tensor). Each record is
-        dropped once pulled, with the activations its pull holds, so a tape
-        runs backward once and non-leaf tensors end with ``grad`` None. Only
-        a leaf with one gradient keeps a :class:`RowGrad` as it is.
+        dropped once pulled, with the activations its pull holds, and so is
+        the adjoint of its output, so a tape runs backward once. Only a leaf
+        with one gradient keeps a :class:`RowGrad` as it is.
         """
         if self._pulled:
             raise ContractError("backward already ran on this tape, which released its records")
@@ -186,21 +190,22 @@ class GradTape:
         records = self._records
         produced = {id(output) for _, output, _ in records}
         held: set[int] = set()
-        loss.grad = np.ones_like(loss.data)
+        grads: dict[Tensor, np.ndarray | RowGrad] = {loss: np.full_like(loss.data, seed)}
         for i in reversed(range(len(records))):
             (inputs, output, pull), records[i] = records[i], None
-            g_out, output.grad = output.grad, None
+            g_out = grads.pop(output, None)
             if g_out is None:
                 continue
             for tensor, grad in zip(inputs, pull(g_out)):
                 if grad is None or not tensor.requires_grad:
                     continue
-                if tensor.grad is not None:
-                    tensor.grad = _dense(tensor.grad) + _dense(grad)
+                if tensor in grads:
+                    grads[tensor] = _dense(grads[tensor]) + _dense(grad)
                 elif id(tensor) in produced:
-                    tensor.grad = _dense(grad)
+                    grads[tensor] = _dense(grad)
                 else:
-                    tensor.grad = grad if isinstance(grad, RowGrad) else _leaf_grad(grad, held)
+                    grads[tensor] = grad if isinstance(grad, RowGrad) else _leaf_grad(grad, held)
+        return grads  # each non-leaf's adjoint went with its record
 
 
 # Open tapes, innermost last. A context variable keeps them per thread (and

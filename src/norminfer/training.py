@@ -1,6 +1,12 @@
 """Training engine: loss, learning-rate schedule, gradient clipping, Adam,
 length-sorted batching, and the epoch loop with early stopping.
 
+Each step cuts its batch into two halves of about equal tokens, each run
+forward and backward on its own tape, the second on the helper thread when
+two CPUs are usable. Each half's loss gradient is weighted by its share of
+the pairs and the two are summed: the gradient of the batch-mean loss,
+with the same bytes whatever the thread count.
+
 The learning rate ramps linearly from zero to the base rate over the first
 warmup_fraction of the step budget, then decays linearly back to zero at
 the final step. The step budget is fixed up front as max_epochs times the
@@ -13,6 +19,7 @@ Gradients, not parameters, are clamped elementwise into
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import mmap
@@ -22,9 +29,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import base
 from .base import ContractError, NumericError, atomic_write, check_float, check_int, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
-from .tensor import GradTape, RowGrad, Tensor, _result, row_tiles
+from .tensor import GradTape, RowGrad, Tensor, _dense, _result, row_tiles
 from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
@@ -41,6 +49,7 @@ SPARSE_ROW_SHARE = 0.25
 SEED_INIT = 0
 SEED_BATCH = 1
 SEED_DROPOUT = 2
+Grads = dict[Tensor, np.ndarray | RowGrad]  # as ``GradTape.backward`` returns them
 
 
 @dataclass
@@ -133,9 +142,9 @@ def lr_at(step: float, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.base_lr * ((total_steps - step) / (total_steps - warmup_end))
 
 
-def clip_gradients(params: Iterable[tuple[str, Tensor]], bound: float) -> None:
-    """Clamp every gradient of the (name, tensor) pairs ``params`` into
-    [-bound, +bound] in place.
+def clip_gradients(params: Iterable[tuple[str, Tensor]], grads: Grads, bound: float) -> None:
+    """Clamp the gradient in ``grads`` of each of the (name, tensor) pairs
+    ``params`` into [-bound, +bound] in place.
 
     Raises NumericError naming the tensor if a gradient holds NaN or +-inf.
     The check runs before the clamp, which would turn +-inf into +-bound.
@@ -143,8 +152,8 @@ def clip_gradients(params: Iterable[tuple[str, Tensor]], bound: float) -> None:
     if not (bound > 0):
         raise ContractError(f"clip bound must be > 0, got {bound}")
     for name, tensor in params:
-        if tensor.grad is not None:
-            g, lo, hi = _finite_range(name, tensor.grad)
+        if tensor in grads:
+            g, lo, hi = _finite_range(name, grads[tensor])
             if lo < -bound or hi > bound:
                 np.clip(g, -bound, bound, out=g)
 
@@ -198,20 +207,21 @@ class AdamOptimizer:
         self.live = {name: np.zeros(len(np.atleast_1d(t.data)), bool) for name, t in self.tensors}
         self.step_count = 0
 
-    def step(self, lr: float) -> None:
-        """Apply one update using the gradients currently on the tensors,
-        then clear them. A non-finite gradient raises NumericError before
-        any tensor, moment or the step count changes.
+    def step(self, grads: Grads, lr: float) -> None:
+        """Apply one update from ``grads``, keyed by tensor; a tensor without
+        one keeps its weights and moments. A non-finite gradient raises
+        NumericError before any tensor, moment or the step count changes.
+        Nothing of ``grads`` is kept.
         """
-        updates = [(name, t) for name, t in self.tensors if t.grad is not None]
-        for name, tensor in updates:
-            _finite_range(name, tensor.grad)
+        updates = [(name, t, grads[t]) for name, t in self.tensors if t in grads]
+        for name, _, g in updates:
+            _finite_range(name, g)
         self.step_count += 1
         t = self.step_count
         step_size = lr / (1.0 - ADAM_BETA1**t)
         v_scale = 1.0 / math.sqrt(1.0 - ADAM_BETA2**t)
-        for name, tensor in updates:
-            g, sparse = tensor.grad, isinstance(tensor.grad, RowGrad)
+        for name, tensor, g in updates:
+            sparse = isinstance(g, RowGrad)
             w, m, v = (np.atleast_1d(a) for a in (tensor.data, self.m[name], self.v[name]))
             live = self.live.get(name)
             if live is not None:
@@ -226,7 +236,6 @@ class AdamOptimizer:
                 g = RowGrad(np.searchsorted(index, g.rows), g.values, w_rows.shape)
                 self._update(w_rows, g, m_rows, v_rows, step_size, v_scale)
                 w[index], m[index], v[index] = w_rows, m_rows, v_rows
-            tensor.grad = None
 
     def _update(self, w, g, m, v, step_size, v_scale) -> None:
         bounds, height = row_tiles(len(w), math.prod(w.shape[1:]))
@@ -284,6 +293,36 @@ def make_batches(
     chunks = length_sorted_chunks(pairs, cfg.batch_size)
     order = np.random.default_rng(epoch_seed).permutation(len(chunks))
     return [make_batch([pairs[j] for j in chunks[i]]) for i in order]
+
+
+def split_batch(batch: Batch) -> list[Batch]:
+    """A labelled batch as the prefix of its pairs whose tokens come closest
+    to half (the first on a tie) and the rest; a one-pair batch stays whole."""
+    if batch.size == 1:
+        return [batch]
+    ends = np.cumsum(batch.eos_index + 1)
+    k = int(np.argmin(np.abs(2 * ends[:-1] - ends[-1]))) + 1
+    t = ends[k - 1]
+    return [Batch(batch.token_ids[:t], batch.eos_index[:k], batch.labels[:k]),
+            Batch(batch.token_ids[t:], batch.eos_index[k:], batch.labels[k:])]
+
+
+def sum_gradients(first: Grads, second: Grads) -> Grads:
+    """``first`` with ``second`` added per tensor; two :class:`RowGrad` add
+    up over the union of their rows, so nothing table-sized is made."""
+    for tensor, g in second.items():
+        f = first.get(tensor)
+        if f is None:
+            first[tensor] = g
+        elif isinstance(f, RowGrad) and isinstance(g, RowGrad):
+            rows = np.union1d(f.rows, g.rows)
+            values = np.zeros((len(rows),) + g.values.shape[1:], dtype=g.values.dtype)
+            values[np.searchsorted(rows, f.rows)] = f.values
+            values[np.searchsorted(rows, g.rows)] += g.values
+            first[tensor] = RowGrad(rows, values, g.shape)
+        else:
+            first[tensor] = _dense(f) + _dense(g)
+    return first
 
 
 @dataclass(frozen=True)
@@ -374,7 +413,35 @@ class Trainer:
         named = list(params.named_tensors())
         optimizer = AdamOptimizer(named)
         val_batches = make_batches(val_pairs, cfg, epoch_seed=0)
-        dropout_rng = np.random.default_rng(split_seed(cfg.seed, SEED_DROPOUT))
+
+        def train_step(batch: Batch, step: int) -> tuple[float, int]:
+            """One update; the batch's loss sum and correct count. Nothing
+            else of the step outlives the call."""
+            halves = split_batch(batch)
+            results: list = [None] * len(halves)  # (gradients, loss sum, correct, clamped)
+
+            def run_half(i: int) -> None:
+                half = halves[i]
+                rng = np.random.default_rng(split_seed(cfg.seed, SEED_DROPOUT, step, i))
+                with GradTape() as tape:
+                    probs = forward_batch(half, params, rng=rng)
+                    clamped = count_clamped(probs, half.labels)
+                    loss = nll_loss(probs, half.labels)
+                    value = loss.item()
+                    if not math.isfinite(value):
+                        raise NumericError(f"loss diverged at epoch {epoch}: {value}")
+                    grads = tape.backward(loss, half.size / batch.size)
+                correct = int((probs.data.argmax(axis=1) == half.labels).sum())
+                results[i] = grads, value * half.size, correct, clamped
+
+            base.run_shared(run_half, range(len(halves)))
+            maps, losses, corrects, clamps = zip(*results)
+            results.clear()  # the helper's closure may outlive the call
+            grads = functools.reduce(sum_gradients, maps)
+            log.clamp_events += sum(clamps)
+            clip_gradients(named, grads, cfg.clip_bound)
+            optimizer.step(grads, lr_at(step, total_steps, cfg))
+            return sum(losses), sum(corrects)
 
         best_params = params.copy()
         step = 0
@@ -384,19 +451,10 @@ class Trainer:
                 for batch in make_batches(
                     train_pairs, cfg, split_seed(cfg.seed, SEED_BATCH, epoch)
                 ):
-                    with GradTape() as tape:
-                        probs = forward_batch(batch, params, rng=dropout_rng)
-                        log.clamp_events += count_clamped(probs, batch.labels)
-                        loss = nll_loss(probs, batch.labels)
-                        loss_value = loss.item()
-                        if not math.isfinite(loss_value):
-                            raise NumericError(f"loss diverged at epoch {epoch}: {loss_value}")
-                        tape.backward(loss)
-                    clip_gradients(named, cfg.clip_bound)
                     step += 1
-                    optimizer.step(lr_at(step, total_steps, cfg))
-                    epoch_loss += loss_value * batch.size
-                    epoch_correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
+                    loss_sum, correct = train_step(batch, step)
+                    epoch_loss += loss_sum
+                    epoch_correct += correct
                     epoch_count += batch.size
             except NumericError as exc:
                 logger.error("training aborted: %s", exc)

@@ -47,12 +47,11 @@ def max_rel_err(analytic: np.ndarray, numeric: np.ndarray, floor: float = 1e-5) 
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def dense_grad(tensor) -> np.ndarray:
-    """A tensor's gradient as one full array: a looked-up table's
-    ``RowGrad`` is scattered into zeros."""
+def dense_grad(grad) -> np.ndarray:
+    """A gradient as one full array: a looked-up table's ``RowGrad`` is
+    scattered into zeros."""
     from norminfer.tensor import RowGrad
 
-    grad = tensor.grad
     return grad.dense() if isinstance(grad, RowGrad) else grad
 
 

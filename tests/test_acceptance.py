@@ -91,7 +91,7 @@ def test_01_gradient_fidelity():
 
         with GradTape() as tape:
             loss = nll_loss(forward_batch(batch, params), labels)
-            tape.backward(loss)
+            grads = tape.backward(loss)
 
         def loss_value():
             return nll_loss(forward_batch(batch, params), labels).item()
@@ -100,7 +100,7 @@ def test_01_gradient_fidelity():
             size = tensor.data.size
             n_probe = size if size <= 8 else 8
             coords = rng.choice(size, size=n_probe, replace=False)
-            analytic = np.array([dense_grad(tensor).flat[i] for i in coords])
+            analytic = np.array([dense_grad(grads[tensor]).flat[i] for i in coords])
             numeric = np.array([fd_at(loss_value, tensor.data, i) for i in coords])
             worst = max(worst, max_rel_err(analytic, numeric))
     elapsed = time.time() - started

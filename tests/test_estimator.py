@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from helpers import make_corpus
 
-from norminfer import estimator
+from norminfer import base, estimator
 from norminfer.base import ConfigError, ContractError, NotFittedError
 from norminfer.conflicts import score_direction
 from norminfer.estimator import BATCH_TOKENS, NliClassifier, PairEncoder
@@ -368,7 +368,7 @@ class TestTokenBudget:
         return calls
 
     def test_batches_are_greedy_token_runs_of_the_length_order(self, monkeypatch):
-        monkeypatch.setattr(estimator, "_WORKERS", 1)  # one thread: a fixed pass order
+        monkeypatch.setattr(base, "_WORKERS", 1)  # one thread: a fixed pass order
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         calls = self.spy(monkeypatch)
@@ -392,14 +392,14 @@ class TestTokenBudget:
             assert out[ids].tobytes() == probs.astype(np.float64).tobytes()
 
         calls.clear()  # two threads run the same passes, in either order
-        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        monkeypatch.setattr(base, "_WORKERS", 2)
         assert clf._probabilities(pairs).tobytes() == out.tobytes()
         assert sorted((ids.tolist(), tokens) for ids, tokens, _ in calls) == sorted(
             (ids.tolist(), tokens) for ids, tokens, _ in cut
         )
 
     def test_batch_size_does_not_shape_inference(self, monkeypatch):
-        monkeypatch.setattr(estimator, "_WORKERS", 1)  # one thread: a fixed pass order
+        monkeypatch.setattr(base, "_WORKERS", 1)  # one thread: a fixed pass order
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         calls = self.spy(monkeypatch)
@@ -445,7 +445,7 @@ class TestTwoThreads:
         """Run ``_probabilities`` on ``workers`` threads. With two, each
         thread's first pass waits for the other's, so both surely take part.
         Returns the thread of each pass and the count of passes running."""
-        monkeypatch.setattr(estimator, "_WORKERS", workers)
+        monkeypatch.setattr(base, "_WORKERS", workers)
         caller = threading.get_ident()
         meet = threading.Barrier(workers, timeout=30)
         seen, running, lock = [], [0], threading.Lock()
@@ -472,7 +472,7 @@ class TestTwoThreads:
     def test_output_bytes_do_not_depend_on_the_thread_count(self, monkeypatch, dtype):
         clf = random_classifier(len(self.LENGTHS), max_len=1100, dtype=dtype)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
-        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        monkeypatch.setattr(base, "_WORKERS", 1)
         one = clf._probabilities(pairs)
         seen, _ = self.spy(monkeypatch)
         two = clf._probabilities(pairs)
@@ -513,9 +513,9 @@ class TestTwoThreads:
         assert running[0] == 0  # the caller waited for the helper
 
     def test_a_single_pass_takes_no_thread(self, monkeypatch, fitted):
-        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        monkeypatch.setattr(base, "_WORKERS", 2)
         made = []
-        monkeypatch.setattr(estimator, "_helper_pool", lambda pid: made.append(pid))
+        monkeypatch.setattr(base, "_helper_pool", lambda pid: made.append(pid))
         score_direction(fitted, "the tenant shall pay rent", "the tenant may not pay rent")
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         clf._probabilities(numbered_pairs([300, 2, 120], len(clf.vocabulary_)))
@@ -528,10 +528,10 @@ class TestTwoThreads:
         lengths = np.random.default_rng(1).integers(2, 40, size=60).tolist()
         clf = random_classifier(len(lengths))
         pairs = numbered_pairs(lengths, len(clf.vocabulary_))
-        monkeypatch.setattr(estimator, "_WORKERS", 1)
+        monkeypatch.setattr(base, "_WORKERS", 1)
         expected = clf._probabilities(pairs).tobytes()
         passes = {tuple(chunk) for chunk in length_sorted_chunks(pairs, 64, tokens=True)}
-        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        monkeypatch.setattr(base, "_WORKERS", 2)
         counts, lock = Counter(), threading.Lock()
 
         def counting(batch, params, **kw):
@@ -557,7 +557,7 @@ class TestTwoThreads:
     def test_a_forked_child_makes_its_own_helper(self, monkeypatch):
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
-        monkeypatch.setattr(estimator, "_WORKERS", 2)
+        monkeypatch.setattr(base, "_WORKERS", 2)
         expected = clf._probabilities(pairs)  # the parent's helper now exists
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if the same call returns the same bytes

@@ -1,6 +1,11 @@
 import logging
 import math
+import sys
+import threading
+import time
 import tracemalloc
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +21,7 @@ from helpers import (
 )
 
 from norminfer.base import ConfigError, ContractError, NumericError
-from norminfer import tensor as tensor_module, training
+from norminfer import base, tensor as tensor_module, training
 from norminfer.model import ModelParameters, forward_batch, make_batch
 from norminfer.tensor import GradTape, RowGrad, Tensor, add, parameter, softmax
 from norminfer.training import (
@@ -28,6 +33,8 @@ from norminfer.training import (
     lr_at,
     make_batches,
     nll_loss,
+    split_batch,
+    sum_gradients,
 )
 
 LN3 = 1.0986122886681098
@@ -156,9 +163,9 @@ class TestLrSchedule:
 def clip_one(gradient, bound):
     """Clamp one gradient through clip_gradients; returns the array it left."""
     w = parameter(np.zeros_like(gradient), dtype=np.float64)
-    w.grad = gradient
-    clip_gradients([("w", w)], bound)
-    return w.grad
+    grads = {w: gradient}
+    clip_gradients([("w", w)], grads, bound)
+    return grads[w]
 
 
 class TestClip:
@@ -182,30 +189,30 @@ class TestClip:
         with pytest.raises(ContractError):
             clip_one(np.zeros(2), 0.0)
         with pytest.raises(ContractError):
-            clip_gradients([], 0.0)
+            clip_gradients([], {}, 0.0)
 
     def test_row_gradient_is_clamped_in_its_values(self):
         w = parameter(np.zeros((6, 2)), dtype=np.float64)
         values = np.array([[3.0, -0.5], [-2.0, 0.25]])
-        w.grad = RowGrad(np.array([1, 4]), values, w.shape)
-        clip_gradients([("w", w)], 1.0)
-        assert w.grad.values is values  # in place
+        grads = {w: RowGrad(np.array([1, 4]), values, w.shape)}
+        clip_gradients([("w", w)], grads, 1.0)
+        assert grads[w].values is values  # in place
         np.testing.assert_array_equal(values, [[1.0, -0.5], [-1.0, 0.25]])
         values[1, 0] = np.nan
         with pytest.raises(NumericError, match="non-finite gradient in w"):
-            clip_gradients([("w", w)], 1.0)
+            clip_gradients([("w", w)], grads, 1.0)
         with pytest.raises(NumericError, match="non-finite gradient in w"):
-            AdamOptimizer([("w", w)]).step(0.1)
+            AdamOptimizer([("w", w)]).step(grads, 0.1)
         assert not w.data.any()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_before_the_clamp(self, bad):
         w = parameter(np.array([1.0, 2.0]), dtype=np.float64)
         opt = AdamOptimizer([("w", w)])
-        w.grad = np.array([bad, 0.5])
+        grads = {w: np.array([bad, 0.5])}
         with pytest.raises(NumericError, match="non-finite gradient in w"):
-            clip_gradients([("w", w)], 1.0)
-            opt.step(0.1)
+            clip_gradients([("w", w)], grads, 1.0)
+            opt.step(grads, 0.1)
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
 
@@ -214,8 +221,7 @@ class TestAdam:
         w = parameter(np.array([1.0]), dtype=np.float64)
         opt = AdamOptimizer([("w", w)])
         for expected in ADAM_QUADRATIC_TRACE:
-            w.grad = 2.0 * w.data
-            opt.step(0.1)
+            opt.step({w: 2.0 * w.data}, 0.1)
             np.testing.assert_allclose(w.data[0], expected, rtol=0, atol=1e-12)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
@@ -224,8 +230,7 @@ class TestAdam:
         lr = 0.01
         for _ in range(100):
             before = w.data.copy()
-            w.grad = np.array([0.3])
-            opt.step(lr)
+            opt.step({w: np.array([0.3])}, lr)
             delta = w.data - before
             assert delta[0] < 0  # moves against the gradient
             assert abs(abs(delta[0]) - lr) < lr * 1e-6
@@ -237,25 +242,25 @@ class TestAdam:
             assert opt.m[name].shape == tensor.shape
             assert opt.v[name].shape == tensor.shape
         assert opt.step_count == 0
-        for name, tensor in params.named_tensors():
-            tensor.grad = np.zeros_like(tensor.data)
-        opt.step(1e-3)
+        opt.step({tensor: np.zeros_like(tensor.data) for _, tensor in params.named_tensors()}, 1e-3)
         assert opt.step_count == 1
 
     def test_gradients_cleared_after_step(self):
+        """The optimizer keeps nothing of the gradients it was given."""
         w = parameter(np.array([1.0]), dtype=np.float64)
         opt = AdamOptimizer([("w", w)])
-        w.grad = np.array([1.0])
-        opt.step(0.1)
-        assert w.grad is None
+        grad = np.array([1.0])
+        held = weakref.ref(grad)
+        opt.step({w: grad}, 0.1)
+        del grad
+        assert held() is None
 
     def test_non_finite_gradient_raises(self):
         for bad in (np.nan, np.inf, -np.inf):
             w = parameter(np.array([1.0, 2.0, 3.0]), dtype=np.float64)
             opt = AdamOptimizer([("w", w)])
-            w.grad = np.array([0.5, bad, -0.5])
             with pytest.raises(NumericError, match="non-finite gradient in w"):
-                opt.step(0.1)
+                opt.step({w: np.array([0.5, bad, -0.5])}, 0.1)
             np.testing.assert_array_equal(w.data, [1.0, 2.0, 3.0])
 
     def test_non_finite_gradient_leaves_every_tensor_unchanged(self):
@@ -265,13 +270,13 @@ class TestAdam:
         a = parameter(np.array([1.0]), dtype=np.float64)
         b = parameter(np.array([2.0]), dtype=np.float64)
         opt = AdamOptimizer([("a", a), ("b", b)])
-        a.grad, b.grad = np.array([1.0]), np.array([np.nan])
+        grads = {a: np.array([1.0]), b: np.array([np.nan])}
         with pytest.raises(NumericError, match="non-finite gradient in b"):
-            opt.step(0.1)
+            opt.step(grads, 0.1)
         assert a.data[0] == 1.0 and b.data[0] == 2.0 and opt.step_count == 0
-        assert a.grad[0] == 1.0 and np.isnan(b.grad[0])
-        b.grad = np.array([-0.5])
-        opt.step(0.1)
+        assert grads[a][0] == 1.0 and np.isnan(grads[b][0])
+        grads[b] = np.array([-0.5])
+        opt.step(grads, 0.1)
         want = reference_adam([np.array([1.0]), np.array([2.0])],
                               [[np.array([1.0]), np.array([-0.5])]], 0.1, 1)
         for t, expected in zip((a, b), want):
@@ -288,9 +293,7 @@ class TestAdam:
         tensors = [parameter(w.copy(), dtype=np.float64) for w in start]
         opt = AdamOptimizer([(f"p{i}", t) for i, t in enumerate(tensors)])
         for step_grads in grads:
-            for t, g in zip(tensors, step_grads):
-                t.grad = g.copy()
-            opt.step(0.01)
+            opt.step({t: g.copy() for t, g in zip(tensors, step_grads)}, 0.01)
         for t, expected in zip(tensors, reference_adam(start, grads, 0.01, 5)):
             np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
 
@@ -321,9 +324,8 @@ class TestAdam:
             g = np.zeros(start.shape, dtype=dtype)
             g[rows] = rng.normal(size=(len(rows), 5))
             read = np.unique(np.array(rows, dtype=np.int64))
-            dense.grad, hinted.grad = g, RowGrad(read, g[read], g.shape)
-            dense_opt.step(0.01)
-            hinted_opt.step(0.01)
+            dense_opt.step({dense: g}, 0.01)
+            hinted_opt.step({hinted: RowGrad(read, g[read], g.shape)}, 0.01)
             seen.update(rows)
             if len(seen) <= 10:
                 assert set(np.flatnonzero(hinted_opt.live["e"])) == seen
@@ -352,13 +354,13 @@ class TestAdam:
         for _ in range(5):
             handed.clear()
             with GradTape() as tape:
-                tape.backward(dot_with(add(a, b), np.ones(3)))
+                grads = tape.backward(dot_with(add(a, b), np.ones(3)))
             # the add hands both leaves one array of ones, which backward
             # must not leave shared; the bound of 0.5 makes the clamp
             # write into each
             assert len(handed) == 2 and handed[0] is handed[1]
-            clip_gradients(named, 0.5)
-            opt.step(0.01)
+            clip_gradients(named, grads, 0.5)
+            opt.step(grads, 0.01)
         halves = [np.full(3, 0.5), np.full(3, 0.5)]
         for t, expected in zip((a, b), reference_adam(start, [halves] * 5, 0.01, 5)):
             np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
@@ -366,7 +368,7 @@ class TestAdam:
     def test_parameters_without_gradient_skipped(self):
         w = parameter(np.array([1.0]), dtype=np.float64)
         opt = AdamOptimizer([("w", w)])
-        opt.step(0.1)
+        opt.step({}, 0.1)
         assert w.data[0] == 1.0
 
 
@@ -438,14 +440,14 @@ class TestNllLoss:
         probs = parameter(rng.uniform(0.05, 1.0, size=(5, 3)), dtype=np.float64)
         probs.data[3, 2] = -0.5
         with GradTape() as tape:
-            tape.backward(nll_loss(probs, gold))
+            grads = tape.backward(nll_loss(probs, gold))
 
         def f():
             picked = probs.data[np.arange(5), gold]
             return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
 
-        assert probs.grad[3, 2] == 0.0
-        assert max_rel_err(probs.grad, numeric_grad(f, probs.data)) < 1e-6
+        assert grads[probs][3, 2] == 0.0
+        assert max_rel_err(grads[probs], numeric_grad(f, probs.data)) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 3, 16, 17, 64])
@@ -459,9 +461,9 @@ class TestNllLoss:
         probs = parameter(data, dtype=dtype)
         with GradTape() as tape:
             loss = nll_loss(probs, gold)
-            tape.backward(loss)
+            grads = tape.backward(loss)
         want_value, want_grad = reference_nll(data, gold)
-        for got, want in ((loss.data, want_value), (probs.grad, want_grad)):
+        for got, want in ((loss.data, want_value), (grads[probs], want_grad)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -661,10 +663,10 @@ class TestTrainerLoop:
         assert run()[0] == hinted
         clip = training.clip_gradients
 
-        def densify_then_clip(named, bound):
-            for _, tensor in named:
-                tensor.grad = dense_grad(tensor)
-            clip(named, bound)
+        def densify_then_clip(named, grads, bound):
+            for tensor, grad in grads.items():
+                grads[tensor] = dense_grad(grad)
+            clip(named, grads, bound)
 
         monkeypatch.setattr(training, "clip_gradients", densify_then_clip)
         assert run()[0] == hinted
@@ -685,12 +687,12 @@ class TestTrainerLoop:
         for _ in range(2):
             with GradTape() as tape:
                 loss = nll_loss(forward_batch(batch, params), batch.labels)
-                peaks = []
+                peaks, grads = [], {}
                 tracemalloc.start()
                 try:
-                    for run in (lambda: tape.backward(loss),
-                                lambda: clip_gradients(named, 1.0),
-                                lambda: optimizer.step(1e-3)):
+                    for run in (lambda: grads.update(tape.backward(loss)),
+                                lambda: clip_gradients(named, grads, 1.0),
+                                lambda: optimizer.step(grads, 1e-3)):
                         tracemalloc.reset_peak()
                         run()
                         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -713,9 +715,9 @@ class TestTrainerLoop:
             with GradTape() as tape:
                 probs = forward_batch(batch, params)
                 loss = nll_loss(probs, batch.labels)
-                tape.backward(loss)
-            clip_gradients(named, 1.0)
-            opt.step(1e-3)
+                grads = tape.backward(loss)
+            clip_gradients(named, grads, 1.0)
+            opt.step(grads, 1e-3)
             losses.append(loss.item())
         non_decreases = sum(b >= a for a, b in zip(losses, losses[1:]))
         assert non_decreases <= 2
@@ -773,3 +775,201 @@ class TestTrainerLoop:
         assert len(lines) == 1 + 2 + 1
         assert lines[-1].startswith("# best_epoch\t")
         assert lines[1].split("\t")[0] == "1"
+
+
+def numbered_pairs(config, lengths, seed=0):
+    rng = np.random.default_rng(seed)
+    return [build_random_pair(rng, config, t=n, label_id=i % 3) for i, n in enumerate(lengths)]
+
+
+def fit_weights(config, train_pairs, val_pairs, **kw):
+    """The bytes of every weight after a fit from fixed initial weights."""
+    params = build_toy_params(config, seed=7)
+    result = Trainer(cfg(base_lr=1e-2, **kw)).fit(params, train_pairs, val_pairs)
+    return [t.data.tobytes() for _, t in result.params.named_tensors()], result.log
+
+
+class TestSplitStep:
+    """Each step's batch runs as two halves of about equal tokens, one on
+    the helper thread; the step follows the whole batch's mean loss."""
+
+    def test_halves_cut_at_the_prefix_closest_to_half_the_tokens(self):
+        config = build_toy_config(vocab_words=10, max_len=12)
+        cases = [([2, 3, 3, 4, 10], 4), ([1, 2, 1], 1), ([5, 5], 1), ([1, 1, 12], 2)]
+        for lengths, k in cases:
+            batch = make_batch(numbered_pairs(config, lengths))
+            first, second = split_batch(batch)
+            assert (first.size, second.size) == (k, len(lengths) - k)
+            for name in ("token_ids", "eos_index", "labels"):
+                joined = np.concatenate([getattr(first, name), getattr(second, name)])
+                assert joined.tobytes() == getattr(batch, name).tobytes()
+        alone = make_batch(numbered_pairs(config, [7]))
+        assert split_batch(alone) == [alone]
+
+    def test_weighted_halves_give_the_whole_batch_gradient(self):
+        """float64: each half's loss gradient weighted by its share of the
+        pairs, summed, is the whole batch's gradient within 1e-12 for every
+        parameter, the embedding's a RowGrad over rows both halves read."""
+        config = build_toy_config(vocab_words=12, n_blocks=2, max_len=10)
+        params = build_toy_params(config, seed=5, dtype=np.float64)
+        batch = make_batch(numbered_pairs(config, [3, 4, 4, 6, 7, 9], seed=3))
+        halves = split_batch(batch)
+
+        def gradients(part, seed):
+            with GradTape() as tape:
+                loss = nll_loss(forward_batch(part, params), part.labels)
+                return tape.backward(loss, seed)
+
+        whole = gradients(batch, 1.0)
+        parts = [gradients(half, half.size / batch.size) for half in halves]
+        rows = [set(p[params.embedding].rows.tolist()) for p in parts]
+        assert rows[0] & rows[1]  # the positions at least
+        summed = sum_gradients(*parts)
+        assert isinstance(summed[params.embedding], RowGrad)
+        assert summed[params.embedding].rows.tolist() == whole[params.embedding].rows.tolist()
+        assert set(summed) == set(whole) == {t for _, t in params.named_tensors()}
+        for name, tensor in params.named_tensors():
+            np.testing.assert_allclose(
+                dense_grad(summed[tensor]), dense_grad(whole[tensor]), rtol=0, atol=1e-12,
+                err_msg=name,
+            )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_fit_step_takes_the_whole_batch_gradient(self, monkeypatch, workers):
+        """float64: the gradient one step of ``Trainer.fit`` clips is the
+        whole batch's mean-loss gradient within 1e-12, on either thread count."""
+        monkeypatch.setattr(base, "_WORKERS", workers)
+        config = build_toy_config(vocab_words=12, n_blocks=2, max_len=10)
+        pairs = numbered_pairs(config, [3, 4, 4, 6, 7, 9], seed=3)
+        params = build_toy_params(config, seed=5, dtype=np.float64)
+        batch = make_batch(pairs)
+        with GradTape() as tape:
+            whole = tape.backward(nll_loss(forward_batch(batch, params), batch.labels))
+        clipped, clip = [], training.clip_gradients
+
+        def spy(named, grads, bound):
+            clipped.append({name: dense_grad(grads[t]).copy() for name, t in named})
+            clip(named, grads, bound)
+
+        monkeypatch.setattr(training, "clip_gradients", spy)
+        Trainer(cfg(max_epochs=1, batch_size=6)).fit(params, pairs, pairs[:1])
+        [got] = clipped
+        for name, tensor in params.named_tensors():
+            want = dense_grad(whole[tensor])
+            np.testing.assert_allclose(got[name], want, rtol=0, atol=1e-12, err_msg=name)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    def test_weights_do_not_depend_on_the_thread_count(self, monkeypatch, dropout):
+        """Byte-identical weights run to run, and with one worker and two;
+        each half draws its own dropout masks."""
+        config = build_toy_config(vocab_words=20, n_blocks=2, max_len=12, dropout=dropout)
+        train_pairs = numbered_pairs(config, np.random.default_rng(1).integers(2, 13, 30))
+        val_pairs = numbered_pairs(config, [4, 6, 8], seed=2)
+        runs = []
+        for workers in (2, 2, 1):
+            monkeypatch.setattr(base, "_WORKERS", workers)
+            runs.append(fit_weights(config, train_pairs, val_pairs, max_epochs=2, batch_size=7))
+        assert runs[0] == runs[1] == runs[2]
+        if dropout:
+            plain = build_toy_config(vocab_words=20, n_blocks=2, max_len=12)
+            assert fit_weights(plain, train_pairs, val_pairs, max_epochs=2,
+                               batch_size=7)[0] != runs[0][0]
+
+    def test_concurrent_fits_share_the_helper_and_keep_their_bytes(self, monkeypatch):
+        """Four callers train at once while thread switches are forced
+        often, all through the one helper thread: every fit gives the bytes
+        and log of a fit on one worker."""
+        config = build_toy_config(vocab_words=20, n_blocks=1, max_len=12, dropout=0.1)
+        train_pairs = numbered_pairs(config, np.random.default_rng(6).integers(2, 13, 24))
+        val_pairs = numbered_pairs(config, [5, 7], seed=2)
+        monkeypatch.setattr(base, "_WORKERS", 1)
+        expected = fit_weights(config, train_pairs, val_pairs, max_epochs=2, batch_size=5)
+        monkeypatch.setattr(base, "_WORKERS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                runs = [callers.submit(fit_weights, config, train_pairs, val_pairs,
+                                       max_epochs=2, batch_size=5) for _ in range(12)]
+                outputs = [run.result(timeout=120) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(out == expected for out in outputs)
+
+    @pytest.mark.parametrize("bad", ["caller", "helper"])
+    def test_a_non_finite_half_aborts_after_the_helper_and_moves_no_weight(
+        self, monkeypatch, bad
+    ):
+        monkeypatch.setattr(base, "_WORKERS", 2)
+        config = build_toy_config(vocab_words=10, n_blocks=1, max_len=8)
+        params = build_toy_params(config, seed=2)
+        before = [t.data.tobytes() for _, t in params.named_tensors()]
+        caller = threading.get_ident()
+        meet = threading.Barrier(2, timeout=30)
+        running, lock, aborts = [0], threading.Lock(), []
+
+        def meeting(batch, params, **kw):
+            with lock:
+                running[0] += 1
+            try:
+                meet.wait()  # both halves are surely under way
+                probs = forward_batch(batch, params, **kw)
+                if (threading.get_ident() == caller) == (bad == "caller"):
+                    probs.data[0] = np.nan
+                else:
+                    time.sleep(0.2)  # the other half fails long before this one ends
+                return probs
+            finally:
+                with lock:
+                    running[0] -= 1
+
+        def abort(*args):
+            aborts.append((threading.get_ident(), running[0], args))
+
+        monkeypatch.setattr(training, "forward_batch", meeting)
+        monkeypatch.setattr(training.logger, "error", abort)
+        train_pairs, val_pairs = numbered_pairs(config, [4, 4]), numbered_pairs(config, [3])
+        result = Trainer(cfg(max_epochs=2, batch_size=2)).fit(params, train_pairs, val_pairs)
+        assert result.log.aborted and result.log.epochs == []
+        [(thread, still_running, args)] = aborts
+        assert thread == caller and still_running == 0
+        assert isinstance(args[-1], NumericError) and "loss diverged" in str(args[-1])
+        assert [t.data.tobytes() for _, t in params.named_tensors()] == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_gradient_of_a_step_outlives_it(self, monkeypatch, workers):
+        """Every gradient array a step made, each half's and the summed
+        ones, is freed once its update is done: none is alive at the next
+        forward pass or after the fit."""
+        monkeypatch.setattr(base, "_WORKERS", workers)
+        made, done, lock = [], [], threading.Lock()
+
+        def arrays(grads):
+            return [g.values if isinstance(g, RowGrad) else g for g in grads.values()]
+
+        class WatchedTape(GradTape):
+            def backward(self, loss, seed=1.0):
+                grads = super().backward(loss, seed)
+                with lock:
+                    made.extend(weakref.ref(a) for a in arrays(grads))
+                return grads
+
+        step = AdamOptimizer.step
+
+        def watched_step(self, grads, lr):
+            step(self, grads, lr)
+            done.extend(made + [weakref.ref(a) for a in arrays(grads)])
+            made.clear()
+
+        def checked_forward(*args, **kw):
+            assert all(ref() is None for ref in done)
+            return forward_batch(*args, **kw)
+
+        monkeypatch.setattr(training, "GradTape", WatchedTape)
+        monkeypatch.setattr(AdamOptimizer, "step", watched_step)
+        monkeypatch.setattr(training, "forward_batch", checked_forward)
+        config = build_toy_config(vocab_words=20, n_blocks=2, max_len=12)
+        train_pairs = numbered_pairs(config, np.random.default_rng(4).integers(2, 13, 20))
+        fit_weights(config, train_pairs, numbered_pairs(config, [5]), max_epochs=2, batch_size=6)
+        assert len(done) > 50 and made == []
+        assert all(ref() is None for ref in done)
