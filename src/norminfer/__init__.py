@@ -20,14 +20,9 @@ from .base import (
 )
 from .conflicts import (
     ConflictReport,
-    DirectionScore,
-    PairAnalysis,
-    TypeSummary,
     analyze_conflicts,
-    analyze_pair,
     format_report,
     report_to_csv,
-    score_direction,
     write_report_csv,
     write_report_text,
 )
@@ -86,7 +81,6 @@ __all__ = [
     "ConflictRecord",
     "ConflictReport",
     "ContractError",
-    "DirectionScore",
     "EncodedPair",
     "GradTape",
     "IngestError",
@@ -97,7 +91,6 @@ __all__ = [
     "NorminferError",
     "NotFittedError",
     "NumericError",
-    "PairAnalysis",
     "PairEncoder",
     "RunConfig",
     "ShapeError",
@@ -106,10 +99,8 @@ __all__ = [
     "TrainLog",
     "TrainResult",
     "Trainer",
-    "TypeSummary",
     "Vocabulary",
     "analyze_conflicts",
-    "analyze_pair",
     "build_vocab",
     "bundled_conflicts_path",
     "count_parameters",
@@ -127,7 +118,6 @@ __all__ = [
     "report_to_csv",
     "save_checkpoint",
     "save_config",
-    "score_direction",
     "serialize_config",
     "split_seed",
     "tokenize",

@@ -10,6 +10,7 @@ or the config file, in that precedence order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import math
 import os
@@ -26,8 +27,7 @@ from .base import (
     NotFittedError,
     NumericError,
 )
-from .conflicts import (analyze_conflicts, format_report, score_direction, write_report_csv,
-                        write_report_text)
+from .conflicts import analyze_conflicts, format_report, write_report_csv, write_report_text
 from .estimator import NliClassifier
 from .model import ModelConfig, count_parameters, parameter_shapes
 from .persistence import (
@@ -46,6 +46,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
+# the errors a run reports with EXIT_DATA
+DATA_ERRORS = (IngestError, ConfigError, CheckpointError, ContractError, NotFittedError)
 
 OUTPUT_DIR_ENV = "NORMINFER_OUTPUT_DIR"
 
@@ -68,12 +70,23 @@ def _resolve_output_dir(cfg_value: str, flag_value: str | None) -> Path:
     return Path(cfg_value)
 
 
-def _make_output_dir(path: Path) -> Path:
+@contextlib.contextmanager
+def _output_dir(path: Path):
+    """Make ``path`` with any parents for the body of the block. If the
+    body raises an error that exits with EXIT_DATA, the directories made
+    here go again, deepest first, as long as they are empty."""
+    made = [p for p in (path, *path.parents) if not p.exists()]
     try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
-    return path
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
+        yield path
+    except DATA_ERRORS:
+        with contextlib.suppress(OSError):  # stops at the first one not empty
+            for p in made:
+                p.rmdir()
+        raise
 
 
 def _require_file(path_value: str | None, key: str) -> Path:
@@ -132,18 +145,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     out_dir = _resolve_output_dir(cfg.output_dir, args.output_dir)
     train_path = _require_file(cfg.train_path, "train_path")
     val_path = cfg.validation_path and _require_file(cfg.validation_path, "validation_path")
-    made = not out_dir.exists()
-    _make_output_dir(out_dir)
 
-    try:
+    with _output_dir(out_dir):
         train_examples = _load_examples(train_path, "train_path")
         val_examples = _load_examples(val_path, "validation_path") if val_path else None
-    except IngestError:
-        if made and not any(out_dir.iterdir()):
-            out_dir.rmdir()  # this run made it, and nothing is in it
-        raise
-
-    clf.fit(train_examples, val_examples)
+        clf.fit(train_examples, val_examples)
 
     clf.vocabulary_.save(out_dir / VOCAB_FILE)
     # before any epoch the best accuracy is -inf, which JSON cannot hold
@@ -183,25 +189,25 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     clf = _load_classifier(args.checkpoint, args.vocab)
-    score = score_direction(clf, args.premise, args.hypothesis)
-    for name, value in zip(CLASSES, score.as_array()):
+    pair = (args.premise, args.hypothesis)
+    probs = clf.predict_proba([pair])[0]
+    for name, value in zip(CLASSES, probs):
         print(f"{name} {value:.6f}")
-    print(f"predicted {score.predicted}")
-    if score.truncated:
+    print(f"predicted {CLASSES[int(probs.argmax())]}")
+    if clf.encoder_.transform([pair])[0].truncated:
         print("note: input was truncated to the model's maximum length",
               file=sys.stderr)
     return EXIT_OK
 
 
 def _cmd_analyze_conflicts(args: argparse.Namespace) -> int:
-    out_dir = _make_output_dir(_resolve_output_dir("out", args.output_dir))
-    clf = _load_classifier(args.checkpoint, args.vocab)
-    if args.conflicts:
-        conflicts_path = _require_file(args.conflicts, "conflicts")
-    else:
-        conflicts_path = bundled_conflicts_path()
-    records = load_norm_conflicts(conflicts_path)
-    report = analyze_conflicts(clf, records)
+    with _output_dir(_resolve_output_dir("out", args.output_dir)) as out_dir:
+        clf = _load_classifier(args.checkpoint, args.vocab)
+        if args.conflicts:
+            conflicts_path = _require_file(args.conflicts, "conflicts")
+        else:
+            conflicts_path = bundled_conflicts_path()
+        report = analyze_conflicts(clf, load_norm_conflicts(conflicts_path))
 
     write_report_csv(report, out_dir / REPORT_CSV_FILE)
     write_report_text(report, out_dir / REPORT_TEXT_FILE)
@@ -284,13 +290,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (
-        IngestError,
-        ConfigError,
-        CheckpointError,
-        ContractError,
-        NotFittedError,
-    ) as exc:
+    except DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -38,128 +38,50 @@ CSV_COLUMNS = (
 )
 
 PROB_FORMAT = "%.6f"
-
-
-@dataclass(frozen=True)
-class DirectionScore:
-    """Model output for one reading direction of a norm pair."""
-
-    entailment: float
-    contradiction: float
-    neutral: float
-    truncated: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.entailment, self.contradiction, self.neutral])
-
-    @property
-    def predicted(self) -> str:
-        # first maximum wins, so ties resolve entailment, then
-        # contradiction, then neutral
-        return CLASSES[int(np.argmax(self.as_array()))]
-
-
-@dataclass(frozen=True)
-class PairAnalysis:
-    """Both reading directions of one norm pair.
-
-    forward reads norm_a as premise; backward reads norm_b as premise.
-    """
-
-    record: ConflictRecord
-    forward: DirectionScore
-    backward: DirectionScore
-
-
-@dataclass(frozen=True)
-class TypeSummary:
-    """Aggregates over every analyzed pair of one conflict type."""
-
-    conflict_type: str
-    count: int
-    mean_forward: tuple[float, float, float]
-    mean_backward: tuple[float, float, float]
-    forward_predictions: dict[str, int]
-    backward_predictions: dict[str, int]
+# the reading directions, in the order of a report's second axis
+DIRECTIONS = ("a>b", "b>a")
 
 
 @dataclass(frozen=True)
 class ConflictReport:
-    pairs: tuple[PairAnalysis, ...]
-    summaries: tuple[TypeSummary, ...]
+    """Both reading directions of every record, in input order.
 
+    ``probs`` is a float64 (N, 2, 3) array: ``probs[i, 0]`` reads
+    ``records[i].norm_a`` as premise (a>b), ``probs[i, 1]`` reads
+    ``norm_b`` as premise (b>a), and the last axis follows CLASSES.
+    ``truncated`` is the (N, 2) bool array of directions cut to the
+    model's maximum length.
+    """
 
-def score_direction(
-    classifier: NliClassifier, premise: str, hypothesis: str
-) -> DirectionScore:
-    """Probabilities for premise entailing, contradicting, or leaving
-    the hypothesis undetermined."""
-    check_fitted(classifier, ["params_", "encoder_"])
-    pair = classifier.encoder_.transform([(premise, hypothesis)])[0]
-    probs = classifier._probabilities([pair])[0]
-    return DirectionScore(*(float(p) for p in probs), truncated=pair.truncated)
+    records: tuple[ConflictRecord, ...]
+    probs: np.ndarray
+    truncated: np.ndarray
 
-
-def analyze_pair(classifier: NliClassifier, record: ConflictRecord) -> PairAnalysis:
-    return PairAnalysis(
-        record=record,
-        forward=score_direction(classifier, record.norm_a, record.norm_b),
-        backward=score_direction(classifier, record.norm_b, record.norm_a),
-    )
-
-
-def summarize_type(
-    conflict_type: str, pairs: Sequence[PairAnalysis]
-) -> TypeSummary:
-    if not pairs:
-        raise ContractError(f"no pairs to summarize for {conflict_type!r}")
-    fwd = np.mean([p.forward.as_array() for p in pairs], axis=0)
-    bwd = np.mean([p.backward.as_array() for p in pairs], axis=0)
-    fwd_pred = {c: 0 for c in CLASSES}
-    bwd_pred = {c: 0 for c in CLASSES}
-    for p in pairs:
-        fwd_pred[p.forward.predicted] += 1
-        bwd_pred[p.backward.predicted] += 1
-    return TypeSummary(
-        conflict_type=conflict_type,
-        count=len(pairs),
-        mean_forward=tuple(float(x) for x in fwd),
-        mean_backward=tuple(float(x) for x in bwd),
-        forward_predictions=fwd_pred,
-        backward_predictions=bwd_pred,
-    )
+    @property
+    def predicted(self) -> np.ndarray:
+        """(N, 2) labels. The first maximum wins, so ties resolve
+        entailment, then contradiction, then neutral."""
+        return np.asarray(CLASSES, dtype=object)[self.probs.argmax(-1)]
 
 
 def analyze_conflicts(
     classifier: NliClassifier, records: Sequence[ConflictRecord]
 ) -> ConflictReport:
-    """Score every record in both directions and summarize per type.
-
-    Pair rows keep the input order; summaries follow the canonical
-    conflict-type order, skipping types with no records.
-    """
-    records = list(records)
+    """Score every record in both directions: all 2N directions are
+    encoded at once, then each runs its own forward pass."""
+    records = tuple(records)
     if not records:
         raise ContractError("no conflict records to analyze")
-    pairs = tuple(analyze_pair(classifier, r) for r in records)
-    summaries = []
-    for conflict_type in CONFLICT_TYPES:
-        of_type = [p for p in pairs if p.record.conflict_type == conflict_type]
-        if of_type:
-            summaries.append(summarize_type(conflict_type, of_type))
-    return ConflictReport(pairs=pairs, summaries=tuple(summaries))
-
-
-def _csv_row(pair: PairAnalysis) -> list[str]:
-    r, f, b = pair.record, pair.forward, pair.backward
-    probs = [
-        f.entailment, f.contradiction, f.neutral,
-        b.entailment, b.contradiction, b.neutral,
-    ]
-    return (
-        [r.conflict_type, r.norm_a, r.norm_b]
-        + [PROB_FORMAT % p for p in probs]
-        + [f.predicted, b.predicted, str(f.truncated).lower(), str(b.truncated).lower()]
+    check_fitted(classifier, ["params_", "encoder_"])
+    encoded = classifier.encoder_.transform(
+        [pair for r in records for pair in ((r.norm_a, r.norm_b), (r.norm_b, r.norm_a))]
+    )
+    probs = np.concatenate([classifier._probabilities([pair]) for pair in encoded])
+    shape = (len(records), len(DIRECTIONS))
+    return ConflictReport(
+        records=records,
+        probs=probs.reshape(*shape, len(CLASSES)),
+        truncated=np.array([pair.truncated for pair in encoded]).reshape(shape),
     )
 
 
@@ -169,8 +91,15 @@ def report_to_csv(report: ConflictReport) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for pair in report.pairs:
-        writer.writerow(_csv_row(pair))
+    for r, probs, predicted, truncated in zip(
+        report.records, report.probs, report.predicted, report.truncated
+    ):
+        writer.writerow(
+            [r.conflict_type, r.norm_a, r.norm_b]
+            + [PROB_FORMAT % p for p in probs.ravel()]
+            + list(predicted)
+            + [str(t).lower() for t in truncated]
+        )
     return buf.getvalue()
 
 
@@ -184,37 +113,39 @@ def _clip_text(text: str, width: int = 48) -> str:
 
 
 def format_report(report: ConflictReport) -> str:
-    """Human-readable report: one block per pair, then per-type tables."""
-    lines = []
-    lines.append("norm conflict analysis")
-    lines.append(f"pairs analyzed: {len(report.pairs)}")
-    lines.append("")
+    """Human-readable report: one block per pair, then per-type tables
+    in canonical conflict-type order, skipping types with no records."""
+    predicted = report.predicted
+    lines = ["norm conflict analysis", f"pairs analyzed: {len(report.records)}", ""]
     header = f"{'dir':<4} {'entail':>9} {'contra':>9} {'neutral':>9}  {'predicted':<13} {'truncated'}"
-    for i, pair in enumerate(report.pairs, start=1):
-        r = pair.record
-        lines.append(f"[{i:02d}] type: {r.conflict_type}")
+    for i, r in enumerate(report.records):
+        lines.append(f"[{i + 1:02d}] type: {r.conflict_type}")
         lines.append(f"     a: {_clip_text(r.norm_a)}")
         lines.append(f"     b: {_clip_text(r.norm_b)}")
         lines.append("     " + header)
-        for tag, d in (("a>b", pair.forward), ("b>a", pair.backward)):
+        for d, tag in enumerate(DIRECTIONS):
+            e, c, n = report.probs[i, d]
             lines.append(
-                f"     {tag:<4} {d.entailment:>9.6f} {d.contradiction:>9.6f} "
-                f"{d.neutral:>9.6f}  {d.predicted:<13} {str(d.truncated).lower()}"
+                f"     {tag:<4} {e:>9.6f} {c:>9.6f} {n:>9.6f}  "
+                f"{predicted[i, d]:<13} {str(report.truncated[i, d]).lower()}"
             )
         lines.append("")
     lines.append("per-type means")
     lines.append(
         f"{'type':<20} {'n':>3} {'dir':<4} {'entail':>9} {'contra':>9} {'neutral':>9}  predictions"
     )
-    for s in report.summaries:
-        for tag, mean, preds in (
-            ("a>b", s.mean_forward, s.forward_predictions),
-            ("b>a", s.mean_backward, s.backward_predictions),
-        ):
-            pred_text = " ".join(f"{c[0].upper()}={preds[c]}" for c in CLASSES)
+    types = np.array([r.conflict_type for r in report.records])
+    for conflict_type in CONFLICT_TYPES:
+        of_type = types == conflict_type
+        if not of_type.any():
+            continue
+        means = report.probs[of_type].mean(axis=0)
+        for d, tag in enumerate(DIRECTIONS):
+            counts = [int((predicted[of_type, d] == c).sum()) for c in CLASSES]
+            pred_text = " ".join(f"{c[0].upper()}={k}" for c, k in zip(CLASSES, counts))
             lines.append(
-                f"{s.conflict_type:<20} {s.count:>3} {tag:<4} "
-                f"{mean[0]:>9.6f} {mean[1]:>9.6f} {mean[2]:>9.6f}  {pred_text}"
+                f"{conflict_type:<20} {int(of_type.sum()):>3} {tag:<4} "
+                f"{means[d, 0]:>9.6f} {means[d, 1]:>9.6f} {means[d, 2]:>9.6f}  {pred_text}"
             )
     lines.append("")
     return "\n".join(lines)

@@ -344,7 +344,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path} ({exc})") from None
     return parse_config_text(text, source=str(path))

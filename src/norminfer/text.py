@@ -96,7 +96,7 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
         try:
-            content = Path(path).read_text(encoding="utf-8")
+            content = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise IngestError(f"cannot read vocabulary file {path}: {exc}") from exc
         tokens = content.splitlines()
@@ -218,7 +218,7 @@ def load_snli(path: str | Path) -> list[NliExample]:
     malformed = 0
     undetermined = 0
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with path.open("r", encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.strip()
                 if not line:
@@ -278,7 +278,7 @@ def load_norm_conflicts(path: str | Path) -> list[ConflictRecord]:
     """
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with path.open("r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or not {
                 "norm_a",

@@ -363,11 +363,7 @@ def test_09_conflict_pipeline(conflict_artifacts, capsys):
     root, clf = conflict_artifacts
     records = load_norm_conflicts(bundled_conflicts_path())
     report = analyze_conflicts(clf, records)
-    sums_ok = all(
-        abs(p.forward.as_array().sum() - 1.0) < 1e-6
-        and abs(p.backward.as_array().sum() - 1.0) < 1e-6
-        for p in report.pairs
-    )
+    sums_ok = bool(np.all(np.abs(report.probs.sum(-1) - 1.0) < 1e-6))
 
     outputs = []
     for name in ("r1", "r2"):
@@ -385,7 +381,7 @@ def test_09_conflict_pipeline(conflict_artifacts, capsys):
         rows = list(csv.reader(fh))
 
     ok = (
-        len(report.pairs) == len(records)
+        report.probs.shape == (len(records), 2, 3)
         and sums_ok
         and outputs[0] == outputs[1]
         and len(rows) == 1 + len(records)

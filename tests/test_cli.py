@@ -26,7 +26,7 @@ from norminfer.cli import (
     run_cli,
 )
 from norminfer.persistence import load_checkpoint, save_checkpoint
-from norminfer.text import Vocabulary
+from norminfer.text import CLASSES, Vocabulary
 
 TINY_MODEL_LINES = (
     "n_blocks = 1",
@@ -244,6 +244,7 @@ class TestTrain:
         assert run_cli(["train", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
         assert "holds no usable examples" in capsys.readouterr().err
         assert out.exists() == (before != "missing")
+        assert out.parent.exists() == (before != "missing")
         if before == "in-use":
             assert [p.name for p in out.iterdir()] == ["notes.txt"]
 
@@ -481,6 +482,24 @@ class TestInfer:
         assert f"vocabulary has {n + 1} entries, the model has {n}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("row", [0, 9])
+    def test_infer_prints_the_conflict_report_row(self, workspace, tmp_path, capsys, row):
+        """infer and analyze-conflicts score a direction the same way: a>b
+        read as infer prints it, and b>a with premise and hypothesis swapped."""
+        model = ["--checkpoint", artifact(workspace, CHECKPOINT_FILE),
+                 "--vocab", artifact(workspace, VOCAB_FILE)]
+        assert run_cli(["analyze-conflicts", *model, "--output-dir", str(tmp_path)]) == EXIT_OK
+        with (tmp_path / REPORT_CSV_FILE).open(newline="", encoding="utf-8") as fh:
+            record = list(csv.DictReader(fh))[row]
+        capsys.readouterr()
+        for suffix, premise, hypothesis in (("ab", "norm_a", "norm_b"), ("ba", "norm_b", "norm_a")):
+            assert run_cli(["infer", *model, "--premise", record[premise],
+                            "--hypothesis", record[hypothesis]]) == EXIT_OK
+            expected = [f"{name} {record[f'{name}_{suffix}']}" for name in CLASSES]
+            expected.append(f"predicted {record[f'predicted_{suffix}']}")
+            assert capsys.readouterr().out.splitlines() == expected
+
+
 class TestInputsTheClassifierCannotRead:
     @pytest.mark.parametrize("command", ["infer", "eval", "analyze-conflicts"])
     @pytest.mark.parametrize("n_classes", [2, 4])
@@ -657,6 +676,25 @@ class TestAnalyzeConflicts:
         assert captured.err.startswith("error: cannot create output directory")
         assert captured.out == ""
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("before", ["missing", "empty", "in-use"])
+    def test_missing_checkpoint_leaves_no_directory_it_made(self, workspace, tmp_path,
+                                                            capsys, before):
+        """Every directory this run made goes again; one that was there
+        is left as it was."""
+        out = tmp_path / "w2" / "out2" / "deep"
+        if before != "missing":
+            out.mkdir(parents=True)
+        if before == "in-use":
+            (out / "notes.txt").write_text("kept\n", encoding="utf-8")
+        code = run_cli(["analyze-conflicts", "--checkpoint", str(tmp_path / "absent.bin"),
+                        "--vocab", artifact(workspace, VOCAB_FILE), "--output-dir", str(out)])
+        assert code == EXIT_DATA
+        assert "does not exist" in capsys.readouterr().err
+        if before == "missing":
+            assert list(tmp_path.iterdir()) == []
+        else:
+            assert [p.name for p in out.iterdir()] == (["notes.txt"] if before == "in-use" else [])
 
     def test_reports_byte_identical_across_runs(self, workspace, tmp_path, capsys):
         outputs = []

@@ -15,7 +15,6 @@ from helpers import make_corpus
 
 from norminfer import base, estimator
 from norminfer.base import ConfigError, ContractError, NotFittedError
-from norminfer.conflicts import score_direction
 from norminfer.estimator import BATCH_TOKENS, NliClassifier, PairEncoder
 from norminfer.model import ModelConfig, ModelParameters, forward_batch, make_batch
 from norminfer.persistence import load_checkpoint, save_checkpoint
@@ -516,7 +515,7 @@ class TestTwoThreads:
         monkeypatch.setattr(base, "_WORKERS", 2)
         made = []
         monkeypatch.setattr(base, "_helper_pool", lambda pid: made.append(pid))
-        score_direction(fitted, "the tenant shall pay rent", "the tenant may not pay rent")
+        fitted.predict_proba([("the tenant shall pay rent", "the tenant may not pay rent")])
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         clf._probabilities(numbered_pairs([300, 2, 120], len(clf.vocabulary_)))
         assert made == []

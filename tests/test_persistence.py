@@ -467,6 +467,12 @@ class TestRunConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_config(tmp_path / "absent.cfg")
 
+    def test_byte_order_mark_before_the_first_key(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("n_blocks = 2\nseed = 5\n", encoding="utf-8-sig")
+        cfg = load_config(path)
+        assert (cfg.n_blocks, cfg.seed) == (2, 5)
+
 
 class TestRunConfigRoundTrip:
     def test_serialize_then_parse_is_identity(self):

@@ -13,6 +13,7 @@ from norminfer.text import (
     PAD_ID,
     RESERVED_TOKENS,
     UNK_ID,
+    ConflictRecord,
     NliExample,
     Vocabulary,
     build_vocab,
@@ -104,6 +105,14 @@ class TestVocabulary:
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             Vocabulary.load(tmp_path / "nope.txt")
+
+    def test_load_skips_a_byte_order_mark(self, tmp_path):
+        vocab = make_vocab("saved and restored tokens .")
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(vocab.id_to_token) + "\n", encoding="utf-8-sig")
+        loaded = Vocabulary.load(path)
+        assert loaded.id_to_token == vocab.id_to_token
+        assert loaded.content_hash() == vocab.content_hash()
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ContractError):
@@ -226,6 +235,18 @@ class TestLoadSnli:
         with pytest.raises(IngestError):
             load_snli(tmp_path / "absent.jsonl")
 
+    def test_byte_order_mark_keeps_the_first_record(self, tmp_path, caplog):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            json.dumps({"sentence1": "a", "sentence2": "b", "gold_label": "neutral"}) + "\n",
+            encoding="utf-8-sig",
+        )
+        with caplog.at_level(logging.INFO, logger="norminfer.text"):
+            examples = load_snli(path)
+        assert [(e.premise, e.label) for e in examples] == [("a", "neutral")]
+        assert "0 malformed skipped" in caplog.text
+
 
 class TestLoadNormConflicts:
     def test_bundled_table(self):
@@ -268,3 +289,14 @@ class TestLoadNormConflicts:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IngestError):
             load_norm_conflicts(tmp_path / "absent.csv")
+
+    def test_byte_order_mark_before_the_header(self, tmp_path):
+        # spreadsheet exports often start with a UTF-8 byte-order mark
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "norm_a,norm_b,conflict_type\nx shall y,x may y,deontic-modality\n",
+            encoding="utf-8-sig",
+        )
+        assert load_norm_conflicts(path) == [
+            ConflictRecord("x shall y", "x may y", "deontic-modality")
+        ]
