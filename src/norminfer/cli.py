@@ -163,8 +163,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     clf.train_log_.to_tsv(out_dir / TRAINLOG_FILE)
     save_config(replace(cfg, vocab_words=len(clf.vocabulary_)), out_dir / RUNCONFIG_FILE)
 
-    print(f"trained {len(clf.train_log_.epochs)} epochs "
-          f"({clf.train_log_.total_steps} steps)")
+    print(f"trained {len(clf.train_log_.epochs)} epochs ({clf.train_log_.total_steps} steps)")
     print(f"best epoch {clf.train_log_.best_epoch} val accuracy "
           + (f"{best:.4f}" if math.isfinite(best) else "none"))
     if clf.train_log_.stopped_early:
@@ -172,9 +171,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     for name in (CHECKPOINT_FILE, VOCAB_FILE, TRAINLOG_FILE, RUNCONFIG_FILE):
         print(f"wrote {out_dir / name}")
     if clf.train_log_.aborted:
-        print("training aborted on non-finite loss; "
-              "checkpoint holds the best weights before divergence",
-              file=sys.stderr)
+        print("training aborted on a non-finite value; the checkpoint holds the best "
+              "epoch's weights, or the last finite step's if no epoch ended", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
@@ -189,12 +187,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_infer(args: argparse.Namespace) -> int:
     clf = _load_classifier(args.checkpoint, args.vocab)
-    pair = (args.premise, args.hypothesis)
-    probs = clf.predict_proba([pair])[0]
+    [encoded] = clf.encoder_.transform([(args.premise, args.hypothesis)])
+    probs = clf._probabilities([encoded])[0]
     for name, value in zip(CLASSES, probs):
         print(f"{name} {value:.6f}")
     print(f"predicted {CLASSES[int(probs.argmax())]}")
-    if clf.encoder_.transform([pair])[0].truncated:
+    if encoded.truncated:
         print("note: input was truncated to the model's maximum length",
               file=sys.stderr)
     return EXIT_OK

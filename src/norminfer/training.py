@@ -32,7 +32,7 @@ import numpy as np
 from . import base
 from .base import ContractError, NumericError, atomic_write, check_float, check_int, split_seed
 from .model import Batch, ModelParameters, forward_batch, make_batch
-from .tensor import GradTape, RowGrad, Tensor, _dense, _result, row_tiles
+from .tensor import GradTape, RowGrad, Tensor, _dense, _result, row_tiles, untaped
 from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
@@ -144,18 +144,26 @@ def lr_at(step: float, total_steps: int, cfg: TrainConfig) -> float:
 
 def clip_gradients(params: Iterable[tuple[str, Tensor]], grads: Grads, bound: float) -> None:
     """Clamp the gradient in ``grads`` of each of the (name, tensor) pairs
-    ``params`` into [-bound, +bound] in place.
+    ``params`` into [-bound, +bound] in place, largest first on both threads.
 
-    Raises NumericError naming the tensor if a gradient holds NaN or +-inf.
+    Raises NumericError naming a tensor whose gradient holds NaN or +-inf.
     The check runs before the clamp, which would turn +-inf into +-bound.
     """
     if not (bound > 0):
         raise ContractError(f"clip bound must be > 0, got {bound}")
-    for name, tensor in params:
-        if tensor in grads:
-            g, lo, hi = _finite_range(name, grads[tensor])
-            if lo < -bound or hi > bound:
-                np.clip(g, -bound, bound, out=g)
+
+    def clip(item: tuple[str, np.ndarray | RowGrad]) -> None:
+        g, lo, hi = _finite_range(*item)
+        if lo < -bound or hi > bound:
+            np.clip(g, -bound, bound, out=g)
+
+    base.run_shared(clip, _largest_first([(name, grads[t]) for name, t in params if t in grads]))
+
+
+def _largest_first(items: list) -> list:
+    """``items`` whose second entry is a gradient, largest first: the order
+    in which the caller and the helper thread share per-tensor work."""
+    return sorted(items, key=lambda item: getattr(item[1], "values", item[1]).size, reverse=True)
 
 
 def _finite_range(name: str, grad):
@@ -211,16 +219,18 @@ class AdamOptimizer:
         """Apply one update from ``grads``, keyed by tensor; a tensor without
         one keeps its weights and moments. A non-finite gradient raises
         NumericError before any tensor, moment or the step count changes.
-        Nothing of ``grads`` is kept.
+        The checks and then the per-tensor updates run largest first on the
+        caller and the helper thread; which rows an update takes is settled
+        on the caller first. Nothing of ``grads`` is kept.
         """
-        updates = [(name, t, grads[t]) for name, t in self.tensors if t in grads]
-        for name, _, g in updates:
-            _finite_range(name, g)
+        updates = [(name, grads[t], t) for name, t in self.tensors if t in grads]
+        base.run_shared(lambda item: _finite_range(*item[:2]), _largest_first(updates))
         self.step_count += 1
         t = self.step_count
         step_size = lr / (1.0 - ADAM_BETA1**t)
         v_scale = 1.0 / math.sqrt(1.0 - ADAM_BETA2**t)
-        for name, tensor, g in updates:
+        plan = []  # (work, gradient, weights, m, v, live row index or None)
+        for name, g, tensor in updates:
             sparse = isinstance(g, RowGrad)
             w, m, v = (np.atleast_1d(a) for a in (tensor.data, self.m[name], self.v[name]))
             live = self.live.get(name)
@@ -228,14 +238,21 @@ class AdamOptimizer:
                 live[g.rows if sparse else slice(None)] = True
                 if not sparse or np.count_nonzero(live) > SPARSE_ROW_SHARE * len(live):
                     del self.live[name]
-            if name not in self.live:
-                self._update(w, g if sparse else np.atleast_1d(g), m, v, step_size, v_scale)
+            index = np.flatnonzero(live) if name in self.live else None
+            work = w.size if index is None else len(index) * math.prod(w.shape[1:])
+            plan.append((work, g if sparse else np.atleast_1d(g), w, m, v, index))
+
+        def update(item: tuple) -> None:
+            _, g, w, m, v, index = item
+            if index is None:
+                self._update(w, g, m, v, step_size, v_scale)
             else:
-                index = np.flatnonzero(live)
                 w_rows, m_rows, v_rows = w[index], m[index], v[index]
                 g = RowGrad(np.searchsorted(index, g.rows), g.values, w_rows.shape)
                 self._update(w_rows, g, m_rows, v_rows, step_size, v_scale)
                 w[index], m[index], v[index] = w_rows, m_rows, v_rows
+
+        base.run_shared(update, sorted(plan, key=lambda item: item[0], reverse=True))
 
     def _update(self, w, g, m, v, step_size, v_scale) -> None:
         bounds, height = row_tiles(len(w), math.prod(w.shape[1:]))
@@ -308,21 +325,30 @@ def split_batch(batch: Batch) -> list[Batch]:
 
 
 def sum_gradients(first: Grads, second: Grads) -> Grads:
-    """``first`` with ``second`` added per tensor; two :class:`RowGrad` add
-    up over the union of their rows, so nothing table-sized is made."""
-    for tensor, g in second.items():
-        f = first.get(tensor)
-        if f is None:
-            first[tensor] = g
-        elif isinstance(f, RowGrad) and isinstance(g, RowGrad):
-            rows = np.union1d(f.rows, g.rows)
-            values = np.zeros((len(rows),) + g.values.shape[1:], dtype=g.values.dtype)
-            values[np.searchsorted(rows, f.rows)] = f.values
-            values[np.searchsorted(rows, g.rows)] += g.values
-            first[tensor] = RowGrad(rows, values, g.shape)
-        else:
-            first[tensor] = _dense(f) + _dense(g)
+    """``first`` with ``second`` added per tensor, largest first on the
+    caller and the helper thread. Two arrays add in place in ``first``'s;
+    two :class:`RowGrad` add up over the union of their rows, so nothing
+    table-sized is made."""
+    sums = [[t, f, second[t]] for t, f in first.items() if t in second]
+    first.update((t, g) for t, g in second.items() if t not in first)
+    base.run_shared(_add_pair, _largest_first(sums))
+    first.update((t, f) for t, f, _ in sums)
     return first
+
+
+def _add_pair(item: list) -> None:
+    """Put the sum of the gradients ``item[1:]`` at ``item[1]``."""
+    _, f, g = item
+    if isinstance(f, RowGrad) and isinstance(g, RowGrad):
+        rows = np.union1d(f.rows, g.rows)
+        values = np.zeros((len(rows),) + g.values.shape[1:], dtype=g.values.dtype)
+        values[np.searchsorted(rows, f.rows)] = f.values
+        values[np.searchsorted(rows, g.rows)] += g.values
+        item[1] = RowGrad(rows, values, g.shape)
+    elif isinstance(f, RowGrad) or isinstance(g, RowGrad):
+        item[1] = _dense(f) + _dense(g)
+    else:
+        f += g
 
 
 @dataclass(frozen=True)
@@ -369,6 +395,11 @@ class Trainer:
     highest validation accuracy, training stops and the weights snapshotted
     at the best epoch are returned. Ties do not count as improvements, so
     the earliest epoch achieving the best accuracy wins.
+
+    A snapshot is made only when a best epoch may be followed by another,
+    once per fit, and refreshed in place; otherwise the live weights are
+    returned: after an abort in the first epoch, those of its last finite
+    step, with ``best_epoch`` 0.
     """
 
     def __init__(self, cfg: TrainConfig):
@@ -377,17 +408,24 @@ class Trainer:
     def evaluate(
         self, params: ModelParameters, batches: Iterable[Batch]
     ) -> tuple[float, float]:
-        """Mean per-example loss and accuracy, dropout off."""
-        total_loss = 0.0
-        correct = 0
-        count = 0
+        """Mean per-example loss and accuracy, dropout off, untaped. Each
+        batch's ``split_batch`` halves fill one probability array on the
+        caller and the helper thread; loss and accuracy are taken over it."""
+        total_loss, correct, count = 0.0, 0, 0
         for batch in batches:
             if batch.labels is None:
                 raise ContractError("evaluation batches need labels")
-            probs = forward_batch(batch, params)
-            loss = nll_loss(probs, batch.labels)
-            total_loss += loss.item() * batch.size
-            correct += int((probs.data.argmax(axis=1) == batch.labels).sum())
+            halves = split_batch(batch)
+            probs = np.empty((batch.size, params.config.n_classes), params.dtype)
+
+            def run_half(i: int) -> None:
+                start = i * halves[0].size
+                probs[start : start + halves[i].size] = forward_batch(halves[i], params).data
+
+            with untaped():
+                base.run_shared(run_half, range(len(halves)))
+            total_loss += nll_loss(Tensor(probs), batch.labels).item() * batch.size
+            correct += int((probs.argmax(axis=1) == batch.labels).sum())
             count += batch.size
         if count == 0:
             raise ContractError("evaluation needs at least one example")
@@ -404,11 +442,12 @@ class Trainer:
         if cfg.max_epochs == 0:
             return TrainResult(params, log)
         for name, pairs in (("training", train_pairs), ("validation", val_pairs)):
+            if not pairs:
+                raise ContractError(f"fit needs at least one {name} pair")
             if any(p.label_id is None for p in pairs):
                 raise ContractError(f"all {name} pairs need labels")
 
-        batches_per_epoch = math.ceil(len(train_pairs) / cfg.batch_size)
-        total_steps = cfg.max_epochs * batches_per_epoch
+        total_steps = cfg.max_epochs * math.ceil(len(train_pairs) / cfg.batch_size)
         log.total_steps = total_steps
         named = list(params.named_tensors())
         optimizer = AdamOptimizer(named)
@@ -435,22 +474,21 @@ class Trainer:
                 results[i] = grads, value * half.size, correct, clamped
 
             base.run_shared(run_half, range(len(halves)))
-            maps, losses, corrects, clamps = zip(*results)
+            grads = functools.reduce(sum_gradients, [r[0] for r in results])
+            losses, corrects, clamps = zip(*(r[1:] for r in results))
             results.clear()  # the helper's closure may outlive the call
-            grads = functools.reduce(sum_gradients, maps)
             log.clamp_events += sum(clamps)
             clip_gradients(named, grads, cfg.clip_bound)
             optimizer.step(grads, lr_at(step, total_steps, cfg))
             return sum(losses), sum(corrects)
 
-        best_params = params.copy()
+        best_params = params  # the live weights until a best epoch is followed by another
         step = 0
         for epoch in range(1, cfg.max_epochs + 1):
             epoch_loss, epoch_correct, epoch_count = 0.0, 0, 0
             try:
-                for batch in make_batches(
-                    train_pairs, cfg, split_seed(cfg.seed, SEED_BATCH, epoch)
-                ):
+                epoch_seed = split_seed(cfg.seed, SEED_BATCH, epoch)
+                for batch in make_batches(train_pairs, cfg, epoch_seed):
                     step += 1
                     loss_sum, correct = train_step(batch, step)
                     epoch_loss += loss_sum
@@ -462,29 +500,23 @@ class Trainer:
                 break
 
             val_loss, val_accuracy = self.evaluate(params, val_batches)
-            stats = EpochStats(
-                epoch=epoch,
-                train_loss=epoch_loss / epoch_count,
-                train_accuracy=epoch_correct / epoch_count,
-                val_loss=val_loss,
-                val_accuracy=val_accuracy,
-            )
+            stats = EpochStats(epoch, epoch_loss / epoch_count, epoch_correct / epoch_count,
+                               val_loss, val_accuracy)
             log.epochs.append(stats)
-            logger.info(
-                "epoch %d: train loss %.4f acc %.4f, val loss %.4f acc %.4f",
-                epoch, stats.train_loss, stats.train_accuracy, val_loss, val_accuracy,
-            )
+            logger.info("epoch %d: train loss %.4f acc %.4f, val loss %.4f acc %.4f",
+                        epoch, stats.train_loss, stats.train_accuracy, val_loss, val_accuracy)
             if val_accuracy > log.best_val_accuracy:
                 log.best_val_accuracy = val_accuracy
                 log.best_epoch = epoch
-                for (_, best), (_, tensor) in zip(best_params.named_tensors(), named):
-                    np.copyto(best.data, tensor.data)
+                if epoch < cfg.max_epochs and best_params is not params:
+                    for (_, best), (_, tensor) in zip(best_params.named_tensors(), named):
+                        np.copyto(best.data, tensor.data)
+                else:  # a first snapshot, or the last epoch's live weights
+                    best_params = params.copy() if epoch < cfg.max_epochs else params
             elif epoch - log.best_epoch >= cfg.patience_epochs:
                 log.stopped_early = True
-                logger.info(
-                    "no improvement for %d epochs, stopping; best epoch %d",
-                    cfg.patience_epochs, log.best_epoch,
-                )
+                logger.info("no improvement for %d epochs, stopping; best epoch %d",
+                            cfg.patience_epochs, log.best_epoch)
                 break
 
         return TrainResult(best_params, log)

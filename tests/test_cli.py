@@ -9,6 +9,7 @@ import sys
 import pytest
 from helpers import build_toy_config, build_toy_params, make_corpus
 
+from norminfer import estimator
 from norminfer.base import CheckpointError
 from norminfer.cli import (
     CHECKPOINT_FILE,
@@ -22,6 +23,7 @@ from norminfer.cli import (
     RUNCONFIG_FILE,
     TRAINLOG_FILE,
     VOCAB_FILE,
+    _load_classifier,
     _resolve_output_dir,
     run_cli,
 )
@@ -410,6 +412,24 @@ class TestInfer:
         assert sum(float(v) for v in named.values()) == pytest.approx(1.0, abs=1e-5)
         assert lines[3].split() == ["predicted", lines[3].split()[1]]
         assert lines[3].split()[1] in named
+
+    @pytest.mark.parametrize("words", [1, 40], ids=["whole", "truncated"])
+    def test_the_pair_is_encoded_once(self, workspace, capsys, monkeypatch, words):
+        """infer encodes its pair once and prints what predict_proba gives,
+        with the truncation note from that same encoding."""
+        model = [artifact(workspace, CHECKPOINT_FILE), artifact(workspace, VOCAB_FILE)]
+        pair = (" ".join(["a dog is walking"] * words), "a dog is walking")
+        probs = _load_classifier(*model).predict_proba([pair])[0]
+        want = "".join(f"{name} {value:.6f}\n" for name, value in zip(CLASSES, probs))
+        want += f"predicted {CLASSES[int(probs.argmax())]}\n"
+        calls, encode = [], estimator.encode_pair
+        monkeypatch.setattr(estimator, "encode_pair",
+                            lambda *a, **k: calls.append(1) or encode(*a, **k))
+        code = run_cli(["infer", "--checkpoint", model[0], "--vocab", model[1],
+                        "--premise", pair[0], "--hypothesis", pair[1]])
+        out, err = capsys.readouterr()
+        assert code == EXIT_OK and calls == [1] and out == want
+        assert ("note: input was truncated" in err) == (words == 40)
 
     def infer_with_header_edit(self, workspace, tmp_path, edit):
         """Run infer on a copy of the checkpoint whose JSON header ``edit`` changed."""

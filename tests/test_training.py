@@ -365,6 +365,53 @@ class TestAdam:
         for t, expected in zip((a, b), reference_adam(start, [halves] * 5, 0.01, 5)):
             np.testing.assert_allclose(t.data, expected, rtol=1e-12, atol=0)
 
+    def test_a_nan_in_any_tensor_moves_nothing_on_two_workers(self, monkeypatch):
+        """Whichever thread would update the tensor whose gradient holds a
+        NaN, no weight, moment or the step count moves."""
+        monkeypatch.setattr(base, "_WORKERS", 2)
+        params = build_toy_params(build_toy_config(vocab_words=8))
+        named = list(params.named_tensors())
+        opt = AdamOptimizer(named)
+        rng = np.random.default_rng(3)
+        opt.step({t: rng.normal(size=t.shape).astype(t.dtype) for _, t in named}, 1e-2)
+        state = [a.tobytes() for name, t in named for a in (t.data, opt.m[name], opt.v[name])]
+        for bad_name, bad in named:
+            grads = {t: rng.normal(size=t.shape).astype(t.dtype) for _, t in named}
+            grads[bad].flat[-1] = np.nan
+            with pytest.raises(NumericError, match=f"non-finite gradient in {bad_name}$"):
+                opt.step(grads, 1e-2)
+            with pytest.raises(NumericError, match=f"non-finite gradient in {bad_name}$"):
+                clip_gradients(named, grads, 1.0)
+            assert opt.step_count == 1
+            assert [a.tobytes() for name, t in named
+                    for a in (t.data, opt.m[name], opt.v[name])] == state
+
+    def test_one_worker_and_two_update_with_the_same_bits(self, monkeypatch):
+        """Dense, live-row and row-tile updates, shared between the caller
+        and the helper thread, give the bits of the caller alone."""
+        monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", 16)
+        config = build_toy_config(vocab_words=40)
+        rng = np.random.default_rng(8)
+        steps = []
+        for rows in ([1, 5], [2, 30], list(range(3, 40))):
+            grads = {name: rng.normal(size=t.shape).astype(np.float32)
+                     for name, t in build_toy_params(config).named_tensors()}
+            steps.append((grads, np.array(rows)))
+        runs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(base, "_WORKERS", workers)
+            params = build_toy_params(config, seed=2)
+            named = list(params.named_tensors())
+            opt = AdamOptimizer(named)
+            for grads, rows in steps:
+                step = {t: grads[name].copy() for name, t in named}
+                table = step[params.embedding]
+                step[params.embedding] = RowGrad(rows, table[rows], table.shape)
+                opt.step(step, 1e-2)
+            runs.append([a.tobytes() for name, t in named
+                         for a in (t.data, opt.m[name], opt.v[name])])
+        assert runs[0] == runs[1]
+
     def test_parameters_without_gradient_skipped(self):
         w = parameter(np.array([1.0]), dtype=np.float64)
         opt = AdamOptimizer([("w", w)])
@@ -546,14 +593,38 @@ class TestEvaluate:
     def test_unlabeled_batch_rejected(self):
         config = build_toy_config(vocab_words=10)
         params = build_toy_params(config)
-        batch = make_batch([build_random_pair(np.random.default_rng(0), config, t=4)])
-        with pytest.raises(ContractError, match="labels"):
-            Trainer(cfg()).evaluate(params, [batch])
+        rng = np.random.default_rng(0)
+        labeled = make_batch([build_random_pair(rng, config, t=4, label_id=1)])
+        batch = make_batch([build_random_pair(rng, config, t=4)])
+        with pytest.raises(ContractError, match="^evaluation batches need labels$"):
+            Trainer(cfg()).evaluate(params, [labeled, batch])
 
     def test_no_examples_rejected(self):
         params = build_toy_params(build_toy_config(vocab_words=10))
-        with pytest.raises(ContractError, match="at least one"):
+        with pytest.raises(ContractError, match="^evaluation needs at least one example$"):
             Trainer(cfg()).evaluate(params, [])
+
+    def test_halves_give_the_bits_of_one_worker_and_of_the_whole_batch(self, monkeypatch):
+        """Loss and accuracy are taken once over each whole batch, so one
+        worker, two, and a forward pass over the unsplit batch agree in
+        every bit; nothing is recorded onto a tape the caller has open."""
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config, seed=6)
+        rng = np.random.default_rng(4)
+        pairs = [build_random_pair(rng, config, t=int(rng.integers(2, 12)), label_id=i % 3)
+                 for i in range(11)]
+        batches = make_batches(pairs, cfg(batch_size=5), epoch_seed=0)
+        whole = [forward_batch(b, params) for b in batches]
+        want_loss = sum(nll_loss(p, b.labels).item() * b.size for p, b in zip(whole, batches))
+        want_correct = sum(int((p.data.argmax(axis=1) == b.labels).sum())
+                           for p, b in zip(whole, batches))
+        got = []
+        for workers in (1, 2):
+            monkeypatch.setattr(base, "_WORKERS", workers)
+            with GradTape() as tape:
+                got.append(Trainer(cfg()).evaluate(params, batches))
+            assert tape._records == []
+        assert got[0] == got[1] == (want_loss / len(pairs), want_correct / len(pairs))
 
 
 class FixedTraceTrainer(Trainer):
@@ -614,6 +685,39 @@ class TestTrainerLoop:
         assert not np.array_equal(
             result.params.w_cls.data, trainer.head_snapshots[22]
         )
+
+    def test_a_fit_whose_last_epoch_is_best_returns_the_live_weights(self, monkeypatch):
+        """One epoch is the last and the best: no copy is made."""
+        config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
+        train_pairs, val_pairs = self.small_dataset(config)
+        monkeypatch.setattr(ModelParameters, "copy", lambda self: pytest.fail("copied"))
+        params = build_toy_params(config, seed=3)
+        before = params.w_cls.data.copy()
+        result = Trainer(cfg(max_epochs=1, batch_size=4)).fit(params, train_pairs, val_pairs)
+        assert result.params is params and result.log.best_epoch == 1
+        assert not np.array_equal(params.w_cls.data, before)
+
+    def test_an_abort_in_the_first_epoch_returns_the_last_finite_step(self, monkeypatch):
+        """A NaN gradient at step 2 of epoch 1: the live weights after step
+        1 come back, with best epoch 0."""
+        config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
+        train_pairs, val_pairs = self.small_dataset(config)
+        params = build_toy_params(config, seed=3)
+        start = [t.data.tobytes() for _, t in params.named_tensors()]
+        clip, calls, after_step_1 = training.clip_gradients, [], []
+
+        def poisoned(named, grads, bound):
+            calls.append(1)
+            if len(calls) == 2:
+                after_step_1.extend(t.data.tobytes() for _, t in named)
+                grads[params.w_cls][0, 0] = np.nan
+            clip(named, grads, bound)
+
+        monkeypatch.setattr(training, "clip_gradients", poisoned)
+        result = Trainer(cfg(max_epochs=3, batch_size=4)).fit(params, train_pairs, val_pairs)
+        assert result.log.aborted and result.log.epochs == [] and result.log.best_epoch == 0
+        assert result.params is params
+        assert [t.data.tobytes() for _, t in params.named_tensors()] == after_step_1 != start
 
     def test_deterministic_given_seed(self):
         config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
@@ -732,6 +836,19 @@ class TestTrainerLoop:
         assert result.log.epochs == []
         np.testing.assert_array_equal(result.params.embedding.data, before)
 
+    @pytest.mark.parametrize("empty", ["training", "validation"])
+    def test_a_fit_without_pairs_is_rejected_before_adam_is_built(self, monkeypatch, empty):
+        config = build_toy_config(vocab_words=10)
+        train_pairs, val_pairs = self.small_dataset(config)
+        pairs = {"training": train_pairs, "validation": val_pairs}
+        pairs[empty] = []
+        params = build_toy_params(config)
+        monkeypatch.setattr(training, "AdamOptimizer", lambda named: pytest.fail("built"))
+        with pytest.raises(ContractError, match=f"^fit needs at least one {empty} pair$"):
+            Trainer(cfg(max_epochs=1)).fit(params, pairs["training"], pairs["validation"])
+        result = Trainer(cfg(max_epochs=0)).fit(params, pairs["training"], pairs["validation"])
+        assert result.params is params and result.log.epochs == []
+
     def test_unlabeled_training_pairs_rejected(self):
         config = build_toy_config(vocab_words=10)
         rng = np.random.default_rng(0)
@@ -833,6 +950,30 @@ class TestSplitStep:
                 dense_grad(summed[tensor]), dense_grad(whole[tensor]), rtol=0, atol=1e-12,
                 err_msg=name,
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sum_adds_in_place_with_the_bits_of_one_worker(self, monkeypatch, workers):
+        """Arrays add into the first map's own arrays; RowGrads over the
+        union of their rows; a tensor in one map keeps its gradient."""
+        monkeypatch.setattr(base, "_WORKERS", workers)
+        rng = np.random.default_rng(9)
+        tensors = [parameter(np.zeros(s), dtype=np.float32) for s in [(5, 3), (7,), (2, 2), (4,)]]
+        a, b, c, d = tensors
+        first = {a: rng.normal(size=(5, 3)).astype(np.float32),
+                 b: rng.normal(size=7).astype(np.float32),
+                 c: RowGrad(np.array([0]), np.ones((1, 2), np.float32), (2, 2))}
+        second = {a: rng.normal(size=(5, 3)).astype(np.float32),
+                  b: rng.normal(size=7).astype(np.float32),
+                  c: RowGrad(np.array([0, 1]), np.full((2, 2), 2, np.float32), (2, 2)),
+                  d: np.arange(4, dtype=np.float32)}
+        want = {t: dense_grad(first[t]) + dense_grad(second[t]) for t in (a, b, c)}
+        arrays = first[a], first[b]
+        summed = sum_gradients(first, second)
+        assert summed is first and set(summed) == set(tensors)
+        assert summed[a] is arrays[0] and summed[b] is arrays[1]
+        assert summed[d] is second[d] and summed[c].rows.tolist() == [0, 1]
+        for t in (a, b, c):
+            assert dense_grad(summed[t]).tobytes() == want[t].tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_a_fit_step_takes_the_whole_batch_gradient(self, monkeypatch, workers):
