@@ -41,6 +41,7 @@ from .persistence import (
 from .text import (
     CLASSES, Vocabulary, bundled_conflicts_path, check_min_count, load_norm_conflicts, load_snli,
 )
+from .training import probabilities
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -188,7 +189,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_infer(args: argparse.Namespace) -> int:
     clf = _load_classifier(args.checkpoint, args.vocab)
     [encoded] = clf.encoder_.transform([(args.premise, args.hypothesis)])
-    probs = clf._probabilities([encoded])[0]
+    probs = probabilities(clf.params_, [encoded])[0]
     for name, value in zip(CLASSES, probs):
         print(f"{name} {value:.6f}")
     print(f"predicted {CLASSES[int(probs.argmax())]}")

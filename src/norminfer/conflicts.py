@@ -20,6 +20,7 @@ import numpy as np
 from .base import ContractError, atomic_write, check_fitted
 from .estimator import NliClassifier
 from .text import CLASSES, CONFLICT_TYPES, ConflictRecord
+from .training import probabilities
 
 CSV_COLUMNS = (
     "conflict_type",
@@ -76,7 +77,7 @@ def analyze_conflicts(
     encoded = classifier.encoder_.transform(
         [pair for r in records for pair in ((r.norm_a, r.norm_b), (r.norm_b, r.norm_a))]
     )
-    probs = np.concatenate([classifier._probabilities([pair]) for pair in encoded])
+    probs = np.concatenate([probabilities(classifier.params_, [pair]) for pair in encoded])
     shape = (len(records), len(DIRECTIONS))
     return ConflictReport(
         records=records,

@@ -13,10 +13,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import base
 from .base import ConfigError, ContractError, ParamsMixin, check_fitted, split_seed
-from .model import ModelConfig, ModelParameters, forward_batch, make_batch
-from .tensor import untaped
+# forward_batch, make_batch: perfbench/tracing.py wraps them here; ROADMAP item 1 drops them
+from .model import ModelConfig, ModelParameters, forward_batch, make_batch  # noqa: F401
 from .text import (
     CLASSES,
     MAX_SEQUENCE_LENGTH,
@@ -27,11 +26,9 @@ from .text import (
     check_min_count,
     encode_pair,
 )
-from .training import SEED_INIT, TrainConfig, Trainer, length_sorted_chunks
+from .training import SEED_INIT, TrainConfig, Trainer, probabilities
 
 SEED_HOLDOUT = 3
-# tokens one inference forward pass may hold (fairseq's --max-tokens)
-BATCH_TOKENS = 1024
 
 
 class PairEncoder(ParamsMixin):
@@ -82,10 +79,10 @@ class NliClassifier(ParamsMixin):
 
     fit builds the vocabulary, initializes the decoder stack, and trains
     with Adam under the warmup/decay schedule, keeping the weights of the
-    best validation epoch. predict and predict_proba run the deterministic
-    inference path. batch_size is the training batch; inference packs
-    pairs into forward passes of at most ``BATCH_TOKENS`` tokens, shared by
-    two threads when two CPUs are usable, with the bytes of one thread.
+    best validation epoch. predict and predict_proba run
+    ``training.probabilities``, the one forward-only loop, which validation
+    runs through too: its passes are cut by tokens, whatever batch_size, the
+    training batch, is, and shared by two threads with the bytes of one.
     """
 
     def __init__(
@@ -222,27 +219,7 @@ class NliClassifier(ParamsMixin):
     def predict_proba(self, pairs) -> np.ndarray:
         """Class probability rows aligned with the input order."""
         check_fitted(self, ["params_", "encoder_"])
-        return self._probabilities(self.encoder_.transform(pairs))
-
-    def _probabilities(self, encoded: Sequence[EncodedPair]) -> np.ndarray:
-        """Class probability rows for encoded pairs, in input order.
-
-        This is the one inference loop: the deterministic path, in forward
-        passes of length-sorted pairs of at most ``BATCH_TOKENS`` tokens (a
-        longer pair runs alone), whatever batch_size is, longest first, shared
-        by the caller and the helper thread (``base.run_shared``). Each writes
-        only its own rows, so the bytes do not depend on the thread count.
-        Nothing records onto a tape open in the caller's context.
-        """
-        out = np.empty((len(encoded), len(CLASSES)), dtype=np.float64)
-        chunks = length_sorted_chunks(encoded, BATCH_TOKENS, tokens=True)
-
-        def run_chunk(idx: list[int]) -> None:
-            out[idx] = forward_batch(make_batch([encoded[i] for i in idx]), self.params_).data
-
-        with untaped():
-            base.run_shared(run_chunk, chunks[::-1])
-        return out
+        return probabilities(self.params_, self.encoder_.transform(pairs))
 
     def predict(self, pairs) -> np.ndarray:
         probs = self.predict_proba(pairs)

@@ -15,6 +15,9 @@ schedule unused.
 
 Gradients, not parameters, are clamped elementwise into
 [-clip_bound, +clip_bound] before every update.
+
+Inference and each epoch's validation both run through ``probabilities``,
+the one forward-only loop.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from . import base
 from .base import ContractError, NumericError, atomic_write, check_float, check_int, split_seed
-from .model import Batch, ModelParameters, forward_batch, make_batch
+from .model import Batch, ModelParameters, embedding_ids, forward_batch, make_batch
 from .tensor import GradTape, RowGrad, Tensor, _dense, _result, row_tiles, untaped
 from .text import EncodedPair
 
@@ -44,6 +47,12 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # past this share of a tensor's rows, Adam's dense sweep beats gathering them
 SPARSE_ROW_SHARE = 0.25
+# tokens one forward-only pass may hold (fairseq's --max-tokens)
+BATCH_TOKENS = 1024
+# tokens x d_model x n_blocks from which a forward-only call runs in passes of
+# at most half its tokens, so the helper thread takes one: it cuts a paper-scale
+# fit's 16 validation pairs (~620 tokens), which ran slower as one pass
+SPLIT_WORK = 1 << 20
 
 # seed-path components for deriving child seeds from the master seed
 SEED_INIT = 0
@@ -300,6 +309,25 @@ def length_sorted_chunks(
     return chunks
 
 
+def probabilities(params: ModelParameters, encoded: Sequence[EncodedPair]) -> np.ndarray:
+    """Float64 class probability rows for encoded pairs, in input order: the
+    one forward-only loop, untaped and without dropout. Passes of length-sorted
+    pairs hold at most ``BATCH_TOKENS`` tokens, or half the call's once its work
+    reaches ``SPLIT_WORK``; a longer pair runs alone. They run longest first on
+    the caller and the helper thread, with the bytes of one thread."""
+    config, tokens = params.config, sum(len(pair) for pair in encoded)
+    split = tokens * config.d_model * config.n_blocks >= SPLIT_WORK
+    budget = min(BATCH_TOKENS, (tokens + 1) // 2) if split else BATCH_TOKENS
+    out = np.empty((len(encoded), config.n_classes), dtype=np.float64)
+
+    def run_chunk(idx: list[int]) -> None:
+        out[idx] = forward_batch(make_batch([encoded[i] for i in idx]), params).data
+
+    with untaped():
+        base.run_shared(run_chunk, length_sorted_chunks(encoded, budget, tokens=True)[::-1])
+    return out
+
+
 def make_batches(
     pairs: Sequence[EncodedPair], cfg: TrainConfig, epoch_seed: int
 ) -> list[Batch]:
@@ -406,30 +434,17 @@ class Trainer:
         self.cfg = cfg
 
     def evaluate(
-        self, params: ModelParameters, batches: Iterable[Batch]
+        self, params: ModelParameters, pairs: Sequence[EncodedPair]
     ) -> tuple[float, float]:
-        """Mean per-example loss and accuracy, dropout off, untaped. Each
-        batch's ``split_batch`` halves fill one probability array on the
-        caller and the helper thread; loss and accuracy are taken over it."""
-        total_loss, correct, count = 0.0, 0, 0
-        for batch in batches:
-            if batch.labels is None:
-                raise ContractError("evaluation batches need labels")
-            halves = split_batch(batch)
-            probs = np.empty((batch.size, params.config.n_classes), params.dtype)
-
-            def run_half(i: int) -> None:
-                start = i * halves[0].size
-                probs[start : start + halves[i].size] = forward_batch(halves[i], params).data
-
-            with untaped():
-                base.run_shared(run_half, range(len(halves)))
-            total_loss += nll_loss(Tensor(probs), batch.labels).item() * batch.size
-            correct += int((probs.argmax(axis=1) == batch.labels).sum())
-            count += batch.size
-        if count == 0:
+        """Mean per-pair loss and accuracy over labelled encoded pairs, read
+        off one ``probabilities`` array."""
+        if not pairs:
             raise ContractError("evaluation needs at least one example")
-        return total_loss / count, correct / count
+        if any(p.label_id is None for p in pairs):
+            raise ContractError("evaluation pairs need labels")
+        gold, probs = np.array([p.label_id for p in pairs]), probabilities(params, pairs)
+        correct = int((probs.argmax(axis=1) == gold).sum())
+        return nll_loss(Tensor(probs), gold).item(), correct / len(pairs)
 
     def fit(
         self,
@@ -444,14 +459,19 @@ class Trainer:
         for name, pairs in (("training", train_pairs), ("validation", val_pairs)):
             if not pairs:
                 raise ContractError(f"fit needs at least one {name} pair")
-            if any(p.label_id is None for p in pairs):
-                raise ContractError(f"all {name} pairs need labels")
+            for start in range(0, len(pairs), cfg.batch_size):  # a forward pass's checks
+                try:
+                    batch = make_batch(pairs[start : start + cfg.batch_size])
+                    embedding_ids(batch, params.config)
+                except ContractError as exc:
+                    raise ContractError(f"{name} batch at pair {start}: {exc}") from None
+                if batch.labels is None:
+                    raise ContractError(f"all {name} pairs need labels")
 
         total_steps = cfg.max_epochs * math.ceil(len(train_pairs) / cfg.batch_size)
         log.total_steps = total_steps
         named = list(params.named_tensors())
         optimizer = AdamOptimizer(named)
-        val_batches = make_batches(val_pairs, cfg, epoch_seed=0)
 
         def train_step(batch: Batch, step: int) -> tuple[float, int]:
             """One update; the batch's loss sum and correct count. Nothing
@@ -499,7 +519,7 @@ class Trainer:
                 log.aborted = True
                 break
 
-            val_loss, val_accuracy = self.evaluate(params, val_batches)
+            val_loss, val_accuracy = self.evaluate(params, val_pairs)
             stats = EpochStats(epoch, epoch_loss / epoch_count, epoch_correct / epoch_count,
                                val_loss, val_accuracy)
             log.epochs.append(stats)

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 from helpers import make_corpus
 
-from norminfer import base, estimator
+from norminfer import base, training
 from norminfer.base import ConfigError, ContractError, NotFittedError
-from norminfer.estimator import BATCH_TOKENS, NliClassifier, PairEncoder
+from norminfer.estimator import NliClassifier, PairEncoder
 from norminfer.model import ModelConfig, ModelParameters, forward_batch, make_batch
 from norminfer.persistence import load_checkpoint, save_checkpoint
 from norminfer.tensor import GradTape, add
 from norminfer.text import CLASSES, EOS_ID, RESERVED_TOKENS, EncodedPair, Vocabulary
-from norminfer.training import length_sorted_chunks
+from norminfer.training import BATCH_TOKENS, length_sorted_chunks, probabilities
 
 
 def tiny_classifier(**overrides):
@@ -363,7 +363,7 @@ class TestTokenBudget:
             calls.append((batch.token_ids[starts] - 3, batch.token_ids.size, probs.data))
             return probs
 
-        monkeypatch.setattr(estimator, "forward_batch", recording)
+        monkeypatch.setattr(training, "forward_batch", recording)
         return calls
 
     def test_batches_are_greedy_token_runs_of_the_length_order(self, monkeypatch):
@@ -371,7 +371,7 @@ class TestTokenBudget:
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         calls = self.spy(monkeypatch)
-        out = clf._probabilities(pairs)
+        out = probabilities(clf.params_, pairs)
 
         # the passes run longest first: the length order's runs, last run first
         assert [ids.tolist() for ids, _, _ in calls] == [
@@ -392,7 +392,7 @@ class TestTokenBudget:
 
         calls.clear()  # two threads run the same passes, in either order
         monkeypatch.setattr(base, "_WORKERS", 2)
-        assert clf._probabilities(pairs).tobytes() == out.tobytes()
+        assert probabilities(clf.params_, pairs).tobytes() == out.tobytes()
         assert sorted((ids.tolist(), tokens) for ids, tokens, _ in calls) == sorted(
             (ids.tolist(), tokens) for ids, tokens, _ in cut
         )
@@ -405,7 +405,7 @@ class TestTokenBudget:
         runs = []
         for batch_size in (1, 16, 10_000):
             calls.clear()
-            out = clf.set_params(batch_size=batch_size)._probabilities(pairs)
+            out = probabilities(clf.set_params(batch_size=batch_size).params_, pairs)
             runs.append(([ids.tolist() for ids, _, _ in calls], out.tobytes()))
         assert runs[0] == runs[1] == runs[2]
         assert runs[0][0] == [[3], [6], [10], [4, 7, 12], [1, 11, 8, 5, 2, 9, 0]]
@@ -428,8 +428,8 @@ class TestTokenBudget:
         lengths = np.random.default_rng(0).integers(61, 302, size=10).tolist()
         clf = random_classifier(len(lengths), n_heads=4, d_model=32, dtype=dtype)
         pairs = numbered_pairs(lengths, len(clf.vocabulary_))
-        batched = clf._probabilities(pairs)
-        alone = np.concatenate([clf._probabilities([p]) for p in pairs])
+        batched = probabilities(clf.params_, pairs)
+        alone = np.concatenate([probabilities(clf.params_, [p]) for p in pairs])
         np.testing.assert_allclose(batched, alone, rtol=0, atol=atol)
         assert np.array_equal(batched.argmax(axis=1), alone.argmax(axis=1))
 
@@ -441,7 +441,7 @@ class TestTwoThreads:
     LENGTHS = TestTokenBudget.LENGTHS  # five passes
 
     def spy(self, monkeypatch, workers=2, fail_in_helper=False):
-        """Run ``_probabilities`` on ``workers`` threads. With two, each
+        """Run ``probabilities`` on ``workers`` threads. With two, each
         thread's first pass waits for the other's, so both surely take part.
         Returns the thread of each pass and the count of passes running."""
         monkeypatch.setattr(base, "_WORKERS", workers)
@@ -464,7 +464,7 @@ class TestTwoThreads:
                 with lock:
                     running[0] -= 1
 
-        monkeypatch.setattr(estimator, "forward_batch", meeting)
+        monkeypatch.setattr(training, "forward_batch", meeting)
         return seen, running
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -472,9 +472,9 @@ class TestTwoThreads:
         clf = random_classifier(len(self.LENGTHS), max_len=1100, dtype=dtype)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         monkeypatch.setattr(base, "_WORKERS", 1)
-        one = clf._probabilities(pairs)
+        one = probabilities(clf.params_, pairs)
         seen, _ = self.spy(monkeypatch)
-        two = clf._probabilities(pairs)
+        two = probabilities(clf.params_, pairs)
         assert len(seen) == 5 and len(set(seen)) == 2
         assert two.tobytes() == one.tobytes()
 
@@ -483,10 +483,10 @@ class TestTwoThreads:
         for _, t in clf.params_.named_tensors():
             t.requires_grad = True
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
-        untaped = clf._probabilities(pairs)
+        untaped = probabilities(clf.params_, pairs)
         seen, _ = self.spy(monkeypatch)
         with GradTape() as tape:
-            taped = clf._probabilities(pairs)
+            taped = probabilities(clf.params_, pairs)
         assert len(set(seen)) == 2
         assert len(tape) == 0
         assert taped.tobytes() == untaped.tobytes()
@@ -498,7 +498,7 @@ class TestTwoThreads:
         pairs[10].token_ids[1] = len(clf.vocabulary_)  # an id past the vocabulary
         seen, running = self.spy(monkeypatch, workers)
         with pytest.raises(ContractError, match="id out of range"):
-            clf._probabilities(pairs)
+            probabilities(clf.params_, pairs)
         assert len(set(seen)) == workers
         assert running[0] == 0
 
@@ -507,7 +507,7 @@ class TestTwoThreads:
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         seen, running = self.spy(monkeypatch, fail_in_helper=True)
         with pytest.raises(ContractError, match="the helper's pass failed"):
-            clf._probabilities(pairs)
+            probabilities(clf.params_, pairs)
         assert len(set(seen)) == 2
         assert running[0] == 0  # the caller waited for the helper
 
@@ -517,18 +517,18 @@ class TestTwoThreads:
         monkeypatch.setattr(base, "_helper_pool", lambda pid: made.append(pid))
         fitted.predict_proba([("the tenant shall pay rent", "the tenant may not pay rent")])
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
-        clf._probabilities(numbered_pairs([300, 2, 120], len(clf.vocabulary_)))
+        probabilities(clf.params_, numbered_pairs([300, 2, 120], len(clf.vocabulary_)))
         assert made == []
 
     def test_concurrent_callers_run_each_pass_once(self, monkeypatch):
         """Four callers share the one helper while thread switches are
         forced often: each call runs every pass once and fills every row."""
-        monkeypatch.setattr(estimator, "BATCH_TOKENS", 64)
+        monkeypatch.setattr(training, "BATCH_TOKENS", 64)
         lengths = np.random.default_rng(1).integers(2, 40, size=60).tolist()
         clf = random_classifier(len(lengths))
         pairs = numbered_pairs(lengths, len(clf.vocabulary_))
         monkeypatch.setattr(base, "_WORKERS", 1)
-        expected = clf._probabilities(pairs).tobytes()
+        expected = probabilities(clf.params_, pairs).tobytes()
         passes = {tuple(chunk) for chunk in length_sorted_chunks(pairs, 64, tokens=True)}
         monkeypatch.setattr(base, "_WORKERS", 2)
         counts, lock = Counter(), threading.Lock()
@@ -539,12 +539,12 @@ class TestTwoThreads:
                 counts[tuple((batch.token_ids[starts] - 3).tolist())] += 1
             return forward_batch(batch, params, **kw)
 
-        monkeypatch.setattr(estimator, "forward_batch", counting)
+        monkeypatch.setattr(training, "forward_batch", counting)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as callers:
-                runs = [callers.submit(clf._probabilities, pairs) for _ in range(32)]
+                runs = [callers.submit(probabilities, clf.params_, pairs) for _ in range(32)]
                 outputs = [run.result(timeout=60).tobytes() for run in runs]
         finally:
             sys.setswitchinterval(interval)
@@ -557,11 +557,12 @@ class TestTwoThreads:
         clf = random_classifier(len(self.LENGTHS), max_len=1100)
         pairs = numbered_pairs(self.LENGTHS, len(clf.vocabulary_))
         monkeypatch.setattr(base, "_WORKERS", 2)
-        expected = clf._probabilities(pairs)  # the parent's helper now exists
+        expected = probabilities(clf.params_, pairs)  # the parent's helper now exists
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if the same call returns the same bytes
             try:
-                os._exit(0 if clf._probabilities(pairs).tobytes() == expected.tobytes() else 1)
+                same = probabilities(clf.params_, pairs).tobytes() == expected.tobytes()
+                os._exit(0 if same else 1)
             finally:
                 os._exit(2)
         deadline = time.monotonic() + 30

@@ -30,9 +30,11 @@ from norminfer.training import (
     Trainer,
     clip_gradients,
     count_clamped,
+    length_sorted_chunks,
     lr_at,
     make_batches,
     nll_loss,
+    probabilities,
     split_batch,
     sum_gradients,
 )
@@ -584,47 +586,86 @@ class TestEvaluate:
         probs = [forward_batch(make_batch([p]), params).data[0] for p in pairs]
         want_loss = np.mean([-math.log(p[q.label_id]) for p, q in zip(probs, pairs)])
         want_accuracy = np.mean([p.argmax() == q.label_id for p, q in zip(probs, pairs)])
-        loss, accuracy = Trainer(cfg()).evaluate(
-            params, make_batches(pairs, cfg(batch_size=4), epoch_seed=0)
-        )
+        loss, accuracy = Trainer(cfg()).evaluate(params, pairs)
         assert loss == pytest.approx(want_loss, rel=1e-5)
         assert accuracy == want_accuracy
 
-    def test_unlabeled_batch_rejected(self):
+    def test_unlabeled_pairs_rejected(self):
         config = build_toy_config(vocab_words=10)
         params = build_toy_params(config)
         rng = np.random.default_rng(0)
-        labeled = make_batch([build_random_pair(rng, config, t=4, label_id=1)])
-        batch = make_batch([build_random_pair(rng, config, t=4)])
-        with pytest.raises(ContractError, match="^evaluation batches need labels$"):
-            Trainer(cfg()).evaluate(params, [labeled, batch])
+        pairs = [build_random_pair(rng, config, t=4, label_id=1),
+                 build_random_pair(rng, config, t=4)]
+        with pytest.raises(ContractError, match="^evaluation pairs need labels$"):
+            Trainer(cfg()).evaluate(params, pairs)
 
     def test_no_examples_rejected(self):
         params = build_toy_params(build_toy_config(vocab_words=10))
         with pytest.raises(ContractError, match="^evaluation needs at least one example$"):
             Trainer(cfg()).evaluate(params, [])
 
-    def test_halves_give_the_bits_of_one_worker_and_of_the_whole_batch(self, monkeypatch):
-        """Loss and accuracy are taken once over each whole batch, so one
-        worker, two, and a forward pass over the unsplit batch agree in
-        every bit; nothing is recorded onto a tape the caller has open."""
+    def test_one_worker_and_two_give_the_same_bits(self, monkeypatch):
+        """Loss and accuracy are read off one ``probabilities`` array, whose
+        passes one worker and two share alike, so they agree in every bit;
+        nothing is recorded onto a tape the caller has open."""
         config = build_toy_config(vocab_words=10)
         params = build_toy_params(config, seed=6)
         rng = np.random.default_rng(4)
         pairs = [build_random_pair(rng, config, t=int(rng.integers(2, 12)), label_id=i % 3)
                  for i in range(11)]
-        batches = make_batches(pairs, cfg(batch_size=5), epoch_seed=0)
-        whole = [forward_batch(b, params) for b in batches]
-        want_loss = sum(nll_loss(p, b.labels).item() * b.size for p, b in zip(whole, batches))
-        want_correct = sum(int((p.data.argmax(axis=1) == b.labels).sum())
-                           for p, b in zip(whole, batches))
+        monkeypatch.setattr(training, "BATCH_TOKENS", 16)  # several passes
+        gold = np.array([p.label_id for p in pairs])
+        probs = probabilities(params, pairs)
+        want = (nll_loss(Tensor(probs), gold).item(),
+                int((probs.argmax(axis=1) == gold).sum()) / len(pairs))
         got = []
         for workers in (1, 2):
             monkeypatch.setattr(base, "_WORKERS", workers)
             with GradTape() as tape:
-                got.append(Trainer(cfg()).evaluate(params, batches))
+                got.append(Trainer(cfg()).evaluate(params, pairs))
             assert tape._records == []
-        assert got[0] == got[1] == (want_loss / len(pairs), want_correct / len(pairs))
+        assert got[0] == got[1] == want
+
+
+class TestProbabilities:
+    """Below ``SPLIT_WORK`` a call runs greedy ``BATCH_TOKENS`` passes; from
+    it on, passes of at most half its tokens, with the same bytes on one
+    worker and two."""
+
+    LENGTHS = [9, 3, 12, 5, 7, 11, 2, 6]  # 55 tokens
+
+    def passes(self, monkeypatch, params, pairs, workers):
+        monkeypatch.setattr(base, "_WORKERS", workers)
+        calls = []
+
+        def recording(batch, params, **kw):
+            calls.append(batch.token_ids.size)
+            return forward_batch(batch, params, **kw)
+
+        monkeypatch.setattr(training, "forward_batch", recording)
+        out = probabilities(params, pairs).tobytes()
+        return sorted(calls), out
+
+    def test_work_from_the_constant_on_cuts_a_call_in_half(self, monkeypatch):
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config, seed=3)
+        pairs = numbered_pairs(config, self.LENGTHS)
+        work = sum(self.LENGTHS) * config.d_model * config.n_blocks
+        greedy = sorted(sum(self.LENGTHS[i] for i in chunk) for chunk in
+                        length_sorted_chunks(pairs, training.BATCH_TOKENS, tokens=True))
+        monkeypatch.setattr(training, "SPLIT_WORK", work + 1)  # below: the greedy pass
+        assert self.passes(monkeypatch, params, pairs, 1)[0] == greedy == [55]
+        monkeypatch.setattr(training, "SPLIT_WORK", work)  # reached: halves
+        one = self.passes(monkeypatch, params, pairs, 1)
+        two = self.passes(monkeypatch, params, pairs, 2)
+        assert one == two
+        assert len(one[0]) >= 2 and max(one[0]) <= 28 and sum(one[0]) == 55
+
+    def test_a_single_pair_is_never_cut(self, monkeypatch):
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config)
+        monkeypatch.setattr(training, "SPLIT_WORK", 1)
+        assert self.passes(monkeypatch, params, numbered_pairs(config, [12]), 2)[0] == [12]
 
 
 class FixedTraceTrainer(Trainer):
@@ -636,7 +677,7 @@ class FixedTraceTrainer(Trainer):
         self.head_snapshots = {}
         self.snapshots = {}
 
-    def evaluate(self, params, batches):
+    def evaluate(self, params, pairs):
         epoch = len(self.head_snapshots) + 1
         self.head_snapshots[epoch] = params.w_cls.data.copy()
         self.snapshots[epoch] = [t.data.copy() for _, t in params.named_tensors()]
@@ -869,6 +910,30 @@ class TestTrainerLoop:
         with pytest.raises(ContractError, match="validation"):
             Trainer(cfg(max_epochs=1, batch_size=4)).fit(params, train_pairs, val_pairs)
         assert calls == []
+        assert [t.data.tobytes() for _, t in params.named_tensors()] == before
+
+    @pytest.mark.parametrize("which,defect,message", [
+        ("validation", "id", "token id out of range"),
+        ("training", "id", "token id out of range"),
+        ("training", "length", "exceeds max_len"),
+        ("training", "eos", "end-of-sequence"),
+    ])
+    def test_a_bad_pair_is_rejected_before_any_step(self, which, defect, message):
+        """A pair a forward pass would reject, past the first batch, stops
+        the fit before any weight moves."""
+        config = build_toy_config(vocab_words=10, max_len=12)
+        train_pairs, val_pairs = self.small_dataset(config, n_val=8)
+        pairs = {"training": train_pairs, "validation": val_pairs}[which]
+        if defect == "id":
+            pairs[-1].token_ids[0] = 10**6
+        elif defect == "eos":
+            pairs[-1].token_ids[-1] = 3
+        else:
+            pairs[-1] = build_random_pair(np.random.default_rng(1), config, t=13, label_id=0)
+        params = build_toy_params(config)
+        before = [t.data.tobytes() for _, t in params.named_tensors()]
+        with pytest.raises(ContractError, match=f"^{which} batch at pair 4: .*{message}"):
+            Trainer(cfg(max_epochs=1, batch_size=4)).fit(params, train_pairs, val_pairs)
         assert [t.data.tobytes() for _, t in params.named_tensors()] == before
 
     def test_divergence_aborts_with_flag(self):
