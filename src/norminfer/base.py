@@ -1,6 +1,6 @@
 """Shared plumbing: error types, estimator parameter handling, input checks,
-atomic file writes, and the one helper thread that inference and training
-share with their caller.
+config fields that declare their kind and bounds, atomic file writes, and
+the one helper thread that inference and training share with their caller.
 
 Estimators in this package follow the scikit-learn conventions: constructor
 arguments are stored verbatim, ``fit`` learns state into trailing-underscore
@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import dataclasses
 import inspect
+import math
 import os
 import secrets
 from collections import deque
@@ -173,19 +175,39 @@ def check_fitted(estimator: Any, attributes: Iterable[str]) -> None:
         )
 
 
-def check_int(value: Any, name: str, minimum: int) -> None:
-    """Raise ConfigError unless ``value`` is an int, not a bool, >= ``minimum``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError(f"{name} must be an integer >= {minimum}, got {value!r}")
+def setting(default: Any = dataclasses.MISSING, kind: type = int, lo: float = 1,
+            hi: float = math.inf, closed: bool = True) -> Any:
+    """A dataclass field that declares its value's kind, int, float or str,
+    and for a number the interval it lies in: [lo, hi), or (lo, hi) unless
+    ``closed``; an int's hi is always inf. ``check_value`` reads them."""
+    return dataclasses.field(default=default,
+                             metadata={"kind": kind, "lo": lo, "hi": hi, "closed": closed})
 
 
-def check_float(value: Any, name: str, lo: float, hi: float, lo_closed: bool = False) -> None:
-    """Raise ConfigError unless ``value`` is an int or float, not a bool, in
-    (lo, hi), or in [lo, hi) with ``lo_closed``. NaN lies in neither."""
-    if (not isinstance(value, (int, float)) or isinstance(value, bool)
-            or not (lo <= value < hi if lo_closed else lo < value < hi)):
-        interval = f"{'[' if lo_closed else '('}{lo}, {hi})"
-        raise ConfigError(f"{name} must be a number in {interval}, got {value!r}")
+def check_value(name: str, value: Any, declared: dataclasses.Field) -> None:
+    """Raise ConfigError unless ``value`` is of the kind ``declared`` holds,
+    within its bounds. A bool is no number, NaN lies in no interval, and a
+    str must hold more than blanks."""
+    kind, lo, hi, closed = declared.metadata.values()  # in the order setting gives them
+    if kind is str:
+        ok, wanted = isinstance(value, str) and value.strip(), "a non-empty string"
+    elif kind is int:
+        ok, wanted = isinstance(value, int) and lo <= value, f"an integer >= {lo}"
+    else:
+        ok = (isinstance(value, (int, float)) and (lo <= value if closed else lo < value)
+              and value < hi)
+        wanted = f"a number in {'[' if closed else '('}{lo}, {hi})"
+    if isinstance(value, bool) or not ok:
+        raise ConfigError(f"{name} must be {wanted}, got {value!r}")
+
+
+def check_fields(config: Any) -> None:
+    """check_value on each field of dataclass ``config`` that ``setting``
+    declared; None passes where it is the field's default."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.metadata and not (value is None and f.default is None):
+            check_value(f.name, value, f)
 
 
 def check_text(value: Any, name: str) -> str:

@@ -38,9 +38,7 @@ from .persistence import (
     save_config,
     serialize_config,
 )
-from .text import (
-    CLASSES, Vocabulary, bundled_conflicts_path, check_min_count, load_norm_conflicts, load_snli,
-)
+from .text import CLASSES, Vocabulary, bundled_conflicts_path, load_norm_conflicts, load_snli
 from .training import probabilities
 
 EXIT_OK = 0
@@ -80,11 +78,12 @@ def _output_dir(path: Path):
     try:
         try:
             path.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
         yield path
     except DATA_ERRORS:
-        with contextlib.suppress(OSError):  # stops at the first one not empty
+        # stops at the first one not empty, or one a NUL keeps from existing
+        with contextlib.suppress(OSError, ValueError):
             for p in made:
                 p.rmdir()
         raise
@@ -138,11 +137,9 @@ def _classifier_for(cfg: RunConfig) -> NliClassifier:
 def _cmd_train(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     clf = _classifier_for(cfg)
-    # every model, optimizer and vocabulary key is checked before any file is
-    # read or made; the built vocabulary replaces vocab_words, so any valid one does
-    cfg.train_config()
+    # the model's cross-field rules, before any file is read or made; the built
+    # vocabulary replaces vocab_words, so any valid one does
     cfg.model_config(vocab_words=3)
-    check_min_count(cfg.min_count)
     out_dir = _resolve_output_dir(cfg.output_dir, args.output_dir)
     train_path = _require_file(cfg.train_path, "train_path")
     val_path = cfg.validation_path and _require_file(cfg.validation_path, "validation_path")

@@ -13,17 +13,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, ParamsMixin, check_fitted, split_seed
+from .base import ConfigError, ContractError, ParamsMixin, check_fitted, check_value, split_seed
 # forward_batch, make_batch: perfbench/tracing.py wraps them here; ROADMAP item 1 drops them
 from .model import ModelConfig, ModelParameters, forward_batch, make_batch  # noqa: F401
 from .text import (
     CLASSES,
     MAX_SEQUENCE_LENGTH,
+    MIN_COUNT,
     EncodedPair,
     NliExample,
     Vocabulary,
     build_vocab,
-    check_min_count,
     encode_pair,
 )
 from .training import SEED_INIT, TrainConfig, Trainer, probabilities
@@ -34,7 +34,7 @@ SEED_HOLDOUT = 3
 class PairEncoder(ParamsMixin):
     """Learns a vocabulary from a corpus and encodes sentence pairs."""
 
-    def __init__(self, min_count: int = 1, max_len: int = MAX_SEQUENCE_LENGTH):
+    def __init__(self, min_count: int = MIN_COUNT.default, max_len: int = MAX_SEQUENCE_LENGTH):
         self.min_count = min_count
         self.max_len = max_len
         self.vocabulary_: Vocabulary | None = None
@@ -93,7 +93,7 @@ class NliClassifier(ParamsMixin):
         d_ffn: int | None = ModelConfig.d_ffn,
         max_len: int = ModelConfig.max_len,
         dropout: float = ModelConfig.dropout,
-        min_count: int = 1,
+        min_count: int = MIN_COUNT.default,
         base_lr: float = TrainConfig.base_lr,
         warmup_fraction: float = TrainConfig.warmup_fraction,
         clip_bound: float = TrainConfig.clip_bound,
@@ -137,16 +137,13 @@ class NliClassifier(ParamsMixin):
         names = cls._param_names()
         return [f.name for f in fields(ModelConfig) if f.name in names]
 
-    def _train_config(self) -> TrainConfig:
-        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
-
     def fit(
         self,
         examples: Sequence[NliExample],
         validation: Sequence[NliExample] | None = None,
     ) -> "NliClassifier":
-        train_config = self._train_config()
-        check_min_count(self.min_count)
+        train_config = TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
+        check_value("min_count", self.min_count, MIN_COUNT)
         examples = list(examples)
         if not examples:
             raise ContractError("fit needs at least one training example")

@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, check_float, check_int
+from .base import ConfigError, ContractError, check_fields, setting
 from .tensor import (
     Tensor,
     add,
@@ -56,29 +56,24 @@ class ModelConfig:
     table has vocab_words + max_len rows.
     """
 
-    vocab_words: int
-    n_blocks: int = 12
-    n_heads: int = 12
-    d_model: int = 240
-    d_ffn: int | None = None
-    max_len: int = MAX_SEQUENCE_LENGTH
-    n_classes: int = 3
-    layer_norm_eps: float = 1e-5
-    dropout: float = 0.0
+    vocab_words: int = setting(lo=3)  # the 3 reserved tokens at least
+    n_blocks: int = setting(12)
+    n_heads: int = setting(12)
+    d_model: int = setting(240)
+    d_ffn: int | None = setting(None)
+    max_len: int = setting(MAX_SEQUENCE_LENGTH)
+    n_classes: int = setting(3, lo=2)
+    layer_norm_eps: float = setting(1e-5, float, lo=0, closed=False)
+    dropout: float = setting(0.0, float, lo=0, hi=1)
 
     def __post_init__(self):
+        check_fields(self)
         if self.d_ffn is None:
             self.d_ffn = 4 * self.d_model
-        check_int(self.vocab_words, "vocab_words", 3)  # the 3 reserved tokens at least
-        for name in ("n_blocks", "n_heads", "d_model", "d_ffn", "max_len"):
-            check_int(getattr(self, name), name, 1)
-        check_int(self.n_classes, "n_classes", 2)
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} is not divisible by n_heads {self.n_heads}"
             )
-        check_float(self.layer_norm_eps, "layer_norm_eps", 0, math.inf)
-        check_float(self.dropout, "dropout", 0, 1, lo_closed=True)
 
     @property
     def d_head(self) -> int:

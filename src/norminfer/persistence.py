@@ -22,19 +22,21 @@ and serializing a loaded config parses back to an equal value.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import struct
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .base import CheckpointError, CheckpointVersionError, ConfigError, atomic_write
-from .model import ModelConfig, ModelParameters, ParameterSpec, parameter_shapes
+from .base import (CheckpointError, CheckpointVersionError, ConfigError, atomic_write,
+                   check_fields, check_value, setting)
+from .model import ModelConfig, ModelParameters, parameter_shapes
+from .text import MIN_COUNT
 from .training import TrainConfig
 
 MAGIC = b"NRMINFR\x00"
@@ -129,7 +131,7 @@ def _read_file(path: Path) -> np.ndarray:
             raw = buf[start : start + size]
             raw[: len(head)] = np.frombuffer(head, dtype=np.uint8)
             end = len(head) + fh.readinto(raw[len(head) :])
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise CheckpointError(f"file: cannot read {path} ({exc})") from None
     return raw[:end]
 
@@ -171,11 +173,11 @@ def _read_header(raw: np.ndarray) -> tuple[dict, int]:
     return header, header_end
 
 
-def _check_manifest(manifest, specs: dict[str, ParameterSpec]) -> None:
+def _check_manifest(manifest, config: ModelConfig) -> None:
     """Reject a tensor manifest unless it is a list of objects, each with a
     ``shape`` of non-negative integers and a supported ``dtype``, whose
-    ``name`` fields list the tensors of ``specs`` in order, at the shapes
-    the config requires."""
+    ``name`` fields list the tensors of ``config`` in order, at the shapes
+    it requires."""
     if not isinstance(manifest, list):
         raise CheckpointError(
             f"tensor manifest: expected a list, got {type(manifest).__name__}"
@@ -199,7 +201,10 @@ def _check_manifest(manifest, specs: dict[str, ParameterSpec]) -> None:
                 "not a list of non-negative integers"
             )
         _le_dtype(entry["dtype"])
-    if [entry["name"] for entry in manifest] != list(specs):
+    # every block has tensors of its own, so a config with as many blocks as
+    # the manifest has entries, or more, cannot match it: it is not enumerated
+    specs = parameter_shapes(config) if config.n_blocks < len(manifest) else {}
+    if not specs or [entry["name"] for entry in manifest] != list(specs):
         raise CheckpointError(
             "tensor manifest: names do not match the config's parameter set"
         )
@@ -230,7 +235,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError("config: hash mismatch, header is corrupt")
 
     manifest = header["tensors"]
-    _check_manifest(manifest, parameter_shapes(config))
+    _check_manifest(manifest, config)
 
     expected_size = sum(
         int(np.prod(e["shape"], dtype=np.int64)) * _le_dtype(e["dtype"]).itemsize
@@ -256,61 +261,56 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(params=params, meta=header["meta"])
 
 
+def _shared_fields(config_cls, **defaults) -> list[tuple]:
+    """The fields of ``config_cls`` as RunConfig fields: each keeps its
+    kind, bounds and default, bar the defaults given here."""
+    return [(f.name, f.type, dataclasses.field(default=defaults.get(f.name, f.default),
+                                               metadata=f.metadata))
+            for f in fields(config_cls)]
+
+
+*_train_fields, _seed_field = _shared_fields(TrainConfig)
+_RunKeys = dataclasses.make_dataclass(
+    "_RunKeys", [
+        *_shared_fields(ModelConfig, vocab_words=56220),
+        *_train_fields,
+        ("min_count", "int", MIN_COUNT),
+        _seed_field,
+        ("train_path", "str | None", setting(None, str)),
+        ("validation_path", "str | None", setting(None, str)),
+        ("output_dir", "str", setting("out", str)),
+    ], frozen=True,
+)
+
+
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(_RunKeys):
     """One run's full recipe: architecture, optimization, data, output.
 
-    Values parse by their field annotations. vocab_words only sizes the
-    embedding table for parameter accounting; training replaces it with
-    the vocabulary actually built from data.
+    The model and training keys are ModelConfig's and TrainConfig's fields,
+    and each value is checked when a RunConfig is made. vocab_words only
+    sizes the embedding table for parameter accounting; training replaces
+    it with the vocabulary actually built from data.
     """
 
-    vocab_words: int = 56220
-    n_blocks: int = ModelConfig.n_blocks
-    n_heads: int = ModelConfig.n_heads
-    d_model: int = ModelConfig.d_model
-    d_ffn: int | None = ModelConfig.d_ffn
-    max_len: int = ModelConfig.max_len
-    n_classes: int = ModelConfig.n_classes
-    layer_norm_eps: float = ModelConfig.layer_norm_eps
-    dropout: float = ModelConfig.dropout
-    base_lr: float = TrainConfig.base_lr
-    warmup_fraction: float = TrainConfig.warmup_fraction
-    clip_bound: float = TrainConfig.clip_bound
-    batch_size: int = TrainConfig.batch_size
-    patience_epochs: int = TrainConfig.patience_epochs
-    max_epochs: int = TrainConfig.max_epochs
-    min_count: int = 1
-    seed: int = TrainConfig.seed
-    train_path: str | None = None
-    validation_path: str | None = None
-    output_dir: str = "out"
-
-    def _values_for(self, config_cls) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(config_cls)}
+    __post_init__ = check_fields
 
     def model_config(self, vocab_words: int | None = None) -> ModelConfig:
-        values = self._values_for(ModelConfig)
+        values = {f.name: getattr(self, f.name) for f in fields(ModelConfig)}
         if vocab_words is not None:
             values["vocab_words"] = vocab_words
         return ModelConfig(**values)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(**self._values_for(TrainConfig))
-
-
-# Each field's value type, int, float or str: its annotation minus None.
-_FIELD_TYPES = {
-    name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-    for name, hint in typing.get_type_hints(RunConfig).items()
-}
-_TYPE_NAMES = {int: "an integer", float: "a number"}
+        return TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse ``key = value`` lines. Blank lines are skipped, and so is a
     line whose first non-blank character is ``#``; a ``#`` inside a value
-    is part of it."""
+    is part of it. Each value converts to its key's kind and is checked
+    against its bounds."""
+    declared = {f.name: f for f in fields(RunConfig)}
     values: dict[str, object] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -322,22 +322,18 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             )
         key, _, value = stripped.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _FIELD_TYPES:
+        if key not in declared:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        kind = _FIELD_TYPES[key]
-        if kind is str:
-            if not value:
-                raise ConfigError(f"{source}:{lineno}: key {key!r} has an empty value")
-            values[key] = value
-            continue
+        # text that does not convert stays text, which check_value rejects
+        with contextlib.suppress(ValueError):
+            value = declared[key].metadata["kind"](value)
         try:
-            values[key] = kind(value)
-        except ValueError:
-            raise ConfigError(
-                f"{source}:{lineno}: key {key!r} needs {_TYPE_NAMES[kind]}, got {value!r}"
-            ) from None
+            check_value(key, value, declared[key])
+        except ConfigError as exc:
+            raise ConfigError(f"{source}:{lineno}: {exc}") from None
+        values[key] = value
     return RunConfig(**values)
 
 
@@ -345,7 +341,7 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise ConfigError(f"cannot read config {path} ({exc})") from None
     return parse_config_text(text, source=str(path))
 
@@ -356,11 +352,11 @@ def serialize_config(cfg: RunConfig) -> str:
     Unset optional paths are omitted; parsing the output reproduces cfg.
     """
     lines = []
-    for name in _FIELD_TYPES:
-        value = getattr(cfg, name)
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
         if value is None:
             continue
-        lines.append(f"{name} = {value!r}" if isinstance(value, float) else f"{name} = {value}")
+        lines.append(f"{f.name} = {value!r}" if isinstance(value, float) else f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ContractError, IngestError, atomic_write, check_int, check_text
+from .base import ContractError, IngestError, atomic_write, check_text, check_value, setting
 
 logger = logging.getLogger(__name__)
 
@@ -36,6 +36,8 @@ RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN)
 PAD_ID, UNK_ID, EOS_ID = 0, 1, 2
 
 MAX_SEQUENCE_LENGTH = 360
+# a token enters the vocabulary once it occurs this often in the training corpus
+MIN_COUNT = setting(1)
 
 CONFLICT_TYPES = (
     "deontic-modality",
@@ -97,7 +99,7 @@ class Vocabulary:
     def load(cls, path: str | Path) -> "Vocabulary":
         try:
             content = Path(path).read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
             raise IngestError(f"cannot read vocabulary file {path}: {exc}") from exc
         tokens = content.splitlines()
         if not tokens:
@@ -109,15 +111,12 @@ class Vocabulary:
         return hashlib.sha256(payload).hexdigest()
 
 
-def check_min_count(min_count) -> None:
-    check_int(min_count, "min_count", 1)
-
-
-def build_vocab(examples: Iterable["NliExample"], min_count: int = 1) -> Vocabulary:
+def build_vocab(examples: Iterable["NliExample"],
+                min_count: int = MIN_COUNT.default) -> Vocabulary:
     """Count tokens over premises and hypotheses, then order by descending
     frequency with ties broken lexicographically.
     """
-    check_min_count(min_count)
+    check_value("min_count", min_count, MIN_COUNT)
     counts: Counter[str] = Counter()
     n_examples = 0
     for ex in examples:
@@ -246,7 +245,7 @@ def load_snli(path: str | Path) -> list[NliExample]:
                     logger.warning("%s:%d: malformed record skipped", path, line_no)
                     continue
                 examples.append(NliExample(premise, hypothesis, label))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
     logger.info(
         "%s: %d examples loaded, %d without consensus dropped, %d malformed skipped",
@@ -280,11 +279,7 @@ def load_norm_conflicts(path: str | Path) -> list[ConflictRecord]:
     try:
         with path.open("r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {
-                "norm_a",
-                "norm_b",
-                "conflict_type",
-            }.issubset(reader.fieldnames):
+            if not {"norm_a", "norm_b", "conflict_type"}.issubset(reader.fieldnames or ()):
                 raise IngestError(
                     f"{path}: header must contain norm_a, norm_b, conflict_type; "
                     f"got {reader.fieldnames}"
@@ -302,7 +297,9 @@ def load_norm_conflicts(path: str | Path) -> list[ConflictRecord]:
                         f"{row['conflict_type']!r}; known types are {CONFLICT_TYPES}"
                     )
                 records.append(ConflictRecord(norm_a, norm_b, ctype))
-    except (OSError, UnicodeDecodeError) as exc:
+    except csv.Error as exc:  # a field over the csv module's limit, or a NUL before 3.11
+        raise IngestError(f"{path}:{reader.reader.line_num}: {exc}") from None
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path, or not UTF-8
         raise IngestError(f"cannot read conflicts file {path}: {exc}") from exc
     if not records:
         raise IngestError(f"{path}: no conflict records found")

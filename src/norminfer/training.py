@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import base
-from .base import ContractError, NumericError, atomic_write, check_float, check_int, split_seed
+from .base import ContractError, NumericError, atomic_write, check_fields, setting, split_seed
 from .model import Batch, ModelParameters, embedding_ids, forward_batch, make_batch
 from .tensor import GradTape, RowGrad, Tensor, _dense, _result, row_tiles, untaped
 from .text import EncodedPair
@@ -63,22 +63,15 @@ Grads = dict[Tensor, np.ndarray | RowGrad]  # as ``GradTape.backward`` returns t
 
 @dataclass
 class TrainConfig:
-    base_lr: float = 6.25e-5
-    warmup_fraction: float = 0.002
-    clip_bound: float = 1.0
-    batch_size: int = 16
-    patience_epochs: int = 10
-    max_epochs: int = 100
-    seed: int = 0
+    base_lr: float = setting(6.25e-5, float, lo=0, closed=False)
+    warmup_fraction: float = setting(0.002, float, lo=0, hi=1, closed=False)
+    clip_bound: float = setting(1.0, float, lo=0, closed=False)
+    batch_size: int = setting(16)
+    patience_epochs: int = setting(10)
+    max_epochs: int = setting(100, lo=0)
+    seed: int = setting(0, lo=0)
 
-    def __post_init__(self):
-        check_float(self.base_lr, "base_lr", 0, math.inf)
-        check_float(self.warmup_fraction, "warmup_fraction", 0, 1)
-        check_float(self.clip_bound, "clip_bound", 0, math.inf)
-        check_int(self.batch_size, "batch_size", 1)
-        check_int(self.patience_epochs, "patience_epochs", 1)
-        check_int(self.max_epochs, "max_epochs", 0)
-        check_int(self.seed, "seed", 0)
+    __post_init__ = check_fields
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands, exit codes, artifact layout."""
 
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -597,6 +598,13 @@ def _flip_meta_digit(raw):
     return bytes(out)
 
 
+def _more_blocks(header):
+    """A config of 10^12 blocks with its hash: too many to enumerate."""
+    header["config"]["n_blocks"] = 10**12
+    config_bytes = json.dumps(header["config"], sort_keys=True, separators=(",", ":")).encode()
+    header["config_sha256"] = hashlib.sha256(config_bytes).hexdigest()
+
+
 # fault name -> (section the error must name first, fault)
 CHECKPOINT_FAULTS = {
     **{f"delete {field}": ("header", _header_edit(lambda header, field=field: header.pop(field)))
@@ -608,6 +616,7 @@ CHECKPOINT_FAULTS = {
     "mutate meta_sha256": ("meta", _mutate("meta_sha256", "0" * 64)),
     "mutate tensors": ("tensor manifest",
                        _header_edit(lambda header: header["tensors"].pop())),
+    "more blocks than tensors": ("tensor manifest", _header_edit(_more_blocks)),
     "mutate payload_sha256": ("payload", _mutate("payload_sha256", "0" * 64)),
     "flip magic byte": ("magic", _flip(lambda raw, end: 0)),
     "flip version byte": ("version", _flip(lambda raw, end: 8)),
@@ -716,6 +725,20 @@ class TestAnalyzeConflicts:
         else:
             assert [p.name for p in out.iterdir()] == (["notes.txt"] if before == "in-use" else [])
 
+    def test_field_over_the_csv_limit_exits_data_and_leaves_no_directory(
+        self, workspace, tmp_path, capsys
+    ):
+        conflicts = tmp_path / "pairs.csv"
+        conflicts.write_text("norm_a,norm_b,conflict_type\n"
+                             f"{'w ' * 70_000},the seller may pay,deontic-modality\n",
+                             encoding="utf-8")
+        code = run_cli(["analyze-conflicts", "--checkpoint", artifact(workspace, CHECKPOINT_FILE),
+                        "--vocab", artifact(workspace, VOCAB_FILE), "--conflicts", str(conflicts),
+                        "--output-dir", str(tmp_path / "reports")])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: {conflicts}:2: field larger than")
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.csv"]
+
     def test_reports_byte_identical_across_runs(self, workspace, tmp_path, capsys):
         outputs = []
         for name in ("r1", "r2"):
@@ -750,6 +773,45 @@ class TestInspect:
     def test_bad_config_key(self, tmp_path, capsys):
         (tmp_path / "c.cfg").write_text("wat = 1\n")
         assert run_cli(["inspect", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "line",
+        ["clip_bound = 1e400", "base_lr = 0", "base_lr = nan", "warmup_fraction = 1",
+         "batch_size = 0", "patience_epochs = 0", "max_epochs = -1", "seed = -1",
+         "min_count = 0"],
+    )
+    def test_out_of_range_training_key_exits_data(self, tmp_path, capsys, line):
+        """inspect rejects each training value train rejects, naming its line."""
+        (tmp_path / "c.cfg").write_text(f"n_blocks = 2\n{line}\n")
+        assert run_cli(["inspect", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'c.cfg'}:2: {line.split()[0]} must be ")
+
+
+class TestNulByteInAPath:
+    """A path with a NUL byte, which no file system takes, exits 2 and names it."""
+
+    @pytest.mark.parametrize("command", ["inspect", "train"])
+    def test_config(self, tmp_path, capsys, command):
+        path = tmp_path / "a\0b"
+        assert run_cli([command, "--config", str(path)]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {path} ")
+
+    def test_train_output_dir(self, tmp_path, capsys):
+        write_jsonl(tmp_path / "train.jsonl", make_corpus(16))
+        write_config(tmp_path / "c.cfg", f"train_path = {tmp_path / 'train.jsonl'}")
+        out = tmp_path / "o\0u"
+        code = run_cli(["train", "--config", str(tmp_path / "c.cfg"), "--output-dir", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "train.jsonl"]
+
+    def test_analyze_conflicts_output_dir(self, workspace, tmp_path, capsys):
+        out = tmp_path / "o\0u"
+        code = run_cli(["analyze-conflicts", "--checkpoint", artifact(workspace, CHECKPOINT_FILE),
+                        "--vocab", artifact(workspace, VOCAB_FILE), "--output-dir", str(out)])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"error: cannot create output directory {out}: ")
 
 
 class TestConsoleScript:

@@ -421,10 +421,17 @@ class TestRunConfigParsing:
 
     def test_readme_sample_parses_to_the_defaults(self):
         text = README.read_text(encoding="utf-8")
-        cfg = parse_config_text(text.split("```ini\n", 1)[1].split("```", 1)[0], "README")
+        block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config_text(block, "README")
         assert cfg.model_config() == RunConfig().model_config()
         unset = dataclasses.replace(cfg, d_ffn=None, train_path=None, validation_path=None)
         assert unset == RunConfig()
+        assert (cfg.d_ffn, cfg.train_path, cfg.validation_path) == (
+            960, "snli_1.0_train.jsonl", "snli_1.0_dev.jsonl")
+        # every key is listed, in declaration order
+        keys = [line.partition("=")[0].strip() for line in block.splitlines()
+                if line.strip() and not line.startswith("#")]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
 
     @pytest.mark.parametrize("key", ["test_path", "conflicts_path"])
     def test_keys_no_command_reads_are_unknown(self, key):

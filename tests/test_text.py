@@ -290,6 +290,17 @@ class TestLoadNormConflicts:
         with pytest.raises(IngestError):
             load_norm_conflicts(tmp_path / "absent.csv")
 
+    def test_field_over_the_csv_limit_names_file_and_line(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(
+            "norm_a,norm_b,conflict_type\nx shall y,x may y,deontic-modality\n"
+            f"{'w ' * 70_000},x may y,deontic-modality\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(IngestError) as caught:
+            load_norm_conflicts(path)
+        assert str(caught.value).startswith(f"{path}:3: field larger than field limit")
+
     def test_byte_order_mark_before_the_header(self, tmp_path):
         # spreadsheet exports often start with a UTF-8 byte-order mark
         path = tmp_path / "c.csv"
