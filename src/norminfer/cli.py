@@ -29,7 +29,7 @@ from .base import (
 )
 from .conflicts import analyze_conflicts, format_report, write_report_csv, write_report_text
 from .estimator import NliClassifier
-from .model import ModelConfig, count_parameters, parameter_shapes
+from .model import ModelConfig, count_parameters
 from .persistence import (
     RunConfig,
     load_checkpoint,
@@ -215,17 +215,7 @@ def _cmd_analyze_conflicts(args: argparse.Namespace) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     cfg = load_config(args.config) if args.config else RunConfig()
-    model_config = cfg.model_config()
-    analytic = count_parameters(model_config)
-    enumerated = sum(
-        math.prod(spec.shape) for spec in parameter_shapes(model_config).values()
-    )
-    if analytic != enumerated:
-        raise ContractError(
-            f"parameter accounting disagrees: analytic {analytic}, "
-            f"enumerated {enumerated}"
-        )
-    print(f"parameters = {analytic}")
+    print(f"parameters = {count_parameters(cfg.model_config())}")
     print(serialize_config(cfg), end="")
     return EXIT_OK
 

@@ -13,8 +13,9 @@ the final step. The step budget is fixed up front as max_epochs times the
 number of batches per epoch; early stopping simply leaves the tail of the
 schedule unused.
 
-Gradients, not parameters, are clamped elementwise into
-[-clip_bound, +clip_bound] before every update.
+The step's tail is ``sum_gradients`` of the two halves and one Adam step,
+which first checks each gradient for NaN or +-inf and clamps it, not the
+parameters, elementwise into [-clip_bound, +clip_bound].
 
 Inference and each epoch's validation both run through ``probabilities``,
 the one forward-only loop.
@@ -153,30 +154,26 @@ def clip_gradients(params: Iterable[tuple[str, Tensor]], grads: Grads, bound: fl
     """
     if not (bound > 0):
         raise ContractError(f"clip bound must be > 0, got {bound}")
+    items = _largest_first([(name, grads[t]) for name, t in params if t in grads])
+    base.run_shared(functools.partial(_clip, bound=bound), items)
 
-    def clip(item: tuple[str, np.ndarray | RowGrad]) -> None:
-        g, lo, hi = _finite_range(*item)
-        if lo < -bound or hi > bound:
-            np.clip(g, -bound, bound, out=g)
 
-    base.run_shared(clip, _largest_first([(name, grads[t]) for name, t in params if t in grads]))
+def _clip(item: tuple[str, np.ndarray | RowGrad], bound: float) -> None:
+    """Check and clamp one (name, gradient) pair for ``clip_gradients``: two
+    reductions, and no mask the size of the gradient or write within bound."""
+    name, grad = item
+    g = grad.values if isinstance(grad, RowGrad) else grad
+    lo, hi = (g.min(), g.max()) if g.size else (0, 0)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise NumericError(f"non-finite gradient in {name}")
+    if lo < -bound or hi > bound:
+        np.clip(g, -bound, bound, out=g)
 
 
 def _largest_first(items: list) -> list:
     """``items`` whose second entry is a gradient, largest first: the order
     in which the caller and the helper thread share per-tensor work."""
     return sorted(items, key=lambda item: getattr(item[1], "values", item[1]).size, reverse=True)
-
-
-def _finite_range(name: str, grad):
-    """The array a gradient holds, a :class:`RowGrad`'s ``values``, and its
-    min and max (0 when empty); NumericError naming the tensor if it holds
-    NaN or +-inf. Two reductions, no boolean mask the size of the gradient."""
-    g = grad.values if isinstance(grad, RowGrad) else grad
-    lo, hi = (g.min(), g.max()) if g.size else (0, 0)
-    if not (np.isfinite(lo) and np.isfinite(hi)):
-        raise NumericError(f"non-finite gradient in {name}")
-    return g, lo, hi
 
 
 def lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -190,13 +187,15 @@ def lazy_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
 
 class AdamOptimizer:
     """Adam with bias correction, at the fixed ``ADAM_BETA1``,
-    ``ADAM_BETA2`` and ``ADAM_EPS``.
+    ``ADAM_BETA2`` and ``ADAM_EPS``, on gradients clamped elementwise.
 
     Moment accumulators mirror every parameter shape; the step counter
     increases by one per update across all parameters.
 
-    The update is lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t)
-    and v_hat = v / (1 - beta2^t). Both corrections are folded into scalars,
+    With g = clamp(grad, -clip_bound, +clip_bound), m = beta1 * m + (1 - beta1) * g
+    and v = beta2 * v + (1 - beta2) * g^2, the update is
+    lr * m_hat / (sqrt(v_hat) + eps) with m_hat = m / (1 - beta1^t) and
+    v_hat = v / (1 - beta2^t). Both corrections are folded into scalars,
     lr / (1 - beta1^t) and 1 / sqrt(1 - beta2^t), so no corrected moment is
     materialized. Moments and weights are updated in place, one
     ``row_tiles`` tile of rows at a time through a tile-sized buffer per
@@ -209,8 +208,11 @@ class AdamOptimizer:
     and stay. Each tile builds its gradient from the rows that fall in it.
     """
 
-    def __init__(self, params: Iterable[tuple[str, Tensor]]):
+    def __init__(self, params: Iterable[tuple[str, Tensor]], clip_bound: float):
+        if not (clip_bound > 0):
+            raise ContractError(f"clip bound must be > 0, got {clip_bound}")
         self.tensors: list[tuple[str, Tensor]] = list(params)
+        self.clip_bound = clip_bound
         self.m = {name: lazy_zeros(t.shape, t.dtype) for name, t in self.tensors}
         self.v = {name: lazy_zeros(t.shape, t.dtype) for name, t in self.tensors}
         # rows named so far, per tensor that still has rows outside them
@@ -219,14 +221,15 @@ class AdamOptimizer:
 
     def step(self, grads: Grads, lr: float) -> None:
         """Apply one update from ``grads``, keyed by tensor; a tensor without
-        one keeps its weights and moments. A non-finite gradient raises
-        NumericError before any tensor, moment or the step count changes.
-        The checks and then the per-tensor updates run largest first on the
-        caller and the helper thread; which rows an update takes is settled
-        on the caller first. Nothing of ``grads`` is kept.
+        one keeps its weights and moments. ``clip_gradients`` first clamps
+        each gradient in place, or raises NumericError on a non-finite one
+        before any tensor, moment or the step count changes. The clamps, then
+        the per-tensor updates, run largest first on the caller and the helper
+        thread; which rows an update takes is settled on the caller first.
+        Nothing of ``grads`` is kept.
         """
+        clip_gradients(self.tensors, grads, self.clip_bound)
         updates = [(name, grads[t], t) for name, t in self.tensors if t in grads]
-        base.run_shared(lambda item: _finite_range(*item[:2]), _largest_first(updates))
         self.step_count += 1
         t = self.step_count
         step_size = lr / (1.0 - ADAM_BETA1**t)
@@ -464,7 +467,7 @@ class Trainer:
         total_steps = cfg.max_epochs * math.ceil(len(train_pairs) / cfg.batch_size)
         log.total_steps = total_steps
         named = list(params.named_tensors())
-        optimizer = AdamOptimizer(named)
+        optimizer = AdamOptimizer(named, cfg.clip_bound)
 
         def train_step(batch: Batch, step: int) -> tuple[float, int]:
             """One update; the batch's loss sum and correct count. Nothing
@@ -491,7 +494,6 @@ class Trainer:
             losses, corrects, clamps = zip(*(r[1:] for r in results))
             results.clear()  # the helper's closure may outlive the call
             log.clamp_events += sum(clamps)
-            clip_gradients(named, grads, cfg.clip_bound)
             optimizer.step(grads, lr_at(step, total_steps, cfg))
             return sum(losses), sum(corrects)
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import resource
 import shutil
 import subprocess
 import sys
@@ -28,7 +29,8 @@ from norminfer.cli import (
     _resolve_output_dir,
     run_cli,
 )
-from norminfer.persistence import load_checkpoint, save_checkpoint
+from norminfer.model import count_parameters
+from norminfer.persistence import RunConfig, load_checkpoint, save_checkpoint
 from norminfer.text import CLASSES, Vocabulary
 
 TINY_MODEL_LINES = (
@@ -786,6 +788,24 @@ class TestInspect:
         assert run_cli(["inspect", "--config", str(tmp_path / "c.cfg")]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'c.cfg'}:2: {line.split()[0]} must be ")
+
+    def test_a_huge_model_is_counted_without_enumerating_it(self, tmp_path):
+        """inspect counts 10^8 blocks under a 1.5 GB address-space limit."""
+        config = tmp_path / "c.cfg"
+        config.write_text("n_blocks = 100000000\n")
+        want = count_parameters(RunConfig(n_blocks=100_000_000).model_config())
+        limit = 1_500_000_000
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "norminfer", "inspect", "--config", str(config)],
+            capture_output=True, text=True, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert want == 69336013579923
+        assert f"parameters = {want}\n" in proc.stdout
 
 
 class TestNulByteInAPath:

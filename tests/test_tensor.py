@@ -397,7 +397,7 @@ class TestCausalMask:
         with pytest.raises(NumericError, match="non-finite gradient in w_qkv"):
             clip_gradients(named, grads, 1.0)
         with pytest.raises(NumericError, match="non-finite gradient in w_qkv"):
-            AdamOptimizer(named).step(grads, 0.1)
+            AdamOptimizer(named, 1.0).step(grads, 0.1)
         assert w.data.tobytes() == before.tobytes()
 
     def test_cached_masks_are_read_only(self):

@@ -5,6 +5,7 @@ import threading
 import time
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -192,6 +193,9 @@ class TestClip:
             clip_one(np.zeros(2), 0.0)
         with pytest.raises(ContractError):
             clip_gradients([], {}, 0.0)
+        for bound in (0.0, -1.0, math.nan):
+            with pytest.raises(ContractError, match="clip bound must be > 0"):
+                AdamOptimizer([], bound)
 
     def test_row_gradient_is_clamped_in_its_values(self):
         w = parameter(np.zeros((6, 2)), dtype=np.float64)
@@ -204,31 +208,33 @@ class TestClip:
         with pytest.raises(NumericError, match="non-finite gradient in w"):
             clip_gradients([("w", w)], grads, 1.0)
         with pytest.raises(NumericError, match="non-finite gradient in w"):
-            AdamOptimizer([("w", w)]).step(grads, 0.1)
+            AdamOptimizer([("w", w)], 1.0).step(grads, 0.1)
         assert not w.data.any()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_gradient_raises_before_the_clamp(self, bad):
         w = parameter(np.array([1.0, 2.0]), dtype=np.float64)
-        opt = AdamOptimizer([("w", w)])
+        opt = AdamOptimizer([("w", w)], 1.0)
         grads = {w: np.array([bad, 0.5])}
         with pytest.raises(NumericError, match="non-finite gradient in w"):
             clip_gradients([("w", w)], grads, 1.0)
+        with pytest.raises(NumericError, match="non-finite gradient in w"):
             opt.step(grads, 0.1)
+        np.testing.assert_array_equal(grads[w], [bad, 0.5])
         np.testing.assert_array_equal(w.data, [1.0, 2.0])
 
 
 class TestAdam:
     def test_scalar_quadratic_matches_hand_recurrence(self):
         w = parameter(np.array([1.0]), dtype=np.float64)
-        opt = AdamOptimizer([("w", w)])
+        opt = AdamOptimizer([("w", w)], math.inf)
         for expected in ADAM_QUADRATIC_TRACE:
             opt.step({w: 2.0 * w.data}, 0.1)
             np.testing.assert_allclose(w.data[0], expected, rtol=0, atol=1e-12)
 
     def test_constant_gradient_update_magnitude_approaches_lr(self):
         w = parameter(np.array([0.0]), dtype=np.float64)
-        opt = AdamOptimizer([("w", w)])
+        opt = AdamOptimizer([("w", w)], math.inf)
         lr = 0.01
         for _ in range(100):
             before = w.data.copy()
@@ -239,7 +245,7 @@ class TestAdam:
 
     def test_state_mirrors_parameter_shapes_and_step_counts(self):
         params = build_toy_params(build_toy_config(vocab_words=8))
-        opt = AdamOptimizer(params.named_tensors())
+        opt = AdamOptimizer(params.named_tensors(), math.inf)
         for name, tensor in params.named_tensors():
             assert opt.m[name].shape == tensor.shape
             assert opt.v[name].shape == tensor.shape
@@ -250,7 +256,7 @@ class TestAdam:
     def test_gradients_cleared_after_step(self):
         """The optimizer keeps nothing of the gradients it was given."""
         w = parameter(np.array([1.0]), dtype=np.float64)
-        opt = AdamOptimizer([("w", w)])
+        opt = AdamOptimizer([("w", w)], math.inf)
         grad = np.array([1.0])
         held = weakref.ref(grad)
         opt.step({w: grad}, 0.1)
@@ -260,7 +266,7 @@ class TestAdam:
     def test_non_finite_gradient_raises(self):
         for bad in (np.nan, np.inf, -np.inf):
             w = parameter(np.array([1.0, 2.0, 3.0]), dtype=np.float64)
-            opt = AdamOptimizer([("w", w)])
+            opt = AdamOptimizer([("w", w)], math.inf)
             with pytest.raises(NumericError, match="non-finite gradient in w"):
                 opt.step({w: np.array([0.5, bad, -0.5])}, 0.1)
             np.testing.assert_array_equal(w.data, [1.0, 2.0, 3.0])
@@ -271,7 +277,7 @@ class TestAdam:
         the next finite step is the reference's first step."""
         a = parameter(np.array([1.0]), dtype=np.float64)
         b = parameter(np.array([2.0]), dtype=np.float64)
-        opt = AdamOptimizer([("a", a), ("b", b)])
+        opt = AdamOptimizer([("a", a), ("b", b)], math.inf)
         grads = {a: np.array([1.0]), b: np.array([np.nan])}
         with pytest.raises(NumericError, match="non-finite gradient in b"):
             opt.step(grads, 0.1)
@@ -293,7 +299,7 @@ class TestAdam:
         start = [rng.normal(size=s) for s in shapes]
         grads = [[rng.normal(scale=0.5, size=s) for s in shapes] for _ in range(5)]
         tensors = [parameter(w.copy(), dtype=np.float64) for w in start]
-        opt = AdamOptimizer([(f"p{i}", t) for i, t in enumerate(tensors)])
+        opt = AdamOptimizer([(f"p{i}", t) for i, t in enumerate(tensors)], math.inf)
         for step_grads in grads:
             opt.step({t: g.copy() for t, g in zip(tensors, step_grads)}, 0.01)
         for t, expected in zip(tensors, reference_adam(start, grads, 0.01, 5)):
@@ -320,7 +326,8 @@ class TestAdam:
         rng = np.random.default_rng(73)
         start = rng.normal(size=(40, 5)).astype(dtype)
         dense, hinted = parameter(start.copy(), dtype=dtype), parameter(start.copy(), dtype=dtype)
-        dense_opt, hinted_opt = AdamOptimizer([("e", dense)]), AdamOptimizer([("e", hinted)])
+        dense_opt = AdamOptimizer([("e", dense)], math.inf)
+        hinted_opt = AdamOptimizer([("e", hinted)], math.inf)
         seen = set()
         for rows in hints:
             g = np.zeros(start.shape, dtype=dtype)
@@ -345,7 +352,7 @@ class TestAdam:
         b = parameter(np.array([1.0, 0.0, -3.0]), dtype=np.float64)
         start = [a.data.copy(), b.data.copy()]
         named = [("a", a), ("b", b)]
-        opt = AdamOptimizer(named)
+        opt = AdamOptimizer(named, 0.5)
         leaf_grad, handed = tensor_module._leaf_grad, []
 
         def spy(grad, held):
@@ -361,7 +368,6 @@ class TestAdam:
             # must not leave shared; the bound of 0.5 makes the clamp
             # write into each
             assert len(handed) == 2 and handed[0] is handed[1]
-            clip_gradients(named, grads, 0.5)
             opt.step(grads, 0.01)
         halves = [np.full(3, 0.5), np.full(3, 0.5)]
         for t, expected in zip((a, b), reference_adam(start, [halves] * 5, 0.01, 5)):
@@ -373,7 +379,7 @@ class TestAdam:
         monkeypatch.setattr(base, "_WORKERS", 2)
         params = build_toy_params(build_toy_config(vocab_words=8))
         named = list(params.named_tensors())
-        opt = AdamOptimizer(named)
+        opt = AdamOptimizer(named, 1.0)
         rng = np.random.default_rng(3)
         opt.step({t: rng.normal(size=t.shape).astype(t.dtype) for _, t in named}, 1e-2)
         state = [a.tobytes() for name, t in named for a in (t.data, opt.m[name], opt.v[name])]
@@ -404,7 +410,7 @@ class TestAdam:
             monkeypatch.setattr(base, "_WORKERS", workers)
             params = build_toy_params(config, seed=2)
             named = list(params.named_tensors())
-            opt = AdamOptimizer(named)
+            opt = AdamOptimizer(named, 1.0)
             for grads, rows in steps:
                 step = {t: grads[name].copy() for name, t in named}
                 table = step[params.embedding]
@@ -414,9 +420,32 @@ class TestAdam:
                          for a in (t.data, opt.m[name], opt.v[name])])
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("row_grad", [False, True], ids=["dense", "row-grad"])
+    def test_the_gradient_is_clamped_before_the_moments(self, row_grad):
+        """Bound 0.5 on [3.0, -0.2] updates weights and moments with the bits
+        of unclipped Adam on [0.5, -0.2], the reference's update."""
+        start = np.array([[1.0, -1.0], [0.25, 2.0], [0.0, 0.5]])
+
+        def run(row, bound):
+            w = parameter(start.copy(), dtype=np.float64)
+            opt = AdamOptimizer([("w", w)], bound)
+            for _ in range(3):
+                g = np.zeros_like(start)
+                g[1] = row
+                opt.step({w: RowGrad(np.array([1]), g[1:2], g.shape) if row_grad else g}, 0.1)
+            return [a.tobytes() for a in (w.data, opt.m["w"], opt.v["w"])], w.data
+
+        (clipped, weights), (unclipped, _) = run([3.0, -0.2], 0.5), run([0.5, -0.2], math.inf)
+        assert clipped == unclipped
+        g = np.zeros_like(start)
+        g[1] = [0.5, -0.2]
+        [want] = reference_adam([start], [[g]] * 3, 0.1, 3)
+        np.testing.assert_allclose(weights, want, rtol=1e-12, atol=0)
+        assert not np.array_equal(weights, start)
+
     def test_parameters_without_gradient_skipped(self):
         w = parameter(np.array([1.0]), dtype=np.float64)
-        opt = AdamOptimizer([("w", w)])
+        opt = AdamOptimizer([("w", w)], math.inf)
         opt.step({}, 0.1)
         assert w.data[0] == 1.0
 
@@ -760,6 +789,22 @@ class TestTrainerLoop:
         assert result.params is params
         assert [t.data.tobytes() for _, t in params.named_tensors()] == after_step_1 != start
 
+    def test_each_step_checks_each_gradient_once(self, monkeypatch):
+        """The finite check runs once per tensor per step, inside Adam."""
+        config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
+        train_pairs, val_pairs = self.small_dataset(config)
+        checked, clip = [], training._clip
+
+        def counted(item, bound):
+            checked.append(item[0])
+            clip(item, bound)
+
+        monkeypatch.setattr(training, "_clip", counted)
+        params = build_toy_params(config, seed=3)
+        result = Trainer(cfg(max_epochs=2, batch_size=4)).fit(params, train_pairs, val_pairs)
+        assert result.log.total_steps == 4 and len(result.log.epochs) == 2
+        assert Counter(checked) == {name: 4 for name, _ in params.named_tensors()}
+
     def test_deterministic_given_seed(self):
         config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
         # enough batches that two seeds almost surely shuffle differently
@@ -818,14 +863,14 @@ class TestTrainerLoop:
 
     @pytest.mark.parametrize("share", [training.SPARSE_ROW_SHARE, 0.0], ids=["live", "tiles"])
     def test_a_step_allocates_nothing_table_sized(self, monkeypatch, share):
-        """Backward, clip and Adam, live-row path or dense tiles, each
-        allocate well under a quarter of the embedding table."""
+        """Backward and Adam with its clip, live-row path or dense tiles,
+        each allocate well under a quarter of the embedding table."""
         monkeypatch.setattr(training, "SPARSE_ROW_SHARE", share)
         monkeypatch.setattr("norminfer.tensor.TILE_ELEMENTS", 1 << 12)
         config = build_toy_config(vocab_words=60_000, n_blocks=1, d_model=8)
         params = build_toy_params(config, seed=3)
         named = list(params.named_tensors())
-        optimizer = AdamOptimizer(named)
+        optimizer = AdamOptimizer(named, 1.0)
         rng = np.random.default_rng(5)
         batch = make_batch([build_random_pair(rng, config, t=n, label_id=0) for n in (7, 12)])
         table_bytes = params.embedding.data.nbytes
@@ -836,7 +881,6 @@ class TestTrainerLoop:
                 tracemalloc.start()
                 try:
                     for run in (lambda: grads.update(tape.backward(loss)),
-                                lambda: clip_gradients(named, grads, 1.0),
                                 lambda: optimizer.step(grads, 1e-3)):
                         tracemalloc.reset_peak()
                         run()
@@ -854,14 +898,13 @@ class TestTrainerLoop:
         batch = make_batch(pairs)
         params = build_toy_params(config, seed=5)
         named = list(params.named_tensors())
-        opt = AdamOptimizer(named)
+        opt = AdamOptimizer(named, 1.0)
         losses = []
         for _ in range(50):
             with GradTape() as tape:
                 probs = forward_batch(batch, params)
                 loss = nll_loss(probs, batch.labels)
                 grads = tape.backward(loss)
-            clip_gradients(named, grads, 1.0)
             opt.step(grads, 1e-3)
             losses.append(loss.item())
         non_decreases = sum(b >= a for a, b in zip(losses, losses[1:]))
@@ -884,7 +927,7 @@ class TestTrainerLoop:
         pairs = {"training": train_pairs, "validation": val_pairs}
         pairs[empty] = []
         params = build_toy_params(config)
-        monkeypatch.setattr(training, "AdamOptimizer", lambda named: pytest.fail("built"))
+        monkeypatch.setattr(training, "AdamOptimizer", lambda named, bound: pytest.fail("built"))
         with pytest.raises(ContractError, match=f"^fit needs at least one {empty} pair$"):
             Trainer(cfg(max_epochs=1)).fit(params, pairs["training"], pairs["validation"])
         result = Trainer(cfg(max_epochs=0)).fit(params, pairs["training"], pairs["validation"])
