@@ -210,6 +210,14 @@ def check_fields(config: Any) -> None:
             check_value(f.name, value, f)
 
 
+def shared_fields(config_cls: type, **defaults: Any) -> list[tuple]:
+    """The fields of dataclass ``config_cls`` as ``make_dataclass`` specs:
+    each keeps its kind, bounds and default, bar the defaults given here."""
+    return [(f.name, f.type, dataclasses.field(default=defaults.get(f.name, f.default),
+                                               metadata=f.metadata))
+            for f in dataclasses.fields(config_cls)]
+
+
 def check_text(value: Any, name: str) -> str:
     if not isinstance(value, str):
         raise ContractError(f"{name} must be a string, got {type(value).__name__}")

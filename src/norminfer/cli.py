@@ -28,7 +28,7 @@ from .base import (
     NumericError,
 )
 from .conflicts import analyze_conflicts, format_report, write_report_csv, write_report_text
-from .estimator import NliClassifier
+from .estimator import FIXED_MODEL_KEYS, NliClassifier
 from .model import ModelConfig, count_parameters
 from .persistence import (
     RunConfig,
@@ -122,16 +122,15 @@ def _classifier_for(cfg: RunConfig) -> NliClassifier:
     """The estimator that trains the model ``cfg`` describes. A model key
     the estimator takes no argument for (bar vocab_words, which the built
     vocabulary replaces) must keep the value the estimator builds with."""
-    clf = NliClassifier()
-    params = clf.get_params()
-    for f in fields(ModelConfig):
-        value = getattr(cfg, f.name)
-        if f.name not in params and f.name != "vocab_words" and value != f.default:
+    for name in FIXED_MODEL_KEYS[1:]:
+        value, default = getattr(cfg, name), getattr(ModelConfig, name)
+        if value != default:
             raise ConfigError(
-                f"key {f.name!r} = {value!r} is not supported: train builds "
-                f"the model with {f.name} = {f.default!r}"
+                f"key {name!r} = {value!r} is not supported: train builds "
+                f"the model with {name} = {default!r}"
             )
-    return clf.set_params(**{name: getattr(cfg, name) for name in params if hasattr(cfg, name)})
+    return NliClassifier(**{f.name: getattr(cfg, f.name) for f in fields(NliClassifier)
+                            if hasattr(cfg, f.name)})
 
 
 def _cmd_train(args: argparse.Namespace) -> int:

@@ -2,23 +2,24 @@
 
 PairEncoder is a fit/transform step from raw sentence pairs to encoded id
 sequences. NliClassifier wires encoding, initialization, and the training
-loop into a fit/predict classifier whose constructor arguments mirror the
-architecture and optimization knobs.
+loop into a fit/predict classifier whose constructor arguments are built
+from ModelConfig's and TrainConfig's fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields
+from dataclasses import field, fields, make_dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .base import ConfigError, ContractError, ParamsMixin, check_fitted, check_value, split_seed
+from .base import (ConfigError, ContractError, ParamsMixin, check_fields, check_fitted,
+                   shared_fields, split_seed)
 # forward_batch, make_batch: perfbench/tracing.py wraps them here; ROADMAP item 1 drops them
 from .model import ModelConfig, ModelParameters, forward_batch, make_batch  # noqa: F401
 from .text import (
     CLASSES,
-    MAX_SEQUENCE_LENGTH,
+    MAX_LEN,
     MIN_COUNT,
     EncodedPair,
     NliExample,
@@ -34,7 +35,7 @@ SEED_HOLDOUT = 3
 class PairEncoder(ParamsMixin):
     """Learns a vocabulary from a corpus and encodes sentence pairs."""
 
-    def __init__(self, min_count: int = MIN_COUNT.default, max_len: int = MAX_SEQUENCE_LENGTH):
+    def __init__(self, min_count: int = MIN_COUNT.default, max_len: int = MAX_LEN.default):
         self.min_count = min_count
         self.max_len = max_len
         self.vocabulary_: Vocabulary | None = None
@@ -74,8 +75,25 @@ class PairEncoder(ParamsMixin):
         return self.fit(examples).transform(examples)
 
 
-class NliClassifier(ParamsMixin):
+# the ModelConfig fields the classifier takes no argument for: the built
+# vocabulary sets vocab_words, and the other two keep their defaults
+FIXED_MODEL_KEYS = ("vocab_words", "n_classes", "layer_norm_eps")
+_MODEL_ARGS = [f.name for f in fields(ModelConfig) if f.name not in FIXED_MODEL_KEYS]
+
+_Arguments = make_dataclass("_Arguments", [
+    *(spec for spec in shared_fields(ModelConfig) if spec[0] in _MODEL_ARGS),
+    ("min_count", "int", MIN_COUNT),
+    *shared_fields(TrainConfig),
+    ("dtype", "str", field(default="float32")),
+], eq=False, repr=False)
+
+
+class NliClassifier(ParamsMixin, _Arguments):
     """Three-way inference classifier over sentence pairs.
+
+    The constructor arguments are ModelConfig's fields bar FIXED_MODEL_KEYS,
+    then min_count, TrainConfig's fields and dtype, each with its config's
+    default and bounds; they are stored verbatim and checked by fit.
 
     fit builds the vocabulary, initializes the decoder stack, and trains
     with Adam under the warmup/decay schedule, keeping the weights of the
@@ -84,42 +102,6 @@ class NliClassifier(ParamsMixin):
     runs through too: its passes are cut by tokens, whatever batch_size, the
     training batch, is, and shared by two threads with the bytes of one.
     """
-
-    def __init__(
-        self,
-        n_blocks: int = ModelConfig.n_blocks,
-        n_heads: int = ModelConfig.n_heads,
-        d_model: int = ModelConfig.d_model,
-        d_ffn: int | None = ModelConfig.d_ffn,
-        max_len: int = ModelConfig.max_len,
-        dropout: float = ModelConfig.dropout,
-        min_count: int = MIN_COUNT.default,
-        base_lr: float = TrainConfig.base_lr,
-        warmup_fraction: float = TrainConfig.warmup_fraction,
-        clip_bound: float = TrainConfig.clip_bound,
-        batch_size: int = TrainConfig.batch_size,
-        patience_epochs: int = TrainConfig.patience_epochs,
-        max_epochs: int = TrainConfig.max_epochs,
-        seed: int = TrainConfig.seed,
-        dtype: str = "float32",
-    ):
-        self.n_blocks = n_blocks
-        self.n_heads = n_heads
-        self.d_model = d_model
-        self.d_ffn = d_ffn
-        self.max_len = max_len
-        self.dropout = dropout
-        self.min_count = min_count
-        self.base_lr = base_lr
-        self.warmup_fraction = warmup_fraction
-        self.clip_bound = clip_bound
-        self.batch_size = batch_size
-        self.patience_epochs = patience_epochs
-        self.max_epochs = max_epochs
-        self.seed = seed
-        self.dtype = dtype
-        self.params_: ModelParameters | None = None
-        self.encoder_: PairEncoder | None = None
 
     def _np_dtype(self):
         try:
@@ -130,20 +112,13 @@ class NliClassifier(ParamsMixin):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         return dt
 
-    @classmethod
-    def _model_args(cls) -> list[str]:
-        """The ModelConfig fields this estimator takes as arguments. The
-        vocabulary sets vocab_words; every other field keeps its default."""
-        names = cls._param_names()
-        return [f.name for f in fields(ModelConfig) if f.name in names]
-
     def fit(
         self,
         examples: Sequence[NliExample],
         validation: Sequence[NliExample] | None = None,
     ) -> "NliClassifier":
+        check_fields(self)
         train_config = TrainConfig(**{f.name: getattr(self, f.name) for f in fields(TrainConfig)})
-        check_value("min_count", self.min_count, MIN_COUNT)
         examples = list(examples)
         if not examples:
             raise ContractError("fit needs at least one training example")
@@ -159,7 +134,7 @@ class NliClassifier(ParamsMixin):
 
         config = ModelConfig(
             vocab_words=len(self.encoder_.vocabulary_),
-            **{name: getattr(self, name) for name in self._model_args()},
+            **{name: getattr(self, name) for name in _MODEL_ARGS},
         )
         init_rng = np.random.default_rng(split_seed(self.seed, SEED_INIT))
         params = ModelParameters.initialize(config, init_rng, dtype=self._np_dtype())
@@ -188,7 +163,9 @@ class NliClassifier(ParamsMixin):
     def from_artifacts(
         cls, params: ModelParameters, vocabulary: Vocabulary, **constructor_args
     ) -> "NliClassifier":
-        """A fitted classifier from existing weights and their vocabulary."""
+        """A fitted classifier from existing weights and their vocabulary.
+        ``constructor_args`` set the arguments the weights leave open; one
+        they fix, an architecture argument or dtype, raises ContractError."""
         config = params.config
         if config.n_classes != len(CLASSES):
             raise ContractError(
@@ -200,11 +177,12 @@ class NliClassifier(ParamsMixin):
                 f"vocabulary has {len(vocabulary)} entries, the model has "
                 f"{config.vocab_words} word rows"
             )
-        clf = cls(
-            **{name: getattr(config, name) for name in cls._model_args()},
-            dtype=str(params.dtype),
-            **constructor_args,
-        )
+        fixed = {name: getattr(config, name) for name in _MODEL_ARGS}
+        fixed["dtype"] = str(params.dtype)
+        if clash := sorted(constructor_args.keys() & fixed.keys()):
+            raise ContractError(f"the weights fix {', '.join(f'{n} = {fixed[n]!r}' for n in clash)}"
+                                ", so from_artifacts takes no such argument")
+        clf = cls(**fixed, **constructor_args)
         encoder = PairEncoder(max_len=config.max_len)
         encoder.vocabulary_ = vocabulary
         clf.encoder_ = encoder

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from .tensor import (
     row_tiles,
     softmax,
 )
-from .text import EOS_ID, MAX_SEQUENCE_LENGTH, EncodedPair
+from .text import EOS_ID, MAX_LEN, EncodedPair
 
 # perfbench/tracing.py wraps these names in this module, so each must exist;
 # nothing calls them. ROADMAP item 1 drops this line with those tracer entries.
@@ -61,7 +61,7 @@ class ModelConfig:
     n_heads: int = setting(12)
     d_model: int = setting(240)
     d_ffn: int | None = setting(None)
-    max_len: int = setting(MAX_SEQUENCE_LENGTH)
+    max_len: int = MAX_LEN
     n_classes: int = setting(3, lo=2)
     layer_norm_eps: float = setting(1e-5, float, lo=0, closed=False)
     dropout: float = setting(0.0, float, lo=0, hi=1)
@@ -87,21 +87,6 @@ class ModelConfig:
         return asdict(self)
 
 
-def count_parameters(config: ModelConfig) -> int:
-    """Learnable scalar count as a closed-form function of the config."""
-    d, f = config.d_model, config.d_ffn
-    embedding = config.embedding_rows * d
-    per_block = (
-        d * 3 * d        # fused query/key/value projection
-        + d * d          # attention output projection
-        + d * f + f      # first feed-forward layer and bias
-        + f * d + d      # second feed-forward layer and bias
-        + 4 * d          # two layer-norm gain/bias pairs
-    )
-    head = d * config.n_classes + config.n_classes
-    return embedding + config.n_blocks * per_block + head
-
-
 class ParameterSpec(NamedTuple):
     """Shape of one learnable tensor and how ``initialize`` fills it:
     ``"normal"`` draws N(0, 0.02^2), ``"zeros"`` and ``"ones"`` are constant."""
@@ -110,15 +95,10 @@ class ParameterSpec(NamedTuple):
     init: str
 
 
-def parameter_shapes(config: ModelConfig) -> dict[str, ParameterSpec]:
-    """Every learnable tensor by name, in traversal order: the embedding,
-    each block's tensors in ``BlockParameters`` field order, then the head.
-
-    This order is the checkpoint manifest order, so changing it changes the
-    file format.
-    """
-    d, f, c = config.d_model, config.d_ffn, config.n_classes
-    block = {
+def _block_shapes(config: ModelConfig) -> dict[str, ParameterSpec]:
+    """One block's tensors in ``BlockParameters`` field order."""
+    d, f = config.d_model, config.d_ffn
+    return {
         "w_qkv": ParameterSpec((d, 3 * d), "normal"),
         "w_o": ParameterSpec((d, d), "normal"),
         "ln1_gain": ParameterSpec((d,), "ones"),
@@ -130,12 +110,34 @@ def parameter_shapes(config: ModelConfig) -> dict[str, ParameterSpec]:
         "ln2_gain": ParameterSpec((d,), "ones"),
         "ln2_bias": ParameterSpec((d,), "zeros"),
     }
+
+
+def parameter_shapes(config: ModelConfig) -> dict[str, ParameterSpec]:
+    """Every learnable tensor by name, in traversal order: the embedding,
+    each block's tensors in ``BlockParameters`` field order, then the head.
+
+    This order is the checkpoint manifest order, so changing it changes the
+    file format.
+    """
+    d, c = config.d_model, config.n_classes
+    block = _block_shapes(config)
     specs = {"embedding": ParameterSpec((config.embedding_rows, d), "normal")}
     for i in range(config.n_blocks):
         specs.update((f"blocks.{i}.{name}", spec) for name, spec in block.items())
     specs["head.w_cls"] = ParameterSpec((d, c), "normal")
     specs["head.b_cls"] = ParameterSpec((c,), "zeros")
     return specs
+
+
+def _scalars(specs: dict[str, ParameterSpec]) -> int:
+    return sum(math.prod(spec.shape) for spec in specs.values())
+
+
+def count_parameters(config: ModelConfig) -> int:
+    """Learnable scalar count: a one-block model's tensors and one block's
+    for each further block, so that no block is enumerated."""
+    one_block = parameter_shapes(replace(config, n_blocks=1))
+    return _scalars(one_block) + (config.n_blocks - 1) * _scalars(_block_shapes(config))
 
 
 def _draw_normal(out: np.ndarray, rng: np.random.Generator) -> None:

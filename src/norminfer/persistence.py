@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import (CheckpointError, CheckpointVersionError, ConfigError, atomic_write,
-                   check_fields, check_value, setting)
+                   check_fields, check_value, setting, shared_fields)
 from .model import ModelConfig, ModelParameters, parameter_shapes
 from .text import MIN_COUNT
 from .training import TrainConfig
@@ -261,18 +261,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     return Checkpoint(params=params, meta=header["meta"])
 
 
-def _shared_fields(config_cls, **defaults) -> list[tuple]:
-    """The fields of ``config_cls`` as RunConfig fields: each keeps its
-    kind, bounds and default, bar the defaults given here."""
-    return [(f.name, f.type, dataclasses.field(default=defaults.get(f.name, f.default),
-                                               metadata=f.metadata))
-            for f in fields(config_cls)]
-
-
-*_train_fields, _seed_field = _shared_fields(TrainConfig)
+*_train_fields, _seed_field = shared_fields(TrainConfig)
 _RunKeys = dataclasses.make_dataclass(
     "_RunKeys", [
-        *_shared_fields(ModelConfig, vocab_words=56220),
+        *shared_fields(ModelConfig, vocab_words=56220),
         *_train_fields,
         ("min_count", "int", MIN_COUNT),
         _seed_field,

@@ -35,7 +35,8 @@ EOS_TOKEN = "[EOS]"
 RESERVED_TOKENS = (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN)
 PAD_ID, UNK_ID, EOS_ID = 0, 1, 2
 
-MAX_SEQUENCE_LENGTH = 360
+# the most tokens an encoded pair holds, end of sequence included: ModelConfig.max_len
+MAX_LEN = setting(360)
 # a token enters the vocabulary once it occurs this often in the training corpus
 MIN_COUNT = setting(1)
 
@@ -170,15 +171,17 @@ def encode_pair(
     premise: str,
     hypothesis: str,
     vocab: Vocabulary,
-    max_len: int = MAX_SEQUENCE_LENGTH,
+    max_len: int = MAX_LEN.default,
     label: str | None = None,
 ) -> EncodedPair:
-    """Encode premise ++ hypothesis ++ end-of-sequence, capped at max_len.
+    """Encode premise ++ hypothesis ++ end-of-sequence, capped at max_len,
+    which must lie in ModelConfig.max_len's bounds (ConfigError).
 
     When the pair is too long the hypothesis tail is dropped first; only
     if the premise alone exceeds the budget is the premise tail dropped
     too. The end-of-sequence token is always kept.
     """
+    check_value("max_len", max_len, MAX_LEN)
     check_text(premise, "premise")
     check_text(hypothesis, "hypothesis")
     if label is not None and label not in LABEL_TO_INDEX:

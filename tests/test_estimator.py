@@ -1,11 +1,13 @@
 """Estimator API: encoding step, classifier fit/predict, parameter plumbing."""
 
+import inspect
 import os
 import signal
 import sys
 import threading
 import time
 from collections import Counter
+from dataclasses import fields
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -13,14 +15,14 @@ import numpy as np
 import pytest
 from helpers import make_corpus
 
-from norminfer import base, training
+from norminfer import base, estimator, training
 from norminfer.base import ConfigError, ContractError, NotFittedError
-from norminfer.estimator import NliClassifier, PairEncoder
+from norminfer.estimator import FIXED_MODEL_KEYS, NliClassifier, PairEncoder
 from norminfer.model import ModelConfig, ModelParameters, forward_batch, make_batch
-from norminfer.persistence import load_checkpoint, save_checkpoint
+from norminfer.persistence import RunConfig, load_checkpoint, save_checkpoint
 from norminfer.tensor import GradTape, add
-from norminfer.text import CLASSES, EOS_ID, RESERVED_TOKENS, EncodedPair, Vocabulary
-from norminfer.training import BATCH_TOKENS, length_sorted_chunks, probabilities
+from norminfer.text import CLASSES, EOS_ID, MIN_COUNT, RESERVED_TOKENS, EncodedPair, Vocabulary
+from norminfer.training import BATCH_TOKENS, TrainConfig, length_sorted_chunks, probabilities
 
 
 def tiny_classifier(**overrides):
@@ -96,6 +98,14 @@ class TestPairEncoder:
             enc.set_params(window=5)
 
 
+# a value out of each bounded argument's range
+OUT_OF_RANGE = {
+    "n_blocks": 0, "n_heads": 0, "d_model": 0, "d_ffn": 0, "max_len": 0, "dropout": 1.0,
+    "min_count": 0, "base_lr": 0.0, "warmup_fraction": 1.0, "clip_bound": -1.0,
+    "batch_size": 0, "patience_epochs": 0, "max_epochs": -1, "seed": -1,
+}
+
+
 class TestClassifierParams:
     def test_get_params_lists_constructor_args(self):
         clf = tiny_classifier()
@@ -119,6 +129,39 @@ class TestClassifierParams:
     def test_predict_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             tiny_classifier().predict([("a b", "c d")])
+
+    def test_the_arguments_are_the_config_fields_in_declaration_order(self):
+        fixed = ("vocab_words", "n_classes", "layer_norm_eps")
+        declared = [(f.name, f.default) for f in fields(ModelConfig) if f.name not in fixed]
+        declared += [("min_count", MIN_COUNT.default)]
+        declared += [(f.name, f.default) for f in fields(TrainConfig)]
+        declared += [("dtype", "float32")]
+        parameters = inspect.signature(NliClassifier).parameters.values()
+        assert [(p.name, p.default) for p in parameters] == declared
+        assert NliClassifier._param_names() == sorted(name for name, _ in declared)
+        assert FIXED_MODEL_KEYS == fixed
+
+    def test_every_run_config_key_is_an_argument_or_fixed(self):
+        run_only = {"train_path", "validation_path", "output_dir"}
+        arguments = set(NliClassifier._param_names())
+        for f in fields(RunConfig):
+            assert f.name in arguments | set(FIXED_MODEL_KEYS) | run_only, f.name
+
+    def test_each_bounded_argument_has_an_out_of_range_case(self):
+        bounded = {f.name for f in fields(NliClassifier) if f.metadata}
+        assert bounded == set(OUT_OF_RANGE)
+
+    @pytest.mark.parametrize("name, value", OUT_OF_RANGE.items(), ids=list(OUT_OF_RANGE))
+    def test_an_out_of_range_argument_is_rejected_before_the_vocabulary(
+        self, monkeypatch, name, value
+    ):
+        """At one time the model keys were checked only once the vocabulary
+        had been built from the whole corpus."""
+        calls = []
+        monkeypatch.setattr(estimator, "build_vocab", lambda *a, **kw: calls.append(a))
+        with pytest.raises(ConfigError, match=f"^{name} must be"):
+            tiny_classifier(**{name: value}).fit(make_corpus(8), make_corpus(4, seed=1))
+        assert calls == []
 
     def test_bad_dtype_rejected_at_fit(self):
         clf = tiny_classifier(dtype="int32")
@@ -313,6 +356,11 @@ class TestFromArtifacts:
         with pytest.raises(ContractError,
                            match=f"vocabulary has {n + change} entries, the model has {n}"):
             NliClassifier.from_artifacts(fitted.params_, Vocabulary(words))
+
+    @pytest.mark.parametrize("name, value", [("n_blocks", 3), ("dtype", "float64")])
+    def test_an_argument_the_weights_fix_is_rejected(self, fitted, name, value):
+        with pytest.raises(ContractError, match=f"the weights fix {name} = "):
+            NliClassifier.from_artifacts(fitted.params_, fitted.vocabulary_, **{name: value})
 
     def test_constructor_args_forwarded(self):
         clf = tiny_classifier(max_epochs=1)

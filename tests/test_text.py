@@ -4,7 +4,8 @@ import logging
 import numpy as np
 import pytest
 
-from norminfer.base import ContractError, IngestError
+from norminfer.base import ConfigError, ContractError, IngestError
+from norminfer.estimator import PairEncoder
 from norminfer.text import (
     CLASSES,
     CONFLICT_TYPES,
@@ -172,6 +173,22 @@ class TestEncodePair:
             assert len(pair) <= 24
             assert pair.token_ids[-1] == EOS_ID
             assert pair.truncated == (np_ + nh + 1 > 24)
+
+    def test_a_one_token_budget_keeps_only_the_end_of_sequence(self):
+        pair = encode_pair("x y", "y", make_vocab("x y"), max_len=1)
+        assert pair.token_ids.tolist() == [EOS_ID]
+        assert pair.truncated
+
+    @pytest.mark.parametrize("max_len", [0, -1, -360, 2.5, True])
+    def test_a_budget_below_one_token_is_rejected(self, max_len):
+        """max_len = 0 once gave the 3-token pair, longer than its bound, and
+        a negative one encoded every pair as [EOS] alone."""
+        vocab = make_vocab("x y")
+        with pytest.raises(ConfigError, match="max_len must be an integer >= 1"):
+            encode_pair("x", "y", vocab, max_len=max_len)
+        encoder = PairEncoder(max_len=max_len).fit([NliExample("x", "y", "neutral")])
+        with pytest.raises(ConfigError, match="max_len"):
+            encoder.transform([("x", "y")])
 
     def test_empty_sides_rejected(self):
         vocab = make_vocab("x")
