@@ -187,10 +187,12 @@ def setting(default: Any = dataclasses.MISSING, kind: type = int, lo: float = 1,
 def check_value(name: str, value: Any, declared: dataclasses.Field) -> None:
     """Raise ConfigError unless ``value`` is of the kind ``declared`` holds,
     within its bounds. A bool is no number, NaN lies in no interval, and a
-    str must hold more than blanks."""
+    str is one non-empty line without surrounding blanks, as a config file
+    line gives it."""
     kind, lo, hi, closed = declared.metadata.values()  # in the order setting gives them
     if kind is str:
-        ok, wanted = isinstance(value, str) and value.strip(), "a non-empty string"
+        ok = isinstance(value, str) and value.splitlines() == [value] == [value.strip()]
+        wanted = "a non-empty line without surrounding blanks"
     elif kind is int:
         ok, wanted = isinstance(value, int) and lo <= value, f"an integer >= {lo}"
     else:

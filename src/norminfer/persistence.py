@@ -6,14 +6,14 @@ Checkpoint layout, in file order:
   bytes 8..11   format version, unsigned 32-bit little-endian (currently 1)
   bytes 12..19  header length in bytes, unsigned 64-bit little-endian
   header        UTF-8 JSON, canonical form (sorted keys, no whitespace)
-  payload       raw little-endian tensor bytes, concatenated in the
-                deterministic parameter traversal order
+  payload       raw little-endian tensor bytes at one dtype, float32 or
+                float64, in the deterministic parameter traversal order
 
 The header records the model config and the caller metadata, each with
-its hash, a tensor manifest (name, shape, dtype per tensor), and the
-SHA-256 of the payload. Every section is verified on load so corruption is
-reported by section name instead of surfacing as garbage weights. Files
-written before ``meta_sha256`` was added to version 1 load unverified meta.
+its hash, the tensor manifest the config implies (name, shape, dtype per
+tensor), and the SHA-256 of the payload. Every section is verified on load
+so corruption is reported by section name instead of surfacing as garbage
+weights. Version 1 files written before ``meta_sha256`` load unverified meta.
 
 Run configuration is a flat ``key = value`` text file. Unknown keys are
 rejected rather than ignored, omitted keys take the full-scale defaults,
@@ -26,6 +26,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -35,7 +36,7 @@ import numpy as np
 
 from .base import (CheckpointError, CheckpointVersionError, ConfigError, atomic_write,
                    check_fields, check_value, setting, shared_fields)
-from .model import ModelConfig, ModelParameters, parameter_shapes
+from .model import ModelConfig, ModelParameters, ParameterSpec, count_parameters, parameter_shapes
 from .text import MIN_COUNT
 from .training import TrainConfig
 
@@ -65,6 +66,12 @@ def _le_dtype(name: str) -> np.dtype:
     return np.dtype(name).newbyteorder("<")
 
 
+def _manifest(specs: dict[str, ParameterSpec], dtype: str) -> list[dict]:
+    """The tensor manifest of a model with tensors ``specs``, each of ``dtype``."""
+    return [{"name": name, "shape": list(spec.shape), "dtype": dtype}
+            for name, spec in specs.items()]
+
+
 def _jsonable(value):
     if isinstance(value, np.generic):
         return value.item()
@@ -77,15 +84,13 @@ def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path
     The file replaces ``path`` atomically: a failed save leaves any
     previous checkpoint there intact.
     """
-    manifest = []
+    dtype = params.dtype.name
     arrays = []
     digest = hashlib.sha256()
     for name, tensor in params.named_tensors():
-        dtype_name = tensor.data.dtype.name
-        arr = np.ascontiguousarray(tensor.data).astype(_le_dtype(dtype_name), copy=False)
-        manifest.append(
-            {"name": name, "shape": list(tensor.data.shape), "dtype": dtype_name}
-        )
+        if tensor.data.dtype != params.dtype:
+            raise CheckpointError(f"tensor manifest: {name} is {tensor.data.dtype}, not {dtype}")
+        arr = np.ascontiguousarray(tensor.data).astype(_le_dtype(dtype), copy=False)
         arrays.append(arr)
         digest.update(arr)
     try:
@@ -98,7 +103,7 @@ def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path
         "config_sha256": config_hash(params.config),
         "meta": meta,
         "meta_sha256": _sha256_json(meta),
-        "tensors": manifest,
+        "tensors": _manifest(parameter_shapes(params.config), dtype),
         "payload_sha256": digest.hexdigest(),
     }
     header_bytes = _canonical_json(header)
@@ -173,50 +178,6 @@ def _read_header(raw: np.ndarray) -> tuple[dict, int]:
     return header, header_end
 
 
-def _check_manifest(manifest, config: ModelConfig) -> None:
-    """Reject a tensor manifest unless it is a list of objects, each with a
-    ``shape`` of non-negative integers and a supported ``dtype``, whose
-    ``name`` fields list the tensors of ``config`` in order, at the shapes
-    it requires."""
-    if not isinstance(manifest, list):
-        raise CheckpointError(
-            f"tensor manifest: expected a list, got {type(manifest).__name__}"
-        )
-    for i, entry in enumerate(manifest):
-        if not isinstance(entry, dict):
-            raise CheckpointError(
-                f"tensor manifest: entry {i} is a {type(entry).__name__}, not an object"
-            )
-        missing = {"name", "shape", "dtype"} - set(entry)
-        if missing:
-            raise CheckpointError(
-                f"tensor manifest: entry {i} lacks fields {sorted(missing)}"
-            )
-        shape = entry["shape"]
-        if not isinstance(shape, list) or not all(
-            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
-        ):
-            raise CheckpointError(
-                f"tensor manifest: {entry['name']} has shape {shape!r}, "
-                "not a list of non-negative integers"
-            )
-        _le_dtype(entry["dtype"])
-    # every block has tensors of its own, so a config with as many blocks as
-    # the manifest has entries, or more, cannot match it: it is not enumerated
-    specs = parameter_shapes(config) if config.n_blocks < len(manifest) else {}
-    if not specs or [entry["name"] for entry in manifest] != list(specs):
-        raise CheckpointError(
-            "tensor manifest: names do not match the config's parameter set"
-        )
-    for entry in manifest:
-        want = specs[entry["name"]].shape
-        if tuple(entry["shape"]) != want:
-            raise CheckpointError(
-                f"tensor manifest: {entry['name']} has shape {entry['shape']}, "
-                f"config requires {list(want)}"
-            )
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     """Read, verify, and rebuild parameters from a checkpoint file.
 
@@ -235,12 +196,22 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise CheckpointError("config: hash mismatch, header is corrupt")
 
     manifest = header["tensors"]
-    _check_manifest(manifest, config)
+    if not isinstance(manifest, list):
+        raise CheckpointError(
+            f"tensor manifest: expected a list, got {type(manifest).__name__}"
+        )
+    # every block has tensors of its own, so a config with as many blocks as
+    # the manifest has entries, or more, cannot match it: it is not enumerated
+    specs = parameter_shapes(config) if config.n_blocks < len(manifest) else {}
+    first = manifest[0] if manifest else None
+    dtype_name = first.get("dtype") if isinstance(first, dict) else None
+    # compared as canonical JSON, where 8.0 and true differ from 8
+    if not specs or _canonical_json(manifest) != _canonical_json(_manifest(specs, dtype_name)):
+        raise CheckpointError("tensor manifest: does not list the config's tensors by name "
+                              "and shape, in order, at one dtype")
+    dtype = _le_dtype(dtype_name)
 
-    expected_size = sum(
-        int(np.prod(e["shape"], dtype=np.int64)) * _le_dtype(e["dtype"]).itemsize
-        for e in manifest
-    )
+    expected_size = count_parameters(config) * dtype.itemsize
     if len(payload) != expected_size:
         raise CheckpointError(
             f"payload: {len(payload)} bytes, manifest requires {expected_size}"
@@ -248,26 +219,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if hashlib.sha256(payload).hexdigest() != header["payload_sha256"]:
         raise CheckpointError("payload: checksum mismatch, tensor data is corrupt")
 
-    arrays: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry in manifest:
-        dt = _le_dtype(entry["dtype"])
-        nbytes = int(np.prod(entry["shape"], dtype=np.int64)) * dt.itemsize
-        arr = payload[offset : offset + nbytes].view(dt).reshape(entry["shape"])
-        arrays[entry["name"]] = arr if dt.isnative else arr.astype(entry["dtype"])
-        offset += nbytes
-
+    values = payload.view(dtype) if dtype.isnative else payload.view(dtype).astype(dtype.name)
+    ends = np.cumsum([math.prod(spec.shape) for spec in specs.values()])
+    arrays = {name: part.reshape(spec.shape)
+              for (name, spec), part in zip(specs.items(), np.split(values, ends[:-1]))}
     params = ModelParameters.from_arrays(config, arrays)
     return Checkpoint(params=params, meta=header["meta"])
 
 
-*_train_fields, _seed_field = shared_fields(TrainConfig)
 _RunKeys = dataclasses.make_dataclass(
     "_RunKeys", [
         *shared_fields(ModelConfig, vocab_words=56220),
-        *_train_fields,
         ("min_count", "int", MIN_COUNT),
-        _seed_field,
+        *shared_fields(TrainConfig),
         ("train_path", "str | None", setting(None, str)),
         ("validation_path", "str | None", setting(None, str)),
         ("output_dir", "str", setting("out", str)),
@@ -279,8 +243,9 @@ _RunKeys = dataclasses.make_dataclass(
 class RunConfig(_RunKeys):
     """One run's full recipe: architecture, optimization, data, output.
 
-    The model and training keys are ModelConfig's and TrainConfig's fields,
-    and each value is checked when a RunConfig is made. vocab_words only
+    The keys are ModelConfig's fields, min_count, TrainConfig's fields and
+    the paths, in the order NliClassifier takes its arguments, and each
+    value is checked when a RunConfig is made. vocab_words only
     sizes the embedding table for parameter accounting; training replaces
     it with the vocabulary actually built from data.
     """

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import typing
 from pathlib import Path
@@ -15,6 +16,7 @@ from norminfer.base import CheckpointError, CheckpointVersionError, ConfigError,
 from norminfer.model import (
     BlockParameters,
     ModelConfig,
+    ModelParameters,
     count_parameters,
     forward_batch,
     make_batch,
@@ -31,6 +33,7 @@ from norminfer.persistence import (
     save_config,
     serialize_config,
 )
+from norminfer.training import TrainConfig
 
 PREFIX = struct.Struct("<8sIQ")
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -87,6 +90,38 @@ class TestCheckpointRoundTrip:
         loaded = load_checkpoint(path).params
         assert loaded.dtype == np.float64
         assert np.array_equal(loaded.embedding.data, params.embedding.data)
+
+    @pytest.mark.parametrize("dtype, sha256", [
+        ("float32", "1a5cdef1e7f4edef93e158006bc1ab31365c2e07ea3b4f16b6638142c93ceace"),
+        ("float64", "d5b100a744d978b57117236cd3e47873e95f308bec52aecbee84569e957440fc"),
+    ])
+    def test_format_v1_bytes_are_pinned(self, tmp_path, dtype, sha256):
+        """Format v1's bytes are fixed, so a change to both the writer and
+        the reader cannot pass unseen. Every weight comes from np.arange and
+        is exact in binary, so no random stream or rounding enters them."""
+        config = ModelConfig(vocab_words=24, n_blocks=1, n_heads=2, d_model=8, max_len=16)
+        arrays = {}
+        for i, (name, spec) in enumerate(parameter_shapes(config).items()):
+            values = np.arange(i, i + math.prod(spec.shape), dtype=dtype) / 1024
+            arrays[name] = values.reshape(spec.shape)
+        path = tmp_path / "v1.bin"
+        meta = {"best_epoch": 3, "val_accuracy": 0.625, "vocab_sha256": "ab12"}
+        save_checkpoint(ModelParameters.from_arrays(config, arrays), meta, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+        loaded = load_checkpoint(path)
+        assert loaded.meta == meta
+        for name, tensor in loaded.params.named_tensors():
+            assert tensor.data.dtype == dtype and np.array_equal(tensor.data, arrays[name]), name
+
+    def test_mixed_dtype_model_not_saved(self, tmp_path):
+        """A tensor at another dtype than the model's is refused, not cast."""
+        config = build_toy_config(n_blocks=1)
+        arrays = {name: t.data for name, t in build_toy_params(config).named_tensors()}
+        arrays["blocks.0.w_o"] = arrays["blocks.0.w_o"].astype(np.float64)
+        with pytest.raises(CheckpointError,
+                           match="^tensor manifest: blocks.0.w_o is float64, not float32"):
+            save_checkpoint(ModelParameters.from_arrays(config, arrays), None, tmp_path / "m.bin")
+        assert not (tmp_path / "m.bin").exists()
 
     def test_loaded_tensors_are_writable(self, saved):
         *_, path = saved
@@ -322,6 +357,8 @@ MANIFEST_FAULTS = {
     "dtype unsupported": _set("dtype", "int8"),
     "entry not an object": _replace_entry(["blocks.0.w_qkv", [8, 24], "float32"]),
     "entry null": _replace_entry(None),
+    "entry with an extra key": _set("offset", 0),
+    "one entry float64 in a float32 file": _set("dtype", "float64"),
 }
 
 
@@ -428,10 +465,13 @@ class TestRunConfigParsing:
         assert unset == RunConfig()
         assert (cfg.d_ffn, cfg.train_path, cfg.validation_path) == (
             960, "snli_1.0_train.jsonl", "snli_1.0_dev.jsonl")
-        # every key is listed, in declaration order
+        # every key is listed, in declaration order, which is NliClassifier's
         keys = [line.partition("=")[0].strip() for line in block.splitlines()
                 if line.strip() and not line.startswith("#")]
-        assert keys == [f.name for f in dataclasses.fields(RunConfig)]
+        assert keys == [f.name for f in dataclasses.fields(RunConfig)] == [
+            *(f.name for f in dataclasses.fields(ModelConfig)), "min_count",
+            *(f.name for f in dataclasses.fields(TrainConfig)),
+            "train_path", "validation_path", "output_dir"]
 
     @pytest.mark.parametrize("key", ["test_path", "conflicts_path"])
     def test_keys_no_command_reads_are_unknown(self, key):
@@ -494,6 +534,23 @@ class TestRunConfigRoundTrip:
             seed=11,
         )
         assert parse_config_text(serialize_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("value, constructs", [
+        ("runs/x y", True), ("a#b=c.jsonl", True), ("d\u00e9j\u00e0", True),
+        (" out", False), ("out ", False), ("\tout", False), ("out\n", False),
+        ("a\nb", False), ("a\rb", False), ("a\u2028b", False), ("a\x85b", False),
+    ])
+    def test_a_config_that_constructs_parses_back_equal(self, value, constructs):
+        """serialize_config writes each value on its key's line, and
+        parse_config_text strips it, so a str value with surrounding blanks
+        or a line break is refused when a RunConfig is made."""
+        for key in ("train_path", "validation_path", "output_dir"):
+            if constructs:
+                cfg = RunConfig(**{key: value})
+                assert parse_config_text(serialize_config(cfg)) == cfg
+            else:
+                with pytest.raises(ConfigError, match=f"^{key} must be a non-empty line"):
+                    RunConfig(**{key: value})
 
     def test_defaults_are_echoed(self):
         text = serialize_config(RunConfig())
