@@ -98,9 +98,10 @@ class NliClassifier(ParamsMixin, _Arguments):
     fit builds the vocabulary, initializes the decoder stack, and trains
     with Adam under the warmup/decay schedule, keeping the weights of the
     best validation epoch. predict and predict_proba run
-    ``training.probabilities``, the one forward-only loop, which validation
-    runs through too: its passes are cut by tokens, whatever batch_size, the
-    training batch, is, and shared by two threads with the bytes of one.
+    ``training.probabilities`` over ``training.class_logits``, the one
+    forward-only loop, which validation runs through too: its passes are cut
+    by tokens, whatever batch_size, the training batch, is, and shared by two
+    threads with the bytes of one.
     """
 
     def _np_dtype(self):

@@ -7,9 +7,9 @@ position 1. The sequence passes through a stack of identical blocks, each
 applying causally masked multi-head self attention and a position-wise
 feed-forward network, both followed by residual addition and layer
 normalization in one step. The hidden state of the end-of-sequence token
-feeds a linear head whose softmax gives the class probabilities. Since
-nothing else reads the last block's output, that block goes on past its
-attention with the end-of-sequence rows alone.
+feeds a linear head whose logits score the classes. Since nothing else
+reads the last block's output, that block goes on past its attention with
+the end-of-sequence rows alone.
 """
 
 from __future__ import annotations
@@ -33,13 +33,12 @@ from .tensor import (
     matmul,
     parameter,
     row_tiles,
-    softmax,
 )
 from .text import EOS_ID, MAX_LEN, EncodedPair
 
 # perfbench/tracing.py wraps these names in this module, so each must exist;
 # nothing calls them. ROADMAP item 1 drops this line with those tracer entries.
-gelu = masked_fill = narrow = reshape = scale = take_rows = transpose = None
+gelu = masked_fill = narrow = reshape = scale = softmax = take_rows = transpose = None
 
 logger = logging.getLogger(__name__)
 
@@ -349,7 +348,9 @@ def forward_batch(
     rng: np.random.Generator | None = None,
     return_hidden: bool = False,
 ):
-    """Class probabilities for every pair in the batch, shape (B, n_classes).
+    """The head's class logits for every pair in the batch, shape
+    (B, n_classes); ``training.probabilities`` turns them into probabilities
+    and ``training.nll_loss`` into the training loss.
 
     Every layer runs on the packed tokens (see ``embed``). The head reads
     only the end-of-sequence rows, so in the last block (``decoder_block``
@@ -373,5 +374,5 @@ def forward_batch(
             hidden.append(x.data)
     if return_hidden:
         x = embedding_lookup(x, np.cumsum(lengths) - 1)
-    probs = softmax(add(matmul(x, params.w_cls), params.b_cls))
-    return (probs, hidden) if return_hidden else probs
+    logits = add(matmul(x, params.w_cls), params.b_cls)
+    return (logits, hidden) if return_hidden else logits

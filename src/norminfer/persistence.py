@@ -81,15 +81,21 @@ def _jsonable(value):
 def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path) -> None:
     """Persist weights with enough integrity data to verify them on load.
 
-    The file replaces ``path`` atomically: a failed save leaves any
-    previous checkpoint there intact.
+    The file replaces ``path`` atomically: a failed save, such as one of a
+    tensor whose dtype or shape is not its config's, leaves any previous
+    checkpoint there intact.
     """
     dtype = params.dtype.name
+    specs = parameter_shapes(params.config)
     arrays = []
     digest = hashlib.sha256()
     for name, tensor in params.named_tensors():
         if tensor.data.dtype != params.dtype:
             raise CheckpointError(f"tensor manifest: {name} is {tensor.data.dtype}, not {dtype}")
+        if tensor.shape != specs[name].shape:
+            raise CheckpointError(
+                f"tensor manifest: {name} has shape {tensor.shape}, its config {specs[name].shape}"
+            )
         arr = np.ascontiguousarray(tensor.data).astype(_le_dtype(dtype), copy=False)
         arrays.append(arr)
         digest.update(arr)
@@ -103,7 +109,7 @@ def save_checkpoint(params: ModelParameters, meta: dict | None, path: str | Path
         "config_sha256": config_hash(params.config),
         "meta": meta,
         "meta_sha256": _sha256_json(meta),
-        "tensors": _manifest(parameter_shapes(params.config), dtype),
+        "tensors": _manifest(specs, dtype),
         "payload_sha256": digest.hexdigest(),
     }
     header_bytes = _canonical_json(header)
@@ -162,7 +168,7 @@ def _read_header(raw: np.ndarray) -> tuple[dict, int]:
         )
     try:
         header = json.loads(raw[_PREFIX.size : header_end].tobytes().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"header: not valid JSON ({exc})") from None
     if not isinstance(header, dict):
         raise CheckpointError(f"header: expected an object, got {type(header).__name__}")

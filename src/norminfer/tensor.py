@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 The module provides the operations the decoder classifier runs: dense
-matrix products with a weight, bias addition, embedding row gathers, a
-numerically stabilized softmax, fused causal attention and feed-forward
-primitives, layer normalization of a residual sum, and dropout. The loss
-is one primitive of its own, ``training.nll_loss``.
+matrix products with a weight, bias addition, embedding row gathers, fused
+causal attention and feed-forward primitives, layer normalization of a
+residual sum, and dropout. The loss, a fused log-softmax of the head's
+logits, is one primitive of its own, ``training.nll_loss``.
 
 Gradients are computed with a tape. While a :class:`GradTape` is open in
 the current thread (and not suspended by ``untaped``), every primitive that
@@ -336,19 +336,6 @@ def row_tiles(rows: int, row_elements: int) -> tuple[list[int], int]:
     per_tile = max(1, TILE_ELEMENTS // max(1, row_elements))
     tiles = max(1, -(-rows // per_tile))
     return [rows * i // tiles for i in range(tiles + 1)], -(-rows // tiles)
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Stabilized softmax over the last axis: shifts each row by its max first."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=-1, keepdims=True)
-
-    def pull(g):
-        inner = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - inner),)
-
-    return _result((x,), data, pull)
 
 
 def causal_attention(

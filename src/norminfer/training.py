@@ -1,5 +1,6 @@
-"""Training engine: loss, learning-rate schedule, gradient clipping, Adam,
-length-sorted batching, and the epoch loop with early stopping.
+"""Training engine: the loss (a fused log-softmax of the head's logits, with
+no floor), learning-rate schedule, gradient clipping, Adam, length-sorted
+batching, and the epoch loop with early stopping.
 
 Each step cuts its batch into two halves of about equal tokens, each run
 forward and backward on its own tape, the second on the helper thread when
@@ -17,8 +18,9 @@ The step's tail is ``sum_gradients`` of the two halves and one Adam step,
 which first checks each gradient for NaN or +-inf and clamps it, not the
 parameters, elementwise into [-clip_bound, +clip_bound].
 
-Inference and each epoch's validation both run through ``probabilities``,
-the one forward-only loop.
+Inference and each epoch's validation both run through ``class_logits``,
+the one forward-only loop; a non-finite row of it ends a fit as a non-finite
+training loss does.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .text import EncodedPair
 
 logger = logging.getLogger(__name__)
 
-LOSS_FLOOR = 1e-12
 # Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -78,51 +79,42 @@ class TrainConfig:
         return asdict(self)
 
 
-def nll_loss(probs: Tensor, gold: np.ndarray) -> Tensor:
-    """Mean negative log probability of the gold class, as one tape record.
-
-    probs has one row of class probabilities per example; gold holds the
-    integer class indices. Probabilities are floored at 1e-12 inside the
-    log so a fully confident wrong prediction keeps the loss finite. The
-    value is -mean(log(max(p_gold, floor))), and the pull puts
-    -g / (B * max(p_gold, floor)) at each gold entry whose p_gold is above
-    the floor, and 0 everywhere else.
+def nll_loss(logits: Tensor, gold: np.ndarray) -> Tensor:
+    """Mean cross-entropy of the gold class over rows of class logits, as one
+    tape record: with m each row's max, the value is
+    mean(log sum exp(z - m) - (z_gold - m)), and the pull is
+    (softmax(z) - onehot(gold)) * g / B. Both are finite for any finite
+    logits whose differences are, however far the gold logit trails.
     """
-    gold, picked = _gold_probs(probs, gold)
-    floor = probs.dtype.type(LOSS_FLOOR)
-    clamped = np.maximum(picked, floor)
-    data = -np.asarray(np.log(clamped).mean(), dtype=probs.dtype)
-
-    def pull(g):
-        g_picked = np.asarray(-g / len(gold), dtype=probs.dtype) / clamped
-        g_probs = np.zeros_like(probs.data)
-        g_probs[np.arange(len(gold)), gold] = np.where(picked > floor, g_picked, 0.0)
-        return (g_probs,)
-
-    return _result((probs,), data, pull)
-
-
-def count_clamped(probs: Tensor, gold: np.ndarray) -> int:
-    """How many gold-class probabilities fell at or below the loss floor."""
-    return int(np.count_nonzero(_gold_probs(probs, gold)[1] <= LOSS_FLOOR))
-
-
-def _gold_probs(probs: Tensor, gold) -> tuple[np.ndarray, np.ndarray]:
-    """The checked gold indices and the probability each row gives its own."""
     gold = np.asarray(gold)
-    if probs.ndim != 2:
-        raise ContractError(f"probs must be (batch, classes), got {probs.shape}")
     if not np.issubdtype(gold.dtype, np.integer):
         raise ContractError(f"gold classes must be integers, got {gold.dtype}")
-    if gold.shape != (probs.shape[0],):
-        raise ContractError(
-            f"gold shape {gold.shape} does not match batch size {probs.shape[0]}"
-        )
-    if gold.size and (gold.min() < 0 or gold.max() >= probs.shape[1]):
-        raise ContractError(
-            f"gold class index out of range [0, {probs.shape[1]})"
-        )
-    return gold, probs.data[np.arange(len(gold)), gold]
+    if logits.ndim != 2 or gold.shape != logits.shape[:1]:
+        raise ContractError(f"logits {logits.shape} need one gold class per row, got {gold.shape}")
+    if gold.size and (gold.min() < 0 or gold.max() >= logits.shape[1]):
+        raise ContractError(f"gold class index out of range [0, {logits.shape[1]})")
+    z, rows = logits.data, np.arange(len(gold))
+    shifted = z - z.max(axis=1, keepdims=True)
+    data = np.asarray((np.log(np.exp(shifted).sum(axis=1)) - shifted[rows, gold]).mean(),
+                      dtype=z.dtype)
+
+    def pull(g):
+        grad = softmax(z)
+        grad[rows, gold] -= 1
+        grad *= np.asarray(g / len(gold), dtype=z.dtype)
+        return (grad,)
+
+    return _result((logits,), data, pull)
+
+
+count_clamped = None  # perfbench/tracing.py wraps this name; ROADMAP item 1 drops this
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Class probabilities for rows of logits, untaped and in their dtype:
+    each row less its max, exponentiated, over its sum."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def lr_at(step: float, total_steps: int, cfg: TrainConfig) -> float:
@@ -305,23 +297,33 @@ def length_sorted_chunks(
     return chunks
 
 
-def probabilities(params: ModelParameters, encoded: Sequence[EncodedPair]) -> np.ndarray:
-    """Float64 class probability rows for encoded pairs, in input order: the
-    one forward-only loop, untaped and without dropout. Passes of length-sorted
-    pairs hold at most ``BATCH_TOKENS`` tokens, or half the call's once its work
-    reaches ``SPLIT_WORK``; a longer pair runs alone. They run longest first on
-    the caller and the helper thread, with the bytes of one thread."""
+def class_logits(params: ModelParameters, encoded: Sequence[EncodedPair]) -> np.ndarray:
+    """Head logits for encoded pairs, in input order and the model's dtype:
+    the one forward-only loop, untaped and without dropout. Passes of
+    length-sorted pairs hold at most ``BATCH_TOKENS`` tokens, or half the
+    call's once its work reaches ``SPLIT_WORK``; a longer pair runs alone.
+    They run longest first on the caller and the helper thread, with the
+    bytes of one thread. A pair with a non-finite logit is a NumericError."""
     config, tokens = params.config, sum(len(pair) for pair in encoded)
     split = tokens * config.d_model * config.n_blocks >= SPLIT_WORK
     budget = min(BATCH_TOKENS, (tokens + 1) // 2) if split else BATCH_TOKENS
-    out = np.empty((len(encoded), config.n_classes), dtype=np.float64)
+    out = np.empty((len(encoded), config.n_classes), dtype=params.dtype)
 
     def run_chunk(idx: list[int]) -> None:
         out[idx] = forward_batch(make_batch([encoded[i] for i in idx]), params).data
 
     with untaped():
         base.run_shared(run_chunk, length_sorted_chunks(encoded, budget, tokens=True)[::-1])
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise NumericError(f"non-finite class logits for pair {bad[0]}")
     return out
+
+
+def probabilities(params: ModelParameters, encoded: Sequence[EncodedPair]) -> np.ndarray:
+    """Float64 class probability rows for encoded pairs, in input order: the
+    ``softmax`` of their ``class_logits``, taken in the model's dtype."""
+    return softmax(class_logits(params, encoded)).astype(np.float64)
 
 
 def make_batches(
@@ -391,7 +393,6 @@ class TrainLog:
     best_val_accuracy: float = float("-inf")
     stopped_early: bool = False
     aborted: bool = False
-    clamp_events: int = 0
     total_steps: int = 0
 
     def to_tsv(self, path: str | Path) -> None:
@@ -433,14 +434,15 @@ class Trainer:
         self, params: ModelParameters, pairs: Sequence[EncodedPair]
     ) -> tuple[float, float]:
         """Mean per-pair loss and accuracy over labelled encoded pairs, read
-        off one ``probabilities`` array."""
+        off one ``class_logits`` array: the loss as ``nll_loss`` of the
+        logits in float64, the accuracy off their ``softmax`` rows."""
         if not pairs:
             raise ContractError("evaluation needs at least one example")
         if any(p.label_id is None for p in pairs):
             raise ContractError("evaluation pairs need labels")
-        gold, probs = np.array([p.label_id for p in pairs]), probabilities(params, pairs)
-        correct = int((probs.argmax(axis=1) == gold).sum())
-        return nll_loss(Tensor(probs), gold).item(), correct / len(pairs)
+        gold, logits = np.array([p.label_id for p in pairs]), class_logits(params, pairs)
+        correct = int((softmax(logits).argmax(axis=1) == gold).sum())
+        return nll_loss(Tensor(logits, dtype=np.float64), gold).item(), correct / len(pairs)
 
     def fit(
         self,
@@ -473,27 +475,25 @@ class Trainer:
             """One update; the batch's loss sum and correct count. Nothing
             else of the step outlives the call."""
             halves = split_batch(batch)
-            results: list = [None] * len(halves)  # (gradients, loss sum, correct, clamped)
+            results: list = [None] * len(halves)  # (gradients, loss sum, correct)
 
             def run_half(i: int) -> None:
                 half = halves[i]
                 rng = np.random.default_rng(split_seed(cfg.seed, SEED_DROPOUT, step, i))
                 with GradTape() as tape:
-                    probs = forward_batch(half, params, rng=rng)
-                    clamped = count_clamped(probs, half.labels)
-                    loss = nll_loss(probs, half.labels)
+                    logits = forward_batch(half, params, rng=rng)
+                    loss = nll_loss(logits, half.labels)
                     value = loss.item()
                     if not math.isfinite(value):
                         raise NumericError(f"loss diverged at epoch {epoch}: {value}")
                     grads = tape.backward(loss, half.size / batch.size)
-                correct = int((probs.data.argmax(axis=1) == half.labels).sum())
-                results[i] = grads, value * half.size, correct, clamped
+                correct = int((logits.data.argmax(axis=1) == half.labels).sum())
+                results[i] = grads, value * half.size, correct
 
             base.run_shared(run_half, range(len(halves)))
             grads = functools.reduce(sum_gradients, [r[0] for r in results])
-            losses, corrects, clamps = zip(*(r[1:] for r in results))
+            losses, corrects = zip(*(r[1:] for r in results))
             results.clear()  # the helper's closure may outlive the call
-            log.clamp_events += sum(clamps)
             optimizer.step(grads, lr_at(step, total_steps, cfg))
             return sum(losses), sum(corrects)
 
@@ -509,12 +509,12 @@ class Trainer:
                     epoch_loss += loss_sum
                     epoch_correct += correct
                     epoch_count += batch.size
+                val_loss, val_accuracy = self.evaluate(params, val_pairs)
             except NumericError as exc:
                 logger.error("training aborted: %s", exc)
                 log.aborted = True
                 break
 
-            val_loss, val_accuracy = self.evaluate(params, val_pairs)
             stats = EpochStats(epoch, epoch_loss / epoch_count, epoch_correct / epoch_count,
                                val_loss, val_accuracy)
             log.epochs.append(stats)

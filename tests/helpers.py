@@ -161,23 +161,21 @@ def reference_ffn(x, w1, b1, w2, b2, upstream):
     return out, grads
 
 
-def reference_nll(probs, gold):
+def reference_nll(logits, gold):
     """The loss and its pull as the chain of steps ``training.nll_loss``
-    fuses, each as its own formula: pick the gold entries, floor them at
-    1e-12, log, mean, negate. (value, probability gradient) for a loss
-    gradient of one."""
-    dtype = probs.dtype
+    fuses, each as its own formula: shift each row by its max, exp, row sum,
+    log, less the shifted gold entry, mean; the pull is the softmax of the
+    shifted rows less the one-hot gold rows, over the batch size. (value,
+    logit gradient) for a loss gradient of one."""
+    dtype = logits.dtype
     rows = np.arange(len(gold))
-    picked = probs[rows, gold]
-    floor = dtype.type(1e-12)
-    clamped = np.maximum(picked, floor)
-    value = -np.asarray(np.log(clamped).mean(), dtype=dtype)
-    g = -np.ones((), dtype=dtype)
-    g = np.broadcast_to(g / len(gold), picked.shape).astype(dtype, copy=False)
-    g = np.where(picked > floor, g / clamped, 0.0)
-    grad = np.zeros_like(probs)
-    np.add.at(grad, (rows, gold), g)
-    return np.asarray(value), grad
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    value = np.asarray((np.log(e.sum(axis=1)) - shifted[rows, gold]).mean(), dtype=dtype)
+    onehot = np.zeros_like(logits)
+    onehot[rows, gold] = 1
+    grad = (e / e.sum(axis=1, keepdims=True) - onehot) * (np.ones((), dtype=dtype) / len(gold))
+    return value, grad
 
 
 def reference_layer_norm(x, gain, bias, eps, upstream):

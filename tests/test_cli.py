@@ -651,6 +651,30 @@ class TestCheckpointFuzz:
         assert capsys.readouterr().err.startswith(f"error: {section}: ")
 
 
+class TestNonFiniteWeights:
+    """A checkpoint whose checksums hold but whose head holds a NaN: every
+    command that scores pairs exits 3 naming a pair, and writes no report."""
+
+    @pytest.mark.parametrize("command", ["infer", "eval", "analyze-conflicts"])
+    def test_a_nan_weight_exits_numeric(self, workspace, tmp_path, capsys, command):
+        ckpt = load_checkpoint(artifact(workspace, CHECKPOINT_FILE))
+        ckpt.params.w_cls.data[0, 0] = float("nan")
+        broken = tmp_path / "nan.bin"
+        save_checkpoint(ckpt.params, ckpt.meta, broken)
+        out_dir = tmp_path / "reports"
+        extra = {
+            "infer": ["--premise", "a dog is walking", "--hypothesis", "a dog"],
+            "eval": ["--data", str(workspace / "val.jsonl")],
+            "analyze-conflicts": ["--output-dir", str(out_dir)],
+        }[command]
+        code = run_cli([command, "--checkpoint", str(broken),
+                        "--vocab", artifact(workspace, VOCAB_FILE), *extra])
+        out, err = capsys.readouterr()
+        assert code == EXIT_NUMERIC
+        assert err.startswith("numeric failure: non-finite class logits for pair ")
+        assert out == "" and not (out_dir / REPORT_CSV_FILE).exists()
+
+
 class TestAnalyzeConflicts:
     def test_bundled_corpus_default(self, workspace, tmp_path, capsys):
         out_dir = tmp_path / "reports"

@@ -22,7 +22,8 @@ from norminfer.model import ModelConfig, ModelParameters, forward_batch, make_ba
 from norminfer.persistence import RunConfig, load_checkpoint, save_checkpoint
 from norminfer.tensor import GradTape, add
 from norminfer.text import CLASSES, EOS_ID, MIN_COUNT, RESERVED_TOKENS, EncodedPair, Vocabulary
-from norminfer.training import BATCH_TOKENS, TrainConfig, length_sorted_chunks, probabilities
+from norminfer.training import (BATCH_TOKENS, TrainConfig, length_sorted_chunks, probabilities,
+                                softmax)
 
 
 def tiny_classifier(**overrides):
@@ -212,7 +213,7 @@ class TestClassifierFit:
         batched = fitted.predict_proba(pairs)
         for i, (premise, hypothesis) in enumerate(pairs):
             batch = make_batch(fitted.encoder_.transform([(premise, hypothesis)]))
-            single = forward_batch(batch, fitted.params_).data[0].astype(np.float64)
+            single = softmax(forward_batch(batch, fitted.params_).data)[0].astype(np.float64)
             assert np.allclose(batched[i], single, atol=1e-6)
             assert batched[i].argmax() == single.argmax()
 
@@ -407,9 +408,9 @@ class TestTokenBudget:
 
         def recording(batch, params, **kw):
             starts = np.concatenate([[0], np.cumsum(batch.eos_index + 1)[:-1]])
-            probs = forward_batch(batch, params, **kw)
-            calls.append((batch.token_ids[starts] - 3, batch.token_ids.size, probs.data))
-            return probs
+            logits = forward_batch(batch, params, **kw)
+            calls.append((batch.token_ids[starts] - 3, batch.token_ids.size, logits.data))
+            return logits
 
         monkeypatch.setattr(training, "forward_batch", recording)
         return calls
@@ -435,8 +436,8 @@ class TestTokenBudget:
                 assert tokens + self.LENGTHS[after[0][0]] > BATCH_TOKENS
         assert [ids.tolist() for ids, _, _ in calls][0] == [3]  # 1,050 tokens, alone
         assert sizes == [1050, 700, 512, 1024, 738]
-        for ids, _, probs in calls:  # rows land at their input index
-            assert out[ids].tobytes() == probs.astype(np.float64).tobytes()
+        for ids, _, logits in calls:  # rows land at their input index
+            assert out[ids].tobytes() == softmax(logits).astype(np.float64).tobytes()
 
         calls.clear()  # two threads run the same passes, in either order
         monkeypatch.setattr(base, "_WORKERS", 2)

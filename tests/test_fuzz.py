@@ -243,6 +243,8 @@ def test_checkpoint_mutants(seeds, tmp_path, capsys, seed):
         ("change a config value and its hash", rewritten(consistent_config)),
         ("retype a manifest entry", rewritten(lambda h: rng.choice(h["tensors"]).update(
             {rng.choice(("name", "shape", "dtype")): rng.choice(JSON_VALUES)}))),
+        ("nest the header deeply", raw[:12] + (200_000).to_bytes(8, "little")
+         + b"[" * 100_000 + b"]" * 100_000 + raw[header_end:]),
         *((f"flip a bit in the {part}", _flip(rng, raw, lo, hi))
           for part, lo, hi in (("prefix", 0, 20), ("header", 20, header_end),
                                ("payload", header_end, len(raw)))),

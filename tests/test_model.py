@@ -31,7 +31,7 @@ from norminfer.model import (
 from norminfer import tensor
 from norminfer.tensor import GradTape, Tensor, causal_attention, matmul
 from norminfer.text import EOS_ID
-from norminfer.training import nll_loss
+from norminfer.training import nll_loss, probabilities
 
 # Frozen closed-form count for the full-scale configuration:
 # embedding (56220 + 360) * 240 = 13579200, twelve blocks of 693360,
@@ -299,11 +299,11 @@ class TestCausality:
         params = build_toy_params(config, seed=17)
         rng = np.random.default_rng(67)
         pairs = [build_random_pair(rng, config, t=n) for n in (5, 140)]
-        probs, hidden = forward_batch(make_batch(pairs), params, return_hidden=True)
+        logits, hidden = forward_batch(make_batch(pairs), params, return_hidden=True)
         starts = [0, 5]
         for i, pair in enumerate(pairs):
             alone, alone_hidden = forward_batch(make_batch([pair]), params, return_hidden=True)
-            np.testing.assert_allclose(probs.data[i], alone.data[0], rtol=0, atol=1e-6)
+            np.testing.assert_allclose(logits.data[i], alone.data[0], rtol=0, atol=1e-6)
             rows = slice(starts[i], starts[i] + len(pair))
             for h, h_alone in zip(hidden, alone_hidden):
                 assert h.shape == (145, config.d_model)
@@ -487,9 +487,9 @@ class TestForward:
         params.w_cls.data[:] = 0.0
         params.b_cls.data[:] = 0.0
         pair = build_random_pair(np.random.default_rng(8), config, t=5)
-        probs = forward_batch(make_batch([pair]), params).data[0]
+        assert not forward_batch(make_batch([pair]), params).data.any()
         third = float(np.float32(1.0) / np.float32(3.0))
-        assert probs.tolist() == [third, third, third]
+        assert probabilities(params, [pair])[0].tolist() == [third, third, third]
 
     def test_identical_texts_both_directions_agree(self):
         config = build_toy_config(vocab_words=12)
@@ -505,8 +505,8 @@ class TestForward:
         params = build_toy_params(config, seed=10)
         rng = np.random.default_rng(11)
         for _ in range(5):
-            probs = forward_batch(make_batch([build_random_pair(rng, config)]), params)
-            assert abs(probs.data[0].astype(np.float64).sum() - 1.0) < 1e-6
+            probs = probabilities(params, [build_random_pair(rng, config)])
+            assert abs(probs[0].sum() - 1.0) < 1e-6
 
     def test_missing_eos_rejected(self):
         config = build_toy_config(vocab_words=12)
@@ -586,9 +586,8 @@ class TestEndToEndGradient:
         batch = make_batch(pairs)
 
         def loss_value():
-            probs = forward_batch(batch, params)
-            picked = probs.data[np.arange(3), batch.labels]
-            return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
+            z = forward_batch(batch, params).data
+            return float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(3), batch.labels]))
 
         with GradTape() as tape:
             loss = nll_loss(forward_batch(batch, params), batch.labels)

@@ -123,6 +123,21 @@ class TestCheckpointRoundTrip:
             save_checkpoint(ModelParameters.from_arrays(config, arrays), None, tmp_path / "m.bin")
         assert not (tmp_path / "m.bin").exists()
 
+    def test_a_tensor_of_another_shape_than_its_configs_is_not_saved(self, tmp_path):
+        """A 3-class head bias of shape (4,) is refused before anything is
+        written, so an earlier checkpoint at the path stays as it was."""
+        config = build_toy_config(n_blocks=1)
+        params = build_toy_params(config)
+        path = tmp_path / "m.bin"
+        save_checkpoint(params, None, path)
+        before = path.read_bytes()
+        arrays = {name: t.data for name, t in params.named_tensors()}
+        arrays["head.b_cls"] = np.zeros(4, dtype=np.float32)
+        want = r"^tensor manifest: head.b_cls has shape \(4,\), its config \(3,\)$"
+        with pytest.raises(CheckpointError, match=want):
+            save_checkpoint(ModelParameters.from_arrays(config, arrays), None, path)
+        assert path.read_bytes() == before
+
     def test_loaded_tensors_are_writable(self, saved):
         *_, path = saved
         loaded = load_checkpoint(path).params

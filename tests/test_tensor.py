@@ -15,7 +15,7 @@ from helpers import (
 
 from norminfer.base import ContractError, NumericError, ShapeError
 from norminfer import tensor as T
-from norminfer.training import AdamOptimizer, clip_gradients, nll_loss
+from norminfer.training import AdamOptimizer, clip_gradients, nll_loss, softmax
 from norminfer.tensor import (
     GradTape,
     RowGrad,
@@ -28,7 +28,6 @@ from norminfer.tensor import (
     layer_norm,
     matmul,
     parameter,
-    softmax,
 )
 
 # Frozen float64 oracle values, computed independently of the implementation.
@@ -103,43 +102,28 @@ class TestMatmul:
 
 
 class TestSoftmax:
+    """``training.softmax``, the untaped probability rows of logits."""
+
     def test_frozen_values(self):
-        out = softmax(t64([1.0, 2.0, 3.0]))
-        np.testing.assert_allclose(out.data, SOFTMAX_123, rtol=0, atol=1e-12)
+        out = softmax(np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_allclose(out, SOFTMAX_123, rtol=0, atol=1e-12)
 
     def test_constant_row_is_exactly_uniform(self):
-        out = softmax(Tensor(np.zeros(3, dtype=np.float32)))
+        out = softmax(np.zeros(3, dtype=np.float32))
         third = np.float32(1.0) / np.float32(3.0)
-        assert np.array_equal(out.data, np.full(3, third, dtype=np.float32))
+        assert np.array_equal(out, np.full(3, third, dtype=np.float32))
 
     def test_rows_sum_to_one_and_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            x = rng.normal(scale=10.0, size=(4, 7))
-            out = softmax(t64(x)).data
+            out = softmax(rng.normal(scale=10.0, size=(4, 7)))
             assert np.all(out >= 0.0)
             np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_shift_invariance_stability(self):
-        x = t64([1000.0, 1001.0, 1002.0])
-        out = softmax(x).data
+        out = softmax(np.array([1000.0, 1001.0, 1002.0]))
         assert np.isfinite(out).all()
         np.testing.assert_allclose(out, SOFTMAX_123, atol=1e-12)
-
-    def test_gradient(self):
-        rng = np.random.default_rng(13)
-        x = parameter(rng.normal(size=(3, 5)), dtype=np.float64)
-        w = rng.normal(size=(3, 5))
-        with GradTape() as tape:
-            grads = tape.backward(dot_with(softmax(x), w))
-
-        def f():
-            d = x.data
-            e = np.exp(d - d.max(axis=-1, keepdims=True))
-            p = e / e.sum(axis=-1, keepdims=True)
-            return float((p * w).sum())
-
-        assert max_rel_err(grads[x], numeric_grad(f, x.data)) < 1e-6
 
 
 def gelu_and_slope(x):
@@ -970,18 +954,19 @@ class TestTapeMechanics:
     def test_backward_releases_each_record_once_pulled(self):
         x = parameter(np.linspace(-1.0, 1.0, 6).reshape(2, 3), dtype=np.float64)
         w = parameter(np.ones((3, 4)), dtype=np.float64)
+        b = parameter(np.zeros(4), dtype=np.float64)
         with GradTape() as tape:
             h = matmul(x, w)
-            a = softmax(h)
-            loss = dot_with(a, np.ones(a.shape))
+            a = add(h, b)
+            loss = nll_loss(a, np.array([0, 3]))
             activations = [weakref.ref(h.data), weakref.ref(a.data)]
             del h, a
             n_records = len(tape)
             grads = tape.backward(loss)
             assert all(ref() is None for ref in activations)
-            # matmul, softmax and the dot product
+            # matmul, add and the loss, whose pull holds the logits
             assert len(tape) == n_records == 3
-            assert set(grads) == {x, w}
+            assert set(grads) == {x, w, b}
             with pytest.raises(ContractError):
                 tape.backward(loss)
 
@@ -1067,14 +1052,13 @@ class TestFiniteDifferenceSweep:
             ffn = gelu_np(x.data @ w1.data + b1.data) @ w2.data + b2.data
             ffn = ffn * (np.random.default_rng(41).random(ffn.shape) >= 0.25) / 0.75
             h = _ln_np(ffn + x.data, gain.data, bias.data) @ w.data + b.data
-            logp = np.log(np.maximum(_softmax_np(h), 1e-12))
+            logp = h - np.log(np.exp(h).sum(axis=-1, keepdims=True))
             return float(-np.mean(logp[np.arange(4), sel]))
 
         with GradTape() as tape:
             ffn = dropout(feed_forward(x, w1, b1, w2, b2), 0.25, np.random.default_rng(41))
             h = layer_norm(ffn, x, gain, bias, 1e-5)
-            p = softmax(add(matmul(h, w), b))
-            loss = nll_loss(p, sel)
+            loss = nll_loss(add(matmul(h, w), b), sel)
             grads = tape.backward(loss)
 
         assert abs(loss.item() - forward_value()) < 1e-12
@@ -1093,7 +1077,3 @@ def _ln_np(d, gain, bias):
     v = (c * c).mean(axis=-1, keepdims=True)
     return gain * (c / np.sqrt(v + 1e-5)) + bias
 
-
-def _softmax_np(d):
-    e = np.exp(d - d.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)

@@ -24,13 +24,13 @@ from helpers import (
 from norminfer.base import ConfigError, ContractError, NumericError
 from norminfer import base, tensor as tensor_module, training
 from norminfer.model import ModelParameters, forward_batch, make_batch
-from norminfer.tensor import GradTape, RowGrad, Tensor, add, parameter, softmax
+from norminfer.tensor import GradTape, RowGrad, Tensor, add, parameter
 from norminfer.training import (
     AdamOptimizer,
     TrainConfig,
     Trainer,
+    class_logits,
     clip_gradients,
-    count_clamped,
     length_sorted_chunks,
     lr_at,
     make_batches,
@@ -461,87 +461,88 @@ def test_lazy_zeros_are_writeable_zeros(shape):
 
 class TestNllLoss:
     def test_uniform_three_class_gives_ln3(self):
-        probs = Tensor(np.full((1, 3), 1.0 / 3.0), dtype=np.float64)
-        loss = nll_loss(probs, np.array([0]))
-        assert abs(loss.item() - LN3) < 1e-9
+        logits = Tensor(np.zeros((1, 3)), dtype=np.float64)
+        assert abs(nll_loss(logits, np.array([0])).item() - LN3) < 1e-15
 
     def test_uniform_two_class_gives_ln2(self):
-        probs = Tensor(np.full((1, 2), 0.5), dtype=np.float64)
-        assert abs(nll_loss(probs, np.array([1])).item() - LN2) < 1e-9
+        logits = Tensor(np.zeros((1, 2)), dtype=np.float64)
+        assert abs(nll_loss(logits, np.array([1])).item() - LN2) < 1e-15
 
     def test_certain_correct_prediction_gives_zero(self):
-        probs = Tensor(np.array([[1.0, 0.0, 0.0]]), dtype=np.float64)
-        assert nll_loss(probs, np.array([0])).item() == 0.0
+        logits = Tensor(np.array([[200.0, 0.0, 0.0]]), dtype=np.float64)
+        assert nll_loss(logits, np.array([0])).item() == 0.0
 
-    def test_zero_gold_probability_stays_finite(self):
-        probs = Tensor(np.array([[1.0, 0.0, 0.0]]), dtype=np.float64)
-        loss = nll_loss(probs, np.array([1]))
-        assert math.isfinite(loss.item())
-        np.testing.assert_allclose(loss.item(), -math.log(1e-12), rtol=1e-12)
-        assert count_clamped(probs, np.array([1])) == 1
-        assert count_clamped(probs, np.array([0])) == 0
+    def test_a_wrong_logit_leading_by_30_gives_30_and_a_gradient(self):
+        """In float32 p_gold is ~9e-14 here: a loss of the probability
+        floored at 1e-12 would read 27.63, with a gradient of exactly zero."""
+        logits = parameter(np.array([[0.0, 30.0, 0.0]]), dtype=np.float32)
+        with GradTape() as tape:
+            loss = nll_loss(logits, np.array([0]))
+            grads = tape.backward(loss)
+        assert loss.data.dtype == np.float32 and loss.item() == 30.0
+        grad = grads[logits][0]
+        np.testing.assert_allclose(grad, [-1.0, 1.0, 0.0], rtol=0, atol=1e-6)
+        assert 0 < grad[2] < 1e-12
 
     def test_batch_mean(self):
-        probs = Tensor(
-            np.array([[1.0, 0.0, 0.0], [1 / 3, 1 / 3, 1 / 3]]), dtype=np.float64
-        )
-        loss = nll_loss(probs, np.array([0, 2]))
-        assert abs(loss.item() - LN3 / 2) < 1e-9
+        logits = Tensor(np.array([[100.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), dtype=np.float64)
+        loss = nll_loss(logits, np.array([0, 2]))
+        assert abs(loss.item() - LN3 / 2) < 1e-15
 
     def test_validation(self):
-        probs = Tensor(np.full((2, 3), 1 / 3), dtype=np.float64)
+        logits = Tensor(np.zeros((2, 3)), dtype=np.float64)
         with pytest.raises(ContractError):
-            nll_loss(probs, np.array([0]))
+            nll_loss(logits, np.array([0]))
         with pytest.raises(ContractError):
-            nll_loss(probs, np.array([0, 3]))
+            nll_loss(logits, np.array([0, 3]))
+        with pytest.raises(ContractError):
+            nll_loss(Tensor(np.zeros(3), dtype=np.float64), np.array([0, 1, 2]))
 
     @pytest.mark.parametrize("gold", [np.array([0.0, 1.0]), np.array([True, False])],
                              ids=["float", "bool"])
     def test_gold_must_be_integers(self, gold):
-        probs = Tensor(np.full((2, 3), 1 / 3), dtype=np.float64)
+        logits = Tensor(np.zeros((2, 3)), dtype=np.float64)
         with pytest.raises(ContractError, match="integers"):
-            nll_loss(probs, gold)
-        with pytest.raises(ContractError, match="integers"):
-            count_clamped(probs, gold)
+            nll_loss(logits, gold)
 
     def test_one_tape_record(self):
-        probs = parameter(np.full((4, 3), 1 / 3), dtype=np.float64)
+        logits = parameter(np.zeros((4, 3)), dtype=np.float64)
         with GradTape() as tape:
-            loss = nll_loss(probs, np.array([0, 2, 1, 2]))
+            loss = nll_loss(logits, np.array([0, 2, 1, 2]))
         assert len(tape) == 1 and loss.requires_grad
 
     def test_gradient_matches_finite_differences(self):
-        """float64, repeated gold classes, and one gold entry the floor
-        binds across the whole difference step: its gradient is exactly 0."""
+        """float64, repeated gold classes, and one gold logit 40 below its
+        row's leader, whose gradient is about -1/B, not 0."""
         rng = np.random.default_rng(151)
         gold = np.array([2, 0, 2, 2, 1])
-        probs = parameter(rng.uniform(0.05, 1.0, size=(5, 3)), dtype=np.float64)
-        probs.data[3, 2] = -0.5
+        logits = parameter(rng.normal(scale=2.0, size=(5, 3)), dtype=np.float64)
+        logits.data[3] = [0.0, 40.0, 0.0]
         with GradTape() as tape:
-            grads = tape.backward(nll_loss(probs, gold))
+            grads = tape.backward(nll_loss(logits, gold))
 
         def f():
-            picked = probs.data[np.arange(5), gold]
-            return float(-np.mean(np.log(np.maximum(picked, 1e-12))))
+            z = logits.data
+            return float(np.mean(np.log(np.exp(z).sum(axis=1)) - z[np.arange(5), gold]))
 
-        assert grads[probs][3, 2] == 0.0
-        assert max_rel_err(grads[probs], numeric_grad(f, probs.data)) < 1e-6
+        assert grads[logits][3, 2] == pytest.approx(-1 / 5, rel=1e-12)
+        assert max_rel_err(grads[logits], numeric_grad(f, logits.data)) < 1e-6
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 3, 16, 17, 64])
     def test_bytes_equal_the_chain_of_steps(self, batch, dtype):
-        """Value and gradient are the bits of pick, floor, log, mean and
-        negate applied in turn, with one entry below the floor."""
+        """Value and gradient are the bits of the log-sum-exp steps applied
+        in turn, with one gold logit 60 below its row's leader."""
         rng = np.random.default_rng(batch)
         gold = rng.integers(0, 3, size=batch)
-        data = softmax(Tensor(rng.normal(scale=2.0, size=(batch, 3)).astype(dtype))).data
-        data[batch // 2, gold[batch // 2]] = 1e-13
-        probs = parameter(data, dtype=dtype)
+        data = rng.normal(scale=2.0, size=(batch, 3)).astype(dtype)
+        data[batch // 2, gold[batch // 2]] -= 60
+        logits = parameter(data, dtype=dtype)
         with GradTape() as tape:
-            loss = nll_loss(probs, gold)
+            loss = nll_loss(logits, gold)
             grads = tape.backward(loss)
         want_value, want_grad = reference_nll(data, gold)
-        for got, want in ((loss.data, want_value), (grads[probs], want_grad)):
+        for got, want in ((loss.data, want_value), (grads[logits], want_grad)):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -612,12 +613,25 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         pairs = [build_random_pair(rng, config, t=int(rng.integers(2, 8)), label_id=i % 3)
                  for i in range(9)]
-        probs = [forward_batch(make_batch([p]), params).data[0] for p in pairs]
-        want_loss = np.mean([-math.log(p[q.label_id]) for p, q in zip(probs, pairs)])
-        want_accuracy = np.mean([p.argmax() == q.label_id for p, q in zip(probs, pairs)])
+        logits = [forward_batch(make_batch([p]), params).data[0].astype(np.float64)
+                  for p in pairs]
+        want_loss = np.mean([math.log(np.exp(z).sum()) - z[q.label_id]
+                             for z, q in zip(logits, pairs)])
+        want_accuracy = np.mean([z.argmax() == q.label_id for z, q in zip(logits, pairs)])
         loss, accuracy = Trainer(cfg()).evaluate(params, pairs)
         assert loss == pytest.approx(want_loss, rel=1e-5)
         assert accuracy == want_accuracy
+
+    def test_a_gold_logit_40_below_the_leader_gives_a_loss_of_40(self):
+        """A probability floored at 1e-12 would read 27.63 here."""
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config, seed=6)
+        params.w_cls.data[:] = 0.0
+        params.b_cls.data[:] = [0.0, 40.0, 0.0]
+        rng = np.random.default_rng(3)
+        pairs = [build_random_pair(rng, config, t=5, label_id=0) for _ in range(4)]
+        loss, accuracy = Trainer(cfg()).evaluate(params, pairs)
+        assert loss == pytest.approx(40.0, rel=1e-12) and accuracy == 0.0
 
     def test_unlabeled_pairs_rejected(self):
         config = build_toy_config(vocab_words=10)
@@ -634,7 +648,7 @@ class TestEvaluate:
             Trainer(cfg()).evaluate(params, [])
 
     def test_one_worker_and_two_give_the_same_bits(self, monkeypatch):
-        """Loss and accuracy are read off one ``probabilities`` array, whose
+        """Loss and accuracy are read off one ``class_logits`` array, whose
         passes one worker and two share alike, so they agree in every bit;
         nothing is recorded onto a tape the caller has open."""
         config = build_toy_config(vocab_words=10)
@@ -644,9 +658,8 @@ class TestEvaluate:
                  for i in range(11)]
         monkeypatch.setattr(training, "BATCH_TOKENS", 16)  # several passes
         gold = np.array([p.label_id for p in pairs])
-        probs = probabilities(params, pairs)
-        want = (nll_loss(Tensor(probs), gold).item(),
-                int((probs.argmax(axis=1) == gold).sum()) / len(pairs))
+        want = (nll_loss(Tensor(class_logits(params, pairs), dtype=np.float64), gold).item(),
+                int((probabilities(params, pairs).argmax(axis=1) == gold).sum()) / len(pairs))
         got = []
         for workers in (1, 2):
             monkeypatch.setattr(base, "_WORKERS", workers)
@@ -695,6 +708,30 @@ class TestProbabilities:
         params = build_toy_params(config)
         monkeypatch.setattr(training, "SPLIT_WORK", 1)
         assert self.passes(monkeypatch, params, numbered_pairs(config, [12]), 2)[0] == [12]
+
+    def test_rows_are_the_stabilized_softmax_of_the_head(self):
+        """Each pass's head logits less their row max, exponentiated and
+        over their row sum in float32, then widened: the bits a softmax at
+        the end of ``forward_batch`` gave."""
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config, seed=3)
+        pairs = numbered_pairs(config, self.LENGTHS)
+        want = np.empty((len(pairs), config.n_classes))
+        for idx in length_sorted_chunks(pairs, training.BATCH_TOKENS, tokens=True):
+            z = forward_batch(make_batch([pairs[i] for i in idx]), params).data
+            shifted = z - z.max(axis=-1, keepdims=True)
+            e = np.exp(shifted)
+            want[idx] = e / e.sum(axis=-1, keepdims=True)
+        assert z.dtype == np.float32
+        assert probabilities(params, pairs).tobytes() == want.tobytes()
+
+    def test_a_non_finite_logit_is_a_numeric_error_naming_the_pair(self):
+        config = build_toy_config(vocab_words=10)
+        params = build_toy_params(config, seed=3)
+        pairs = numbered_pairs(config, self.LENGTHS)
+        params.w_cls.data[0, 1] = np.nan
+        with pytest.raises(NumericError, match="^non-finite class logits for pair 0$"):
+            probabilities(params, pairs)
 
 
 class FixedTraceTrainer(Trainer):
@@ -788,6 +825,28 @@ class TestTrainerLoop:
         assert result.log.aborted and result.log.epochs == [] and result.log.best_epoch == 0
         assert result.params is params
         assert [t.data.tobytes() for _, t in params.named_tensors()] == after_step_1 != start
+
+    def test_a_non_finite_validation_row_aborts_the_run(self, monkeypatch):
+        """Epoch 2's validation logits hold a NaN: the run stops as on a
+        non-finite training loss, and epoch 1's weights come back."""
+        config = build_toy_config(vocab_words=10, n_blocks=1, d_model=8)
+        train_pairs, val_pairs = self.small_dataset(config)
+        params = build_toy_params(config, seed=3)
+        validations = []
+
+        def poisoned(batch, params, rng=None, **kw):
+            logits = forward_batch(batch, params, rng=rng, **kw)
+            if rng is None:  # validation; a training step passes its generator
+                validations.append(logits.data)
+                if len(validations) == 2:
+                    logits.data[-1, 0] = np.nan
+            return logits
+
+        monkeypatch.setattr(training, "forward_batch", poisoned)
+        result = Trainer(cfg(max_epochs=3, batch_size=4)).fit(params, train_pairs, val_pairs)
+        assert result.log.aborted and len(validations) == 2
+        assert len(result.log.epochs) == 1 and result.log.best_epoch == 1
+        assert result.params is not params
 
     def test_each_step_checks_each_gradient_once(self, monkeypatch):
         """The finite check runs once per tensor per step, inside Adam."""
@@ -902,8 +961,7 @@ class TestTrainerLoop:
         losses = []
         for _ in range(50):
             with GradTape() as tape:
-                probs = forward_batch(batch, params)
-                loss = nll_loss(probs, batch.labels)
+                loss = nll_loss(forward_batch(batch, params), batch.labels)
                 grads = tape.backward(loss)
             opt.step(grads, 1e-3)
             losses.append(loss.item())
