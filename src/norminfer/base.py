@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
+import ctypes
 import dataclasses
 import inspect
 import math
@@ -26,14 +27,42 @@ from typing import IO, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-# threads that run batches: the caller and, at 2, one helper
-_WORKERS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+
+def _openblas() -> tuple[Callable | None, Callable | None]:
+    """The get and set num_threads functions of the OpenBLAS a numpy wheel
+    ships, where ctypes finds them."""
+    for path in sorted((Path(np.__file__).resolve().parents[1] / "numpy.libs").glob("*openblas*")):
+        for name in ("scipy_openblas_%s_num_threads64_", "openblas_%s_num_threads64_",
+                     "openblas_%s_num_threads"):
+            with contextlib.suppress(OSError, AttributeError):
+                lib = ctypes.CDLL(str(path))
+                get, put = getattr(lib, name % "get"), getattr(lib, name % "set")
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None, None
+
+
+def _env_pins_one_thread() -> bool:
+    """Whether each BLAS thread-count variable that is set reads 1."""
+    names = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    return {os.environ.get(name) for name in names} - {None} == {"1"}
+
+
+_BLAS_THREADS, _SET_BLAS_THREADS = _openblas()
+# threads that run batches: the caller and, at 2, one helper, which stays off
+# beside a BLAS that may run several threads and cannot be set to one
+_WORKERS = min(2 if _SET_BLAS_THREADS or _env_pins_one_thread() else 1,
+               len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 
 
 @lru_cache(maxsize=1)
 def _helper_pool(pid: int) -> ThreadPoolExecutor:
-    """The helper thread's pool, made once per process: a forked child has none."""
+    """The helper thread's pool, made once per process: a forked child has
+    none. It sets OpenBLAS to one thread for good, as a restore would race."""
+    if _SET_BLAS_THREADS is not None:
+        _SET_BLAS_THREADS(1)
     return ThreadPoolExecutor(1, thread_name_prefix="norminfer-helper")
 
 

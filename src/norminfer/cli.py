@@ -72,8 +72,8 @@ def _resolve_output_dir(cfg_value: str, flag_value: str | None) -> Path:
 @contextlib.contextmanager
 def _output_dir(path: Path):
     """Make ``path`` with any parents for the body of the block. If the
-    body raises an error that exits with EXIT_DATA, the directories made
-    here go again, deepest first, as long as they are empty."""
+    body raises an error that exits with EXIT_DATA or EXIT_NUMERIC, the
+    directories made here go again, deepest first, as long as they are empty."""
     made = [p for p in (path, *path.parents) if not p.exists()]
     try:
         try:
@@ -81,7 +81,7 @@ def _output_dir(path: Path):
         except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise ConfigError(f"cannot create output directory {path}: {exc}") from exc
         yield path
-    except DATA_ERRORS:
+    except (*DATA_ERRORS, NumericError):
         # stops at the first one not empty, or one a NUL keeps from existing
         with contextlib.suppress(OSError, ValueError):
             for p in made:

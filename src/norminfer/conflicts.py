@@ -4,11 +4,13 @@ Each norm pair is scored twice, once per reading direction, because a
 conflict between obligations is not a symmetric relation: "must deliver
 originals" against "may deliver copies" can look contradictory one way
 and merely unentailed the other. The report keeps both directions side
-by side and aggregates them per conflict type.
+by side and aggregates them per conflict type. Each direction is scored
+alone, so its bytes depend on no other pair and on no thread count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from dataclasses import dataclass
@@ -17,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .base import ContractError, atomic_write, check_fitted
+from .base import ContractError, NumericError, atomic_write, check_fitted, run_shared
 from .estimator import NliClassifier
 from .text import CLASSES, CONFLICT_TYPES, ConflictRecord
-from .training import probabilities
+from .training import probabilities, shares_work
 
 CSV_COLUMNS = (
     "conflict_type",
@@ -68,8 +70,12 @@ class ConflictReport:
 def analyze_conflicts(
     classifier: NliClassifier, records: Sequence[ConflictRecord]
 ) -> ConflictReport:
-    """Score every record in both directions: all 2N directions are
-    encoded at once, then each runs its own forward pass."""
+    """Score every record in both directions: all 2N directions are encoded
+    at once, then each runs its own forward pass, longest first. Below
+    ``SPLIT_WORK`` they are one item of ``run_shared``, which the caller runs
+    alone; from it on, each is one, shared with the helper thread. A
+    non-finite direction is a NumericError naming the first, whichever
+    thread met it."""
     records = tuple(records)
     if not records:
         raise ContractError("no conflict records to analyze")
@@ -77,7 +83,20 @@ def analyze_conflicts(
     encoded = classifier.encoder_.transform(
         [pair for r in records for pair in ((r.norm_a, r.norm_b), (r.norm_b, r.norm_a))]
     )
-    probs = np.concatenate([probabilities(classifier.params_, [pair]) for pair in encoded])
+    probs = np.full((len(encoded), len(CLASSES)), np.nan)
+
+    def score(directions: list[int]) -> None:
+        for i in directions:
+            with contextlib.suppress(NumericError):  # its row stays NaN, named below
+                probs[i] = probabilities(classifier.params_, [encoded[i]])[0]
+
+    order = sorted(range(len(encoded)), key=lambda i: len(encoded[i]), reverse=True)
+    run_shared(score, [[i] for i in order] if shares_work(classifier.params_, encoded)
+               else [order])
+    if (bad := np.flatnonzero(np.isnan(probs[:, 0]))).size:
+        pair, direction = divmod(int(bad[0]), len(DIRECTIONS))
+        raise NumericError(
+            f"non-finite class logits for pair {pair + 1} ({DIRECTIONS[direction]})")
     shape = (len(records), len(DIRECTIONS))
     return ConflictReport(
         records=records,

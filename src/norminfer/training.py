@@ -297,6 +297,12 @@ def length_sorted_chunks(
     return chunks
 
 
+def shares_work(params: ModelParameters, encoded: Sequence[EncodedPair]) -> bool:
+    """Whether ``encoded``'s tokens x ``d_model`` x ``n_blocks`` reach ``SPLIT_WORK``."""
+    tokens = sum(len(pair) for pair in encoded)
+    return tokens * params.config.d_model * params.config.n_blocks >= SPLIT_WORK
+
+
 def class_logits(params: ModelParameters, encoded: Sequence[EncodedPair]) -> np.ndarray:
     """Head logits for encoded pairs, in input order and the model's dtype:
     the one forward-only loop, untaped and without dropout. Passes of
@@ -305,8 +311,7 @@ def class_logits(params: ModelParameters, encoded: Sequence[EncodedPair]) -> np.
     They run longest first on the caller and the helper thread, with the
     bytes of one thread. A pair with a non-finite logit is a NumericError."""
     config, tokens = params.config, sum(len(pair) for pair in encoded)
-    split = tokens * config.d_model * config.n_blocks >= SPLIT_WORK
-    budget = min(BATCH_TOKENS, (tokens + 1) // 2) if split else BATCH_TOKENS
+    budget = min(BATCH_TOKENS, (tokens + 1) // 2) if shares_work(params, encoded) else BATCH_TOKENS
     out = np.empty((len(encoded), config.n_classes), dtype=params.dtype)
 
     def run_chunk(idx: list[int]) -> None:

@@ -278,3 +278,20 @@ def fit_tiny_classifier(**overrides):
     )
     kw.update(overrides)
     return NliClassifier(**kw).fit(make_corpus(24), make_corpus(8, seed=1))
+
+
+def bundled_word_classifier(d_model=8, seed=3):
+    """A one-block classifier over random weights and a vocabulary of every
+    word in the bundled norm pairs, so no two of their directions encode
+    alike; returns it with the pairs."""
+    from norminfer.estimator import NliClassifier
+    from norminfer.model import ModelConfig, ModelParameters
+    from norminfer.text import (RESERVED_TOKENS, Vocabulary, bundled_conflicts_path,
+                                load_norm_conflicts, tokenize)
+
+    records = load_norm_conflicts(bundled_conflicts_path())
+    words = {w for r in records for w in tokenize(f"{r.norm_a} {r.norm_b}")}
+    vocab = Vocabulary(list(RESERVED_TOKENS) + sorted(words))
+    config = ModelConfig(vocab_words=len(vocab), n_blocks=1, n_heads=2, d_model=d_model)
+    params = ModelParameters.initialize(config, np.random.default_rng(seed))
+    return NliClassifier.from_artifacts(params, vocab), records

@@ -655,12 +655,17 @@ class TestNonFiniteWeights:
     """A checkpoint whose checksums hold but whose head holds a NaN: every
     command that scores pairs exits 3 naming a pair, and writes no report."""
 
-    @pytest.mark.parametrize("command", ["infer", "eval", "analyze-conflicts"])
-    def test_a_nan_weight_exits_numeric(self, workspace, tmp_path, capsys, command):
+    @staticmethod
+    def nan_checkpoint(workspace, tmp_path):
         ckpt = load_checkpoint(artifact(workspace, CHECKPOINT_FILE))
         ckpt.params.w_cls.data[0, 0] = float("nan")
         broken = tmp_path / "nan.bin"
         save_checkpoint(ckpt.params, ckpt.meta, broken)
+        return broken
+
+    @pytest.mark.parametrize("command", ["infer", "eval", "analyze-conflicts"])
+    def test_a_nan_weight_exits_numeric(self, workspace, tmp_path, capsys, command):
+        broken = self.nan_checkpoint(workspace, tmp_path)
         out_dir = tmp_path / "reports"
         extra = {
             "infer": ["--premise", "a dog is walking", "--hypothesis", "a dog"],
@@ -673,6 +678,18 @@ class TestNonFiniteWeights:
         assert code == EXIT_NUMERIC
         assert err.startswith("numeric failure: non-finite class logits for pair ")
         assert out == "" and not (out_dir / REPORT_CSV_FILE).exists()
+
+    def test_the_report_names_the_first_direction_and_removes_its_directories(
+        self, workspace, tmp_path, capsys
+    ):
+        code = run_cli(["analyze-conflicts", "--checkpoint",
+                        str(self.nan_checkpoint(workspace, tmp_path)),
+                        "--vocab", artifact(workspace, VOCAB_FILE),
+                        "--output-dir", str(tmp_path / "out" / "deep")])
+        assert code == EXIT_NUMERIC
+        assert capsys.readouterr().err == (
+            "numeric failure: non-finite class logits for pair 1 (a>b)\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyzeConflicts:

@@ -3,12 +3,14 @@
 import csv
 import io
 import re
+import threading
 
 import numpy as np
 import pytest
-from helpers import fit_tiny_classifier
+from helpers import bundled_word_classifier, fit_tiny_classifier
 
-from norminfer.base import ContractError, NotFittedError
+from norminfer import base, training
+from norminfer.base import ContractError, NotFittedError, NumericError
 from norminfer.conflicts import (
     CSV_COLUMNS,
     DIRECTIONS,
@@ -248,3 +250,92 @@ class TestBundledCorpus:
         assert len(report.records) == 14
         assert {r.conflict_type for r in report.records} == set(CONFLICT_TYPES)
         assert np.allclose(report.probs.sum(-1), 1.0, atol=1e-6)
+
+
+class TestSharedDirections:
+    """From ``SPLIT_WORK`` on, the caller and the helper thread take the
+    directions; each is still scored alone, so the bytes stay the same."""
+
+    @pytest.fixture(scope="class")
+    def worded(self):
+        return bundled_word_classifier()
+
+    @pytest.fixture(scope="class")
+    def clf(self, worded):
+        return worded[0]
+
+    @pytest.fixture(scope="class")
+    def bundled(self, worded):
+        return worded[1]
+
+    def spy(self, monkeypatch, workers=2, poisoned=(), split_work=1):
+        """Run with ``SPLIT_WORK`` at ``split_work`` on ``workers`` threads.
+        With two, each thread's first pass waits for the other's, so both
+        surely take part. A pass over an encoded pair in ``poisoned`` gives
+        NaN logits. Returns the (thread, pairs, tokens) of each forward pass."""
+        monkeypatch.setattr(training, "SPLIT_WORK", split_work)
+        monkeypatch.setattr(base, "_WORKERS", workers)
+        meet = threading.Barrier(workers, timeout=30)
+        calls, lock, forward = [], threading.Lock(), training.forward_batch
+
+        def meeting(batch, params, **kw):
+            with lock:
+                first = all(call[0] != threading.get_ident() for call in calls)
+                calls.append((threading.get_ident(), batch.size, batch.token_ids.size))
+            if first:
+                meet.wait()
+            logits = forward(batch, params, **kw)
+            if any(np.array_equal(batch.token_ids, p.token_ids) for p in poisoned):
+                logits.data[:] = np.nan
+            return logits
+
+        monkeypatch.setattr(training, "forward_batch", meeting)
+        return calls
+
+    def test_a_toy_report_submits_no_helper_job(self, monkeypatch, clf, bundled):
+        calls = self.spy(monkeypatch, workers=1, split_work=training.SPLIT_WORK)
+        monkeypatch.setattr(base, "_WORKERS", 2)
+        made = []
+        monkeypatch.setattr(base, "_helper_pool", lambda pid: made.append(pid))
+        analyze_conflicts(clf, bundled)
+        assert made == []
+        assert [size for _, size, _ in calls] == [1] * 2 * len(bundled)
+
+    def test_two_threads_take_the_directions_one_pair_each(self, monkeypatch, clf, bundled):
+        calls = self.spy(monkeypatch)
+        analyze_conflicts(clf, bundled)
+        assert len(calls) == 2 * len(bundled)
+        assert {size for _, size, _ in calls} == {1}
+        assert len({thread for thread, _, _ in calls}) == 2
+
+    def test_csv_bytes_do_not_depend_on_the_thread_count(self, monkeypatch, clf, bundled):
+        alone = report_to_csv(analyze_conflicts(clf, bundled))
+        calls = self.spy(monkeypatch, workers=1)
+        one = report_to_csv(analyze_conflicts(clf, bundled))
+        tokens = [n for _, _, n in calls]
+        assert tokens == sorted(tokens, reverse=True) and len(set(tokens)) > 1  # longest first
+        self.spy(monkeypatch, workers=2)
+        two = report_to_csv(analyze_conflicts(clf, bundled))
+        assert alone == one == two
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("poisoned, named", [
+        ([(2, 1)], "pair 3 (b>a)"),
+        ([(13, 0), (5, 0), (2, 1)], "pair 3 (b>a)"),
+        ([(13, 1)], "pair 14 (b>a)"),
+        ([(0, 0)], "pair 1 (a>b)"),
+    ])
+    def test_a_non_finite_direction_is_named(self, monkeypatch, clf, bundled,
+                                             workers, poisoned, named):
+        """Only the poisoned directions give NaN; the lowest is named,
+        whichever thread met it first."""
+        encoded = clf.encoder_.transform(
+            [(r.norm_a, r.norm_b)[::1 - 2 * d] for r in bundled for d in range(2)]
+        )
+        assert len({p.token_ids.tobytes() for p in encoded}) == 2 * len(bundled)
+        encoded = [encoded[2 * i + d] for i, d in poisoned]
+        calls = self.spy(monkeypatch, workers, poisoned=encoded)
+        with pytest.raises(NumericError) as caught:
+            analyze_conflicts(clf, bundled)
+        assert str(caught.value) == f"non-finite class logits for {named}"
+        assert len(calls) == 2 * len(bundled)

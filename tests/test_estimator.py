@@ -1,14 +1,17 @@
 """Estimator API: encoding step, classifier fit/predict, parameter plumbing."""
 
 import inspect
+import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
 from collections import Counter
 from dataclasses import fields
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -621,3 +624,75 @@ class TestTwoThreads:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+
+
+# Run in a fresh process at the BLAS thread count its environment sets: a
+# report over 28 directions at d_model 64, whose matmuls OpenBLAS threads,
+# before any shared call; then a toy fit, whose first step makes the helper,
+# its predict_proba, and its report with the directions shared. Prints the
+# BLAS's thread count before and after (None where it cannot be asked), the
+# worker count, and one SHA-256 over every output's bytes.
+BLAS_CHILD = """
+import hashlib, json
+from helpers import bundled_word_classifier, fit_tiny_classifier, make_corpus
+from norminfer import base, training
+from norminfer.conflicts import analyze_conflicts, report_to_csv
+
+threads = lambda: base._BLAS_THREADS and base._BLAS_THREADS()
+wide, records = bundled_word_classifier(d_model=64, seed=0)
+out = [report_to_csv(analyze_conflicts(wide, records)).encode()]
+before = threads()
+clf = fit_tiny_classifier()
+out += [t.data.tobytes() for _, t in clf.params_.named_tensors()]
+out.append(clf.predict_proba([(e.premise, e.hypothesis) for e in make_corpus(8, seed=2)]).tobytes())
+training.SPLIT_WORK = 1
+out.append(report_to_csv(analyze_conflicts(clf, records)).encode())
+print(json.dumps({"before": before, "after": threads(), "workers": base._WORKERS,
+                  "sha256": hashlib.sha256(b"".join(out)).hexdigest()}))
+"""
+
+
+class TestBlasThreads:
+    """Once the helper thread exists, OpenBLAS runs one thread; the bytes do
+    not depend on how many it ran before."""
+
+    def run_child(self, blas_threads):
+        env = {k: v for k, v in os.environ.items() if k != "MKL_NUM_THREADS"}
+        env.update(OPENBLAS_NUM_THREADS=str(blas_threads), OMP_NUM_THREADS=str(blas_threads))
+        src = Path(base.__file__).resolve().parents[1]
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), str(src)])
+        proc = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_fit_predict_and_report_bytes_do_not_depend_on_the_blas_threads(self):
+        one, two = self.run_child(1), self.run_child(2)
+        assert one["sha256"] == two["sha256"]
+        for run in (one, two):
+            if run["before"] is not None and run["workers"] == 2 and base._SET_BLAS_THREADS:
+                assert run["after"] == 1
+        assert one["before"] in (1, None)
+        if two["before"] is not None and two["before"] < 2:
+            pytest.skip("the BLAS runs fewer than two threads on this CPU set")
+
+    @pytest.mark.skipif(base._BLAS_THREADS is None or base._SET_BLAS_THREADS is None,
+                        reason="the BLAS's thread count cannot be read or set")
+    def test_a_shared_call_leaves_the_blas_on_one_thread(self, monkeypatch):
+        monkeypatch.setattr(base, "_WORKERS", 2)
+        base.run_shared(lambda item: None, range(8))
+        assert base._BLAS_THREADS() == 1
+
+    @pytest.mark.parametrize("env, one", [
+        ({}, False),
+        ({"OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}, True),
+        ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+        ({"MKL_NUM_THREADS": "2"}, False),
+    ])
+    def test_without_a_setter_the_environment_decides(self, monkeypatch, env, one):
+        for name in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert base._env_pins_one_thread() is one
